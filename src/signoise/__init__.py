@@ -47,7 +47,6 @@ from .model import (
     eval_signal,
     grad_noise_var,
     grad_signal,
-    hess_noise_var,
     validate_assumptions,
 )
 from .sampling import (
@@ -63,7 +62,6 @@ from .sampling import (
 from .increments import (
     IncrementMoments,
     MomentCache,
-    increment_moments,
     log_variance_terms,
 )
 from .simulate import (
@@ -93,6 +91,7 @@ from .information import (
     separation_gaps,
 )
 from .estimate import (
+    ESTIMATORS,
     BayesResult,
     EstimateResult,
     MleOptions,
@@ -104,6 +103,7 @@ from .estimate import (
     mle_numeric,
     posterior_mean_importance,
     posterior_mean_quadrature,
+    resolve_estimator,
 )
 from .experiments import (
     StudyConfig,

@@ -4,7 +4,7 @@ Five subcommands, all driven by a JSON config file:
 
     signoise grid     --config cfg.json [--out DIR]
     signoise simulate --config cfg.json [--seed S] [--out DIR]
-    signoise estimate --config cfg.json --sample PATH [--out DIR]
+    signoise estimate --config cfg.json --sample PATH [--seed S] [--out DIR]
     signoise fisher   --config cfg.json [--out DIR]
     signoise verify   --config cfg.json [--seed S] [--out DIR] [--workers K]
 
@@ -24,13 +24,7 @@ import sys
 
 from . import config as _config
 from .errors import ConfigError, NoiseFloorViolation, SignoiseError
-from .estimate import (
-    closed_form_mle,
-    has_closed_form,
-    mle_numeric,
-    posterior_mean_importance,
-    posterior_mean_quadrature,
-)
+from .estimate import resolve_estimator
 from .experiments import run_study, save_report, study_from_dict
 from .information import bundle_to_json, empirical_fisher, periodic_limit_fisher
 from .increments import MomentCache
@@ -111,18 +105,9 @@ def _cmd_estimate(args) -> int:
     space = _config.build_space(cfg["space"])
     if model.p != space.p or model.q != space.q:
         raise ConfigError("model and space dimensions do not match", key="space")
-    estimator = cfg.get("estimator", "auto")
-    if estimator not in ("auto", "mle", "mle-closed", "bayes", "bayes-is"):
-        raise ConfigError(f"unknown estimator {estimator!r}", key="estimator")
-    if estimator == "bayes" and space.d > 4:
-        raise ConfigError(
-            f"dimension guard: bayes tensor cubature is limited to d <= 4, "
-            f"got d = {space.d}",
-            key="estimator",
-        )
+    estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space)
     prior = _config.build_prior(cfg["prior"]) if cfg.get("prior") else None
-    if estimator == "auto":
-        estimator = "mle-closed" if has_closed_form(model) else "mle"
+    seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
     cfg_digest = _config.digest(cfg)
 
     def run_one(sample_path: str) -> dict:
@@ -132,22 +117,11 @@ def _cmd_estimate(args) -> int:
             if os.path.exists(candidate):
                 meta_path = candidate
         sample, grid = load_sample(sample_path, meta_path)
-        cache = MomentCache(model, grid)
-        if estimator == "mle-closed":
-            result = closed_form_mle(model, space, grid, sample, cache=cache).to_dict()
-        elif estimator == "mle":
-            result = mle_numeric(model, space, grid, sample, cache=cache).to_dict()
-        elif estimator == "bayes":
-            result = posterior_mean_quadrature(
-                model, space, grid, sample, prior=prior,
-                rel_tol=float(cfg.get("bayes_rel_tol", 1e-6)), cache=cache,
-            ).to_dict()
-        else:
-            result = posterior_mean_importance(
-                model, space, grid, sample, prior=prior,
-                draws=int(cfg.get("bayes_draws", 8000)),
-                seed=int(cfg.get("seed", 0)), cache=cache,
-            ).to_dict()
+        result = estimator(
+            model, space, grid, sample, cache=MomentCache(model, grid), prior=prior,
+            rel_tol=float(cfg.get("bayes_rel_tol", 1e-6)),
+            draws=int(cfg.get("bayes_draws", 8000)), seed=seed,
+        ).to_dict()
         result["config_digest"] = cfg_digest
         result["sample"] = os.path.basename(sample_path)
         result["sample_seed"] = sample.seed
@@ -255,10 +229,11 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sample=False, workers=False):
+    def common(p, seed=False, sample=False, workers=False):
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if sample:
             p.add_argument("--sample", required=True, help="sample CSV to estimate from")
         if workers:
@@ -270,10 +245,13 @@ def main(argv=None) -> int:
             )
 
     common(sub.add_parser("grid", help="materialize a sampling grid to CSV"))
-    common(sub.add_parser("simulate", help="draw one increment sample"))
-    common(sub.add_parser("estimate", help="estimate parameters from a sample"), sample=True)
+    common(sub.add_parser("simulate", help="draw one increment sample"), seed=True)
+    common(
+        sub.add_parser("estimate", help="estimate parameters from a sample"),
+        seed=True, sample=True,
+    )
     common(sub.add_parser("fisher", help="information matrices to JSON"))
-    common(sub.add_parser("verify", help="run a Monte-Carlo study"), workers=True)
+    common(sub.add_parser("verify", help="run a Monte-Carlo study"), seed=True, workers=True)
 
     args = parser.parse_args(argv)
     handlers = {

@@ -25,6 +25,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .errors import (
+    ConfigError,
     DegeneratePosteriorError,
     DomainError,
     NoiseFloorViolation,
@@ -51,7 +52,11 @@ __all__ = [
     "BayesResult",
     "posterior_mean_quadrature",
     "posterior_mean_importance",
+    "ESTIMATORS",
+    "resolve_estimator",
 ]
+
+_BAYES_MAX_DIM = 4
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +484,9 @@ def posterior_mean_quadrature(
 
     Guarded to d <= 4: tensor rules beyond that are not worth their cost.
     """
-    if space.d > 4:
+    if space.d > _BAYES_MAX_DIM:
         raise DomainError(
-            f"tensor cubature is limited to d <= 4, got d = {space.d}"
+            f"tensor cubature is limited to d <= {_BAYES_MAX_DIM}, got d = {space.d}"
         )
     if prior is None:
         prior = Prior()
@@ -630,3 +635,51 @@ def posterior_mean_importance(
         draws=draws,
         effective_draws=effective,
     )
+
+
+# ---------------------------------------------------------------------------
+# estimator table
+# ---------------------------------------------------------------------------
+
+# Every entry is called as fn(model, space, grid, sample, cache=, prior=,
+# rel_tol=, draws=, seed=) and reads only the settings its route uses.  The
+# entries look their estimator up by module-level name at call time, so a
+# patched module attribute reaches every front end.
+ESTIMATORS = {
+    "mle-closed": lambda model, space, grid, sample, cache, **_: closed_form_mle(
+        model, space, grid, sample, cache=cache
+    ),
+    "mle": lambda model, space, grid, sample, cache, **_: mle_numeric(
+        model, space, grid, sample, cache=cache
+    ),
+    "bayes": lambda model, space, grid, sample, cache, prior, rel_tol, **_: (
+        posterior_mean_quadrature(
+            model, space, grid, sample, prior=prior, rel_tol=rel_tol, cache=cache
+        )
+    ),
+    "bayes-is": lambda model, space, grid, sample, cache, prior, draws, seed, **_: (
+        posterior_mean_importance(
+            model, space, grid, sample, prior=prior, draws=draws, seed=seed, cache=cache
+        )
+    ),
+}
+
+
+def resolve_estimator(name: str, model: ModelSpec, space: ParameterSpace):
+    """The ESTIMATORS entry for a configured name.
+
+    ``auto`` picks the closed form where the family has one and the numeric
+    MLE otherwise.  Unknown names and ``bayes`` above d = 4 raise
+    ConfigError naming the ``estimator`` key.
+    """
+    if name == "auto":
+        name = "mle-closed" if has_closed_form(model) else "mle"
+    if name not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {name!r}", key="estimator")
+    if name == "bayes" and space.d > _BAYES_MAX_DIM:
+        raise ConfigError(
+            f"dimension guard: the bayes estimator's tensor cubature is limited "
+            f"to d <= {_BAYES_MAX_DIM}, got d = {space.d}",
+            key="estimator",
+        )
+    return ESTIMATORS[name]

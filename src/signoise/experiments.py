@@ -37,14 +37,7 @@ from scipy import stats as _stats
 
 from . import config as _config
 from .errors import ConfigError, DomainError, SignoiseError
-from .estimate import (
-    Prior,
-    closed_form_mle,
-    has_closed_form,
-    mle_numeric,
-    posterior_mean_importance,
-    posterior_mean_quadrature,
-)
+from .estimate import Prior, resolve_estimator
 from .increments import MomentCache
 from .information import InformationBundle, empirical_fisher, periodic_limit_fisher
 from .likelihood import normalized_log_ratio
@@ -293,42 +286,19 @@ def _estimate_one(ctx: _Context, cfg: StudyConfig, task: dict, r: int) -> np.nda
     z = normal_stream(task["seed"], r, ctx.grid.n)
     y = mean + sd * z
     sample = IncrementSample(y, task["seed"], r, ctx.grid_digest, theta)
-    name = task["estimator"]
+    estimator = resolve_estimator(task["estimator"], ctx.model, ctx.space)
     try:
-        if name == "auto":
-            name = "mle-closed" if has_closed_form(ctx.model) else "mle"
-        if name == "mle-closed":
-            est = closed_form_mle(ctx.model, ctx.space, ctx.grid, sample, cache=ctx.cache)
-        elif name == "mle":
-            est = mle_numeric(ctx.model, ctx.space, ctx.grid, sample, cache=ctx.cache)
-        elif name == "bayes":
-            res = posterior_mean_quadrature(
-                ctx.model,
-                ctx.space,
-                ctx.grid,
-                sample,
-                prior=ctx.prior,
-                rel_tol=cfg.bayes_rel_tol,
-                cache=ctx.cache,
-            )
-            return res.theta.vector
-        elif name == "bayes-is":
-            res = posterior_mean_importance(
-                ctx.model,
-                ctx.space,
-                ctx.grid,
-                sample,
-                prior=ctx.prior,
-                draws=cfg.bayes_draws,
-                seed=derive_seed(task["seed"], "is", r),
-                cache=ctx.cache,
-            )
-            return res.theta.vector
-        else:
-            raise ConfigError(f"unknown estimator {name!r}", key="estimator")
-        return est.theta.vector
-    except ConfigError:
-        raise
+        return estimator(
+            ctx.model,
+            ctx.space,
+            ctx.grid,
+            sample,
+            cache=ctx.cache,
+            prior=ctx.prior,
+            rel_tol=cfg.bayes_rel_tol,
+            draws=cfg.bayes_draws,
+            seed=derive_seed(task["seed"], "is", r),
+        ).theta.vector
     except (SignoiseError, np.linalg.LinAlgError):
         return None
 
@@ -886,20 +856,7 @@ def study_from_dict(cfg: dict) -> StudyConfig:
         _config.build_grid_for(cfg["grid"], int(n))
 
     estimator = cfg.get("estimator", "auto")
-    if estimator not in ("auto", "mle", "mle-closed", "bayes", "bayes-is"):
-        raise ConfigError(f"unknown estimator {estimator!r}", key="estimator")
-    if estimator == "mle-closed" and not has_closed_form(model):
-        raise ConfigError(
-            "estimator 'mle-closed' needs a linear drift with known or scaled "
-            "noise",
-            key="estimator",
-        )
-    if estimator == "bayes" and space.d > 4:
-        raise ConfigError(
-            f"dimension guard: the bayes estimator's tensor cubature is limited "
-            f"to d <= 4, got d = {space.d}",
-            key="estimator",
-        )
+    resolve_estimator(estimator, model, space)
 
     directions = cfg.get("directions", [])
     if not isinstance(directions, list):

@@ -38,7 +38,7 @@ from .model import (
 )
 from .sampling import TimeGrid
 
-__all__ = ["IncrementMoments", "MomentCache", "increment_moments", "log_variance_terms"]
+__all__ = ["IncrementMoments", "MomentCache", "log_variance_terms"]
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,3 @@ class MomentCache:
                 f"below floor*delay = {float(floor[i])!r}"
             )
         return IncrementMoments(mean, var, grad_mean, grad_var)
-
-
-def increment_moments(
-    model: ModelSpec,
-    theta: Theta,
-    grid: TimeGrid,
-    rel_tol: float = quadrature.DEFAULT_REL_TOL,
-    abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-    force_quadrature: bool = False,
-) -> IncrementMoments:
-    """One-shot convenience wrapper around :class:`MomentCache`."""
-    cache = MomentCache(model, grid, rel_tol, abs_tol, force_quadrature)
-    return cache.moments(theta)

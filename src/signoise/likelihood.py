@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError, OutOfSpaceError
 from .increments import IncrementMoments, MomentCache
 from .model import ModelSpec, ParameterSpace, Theta
@@ -164,8 +163,6 @@ def expected_power_identity(
     z: float,
     grid: TimeGrid,
     cache: MomentCache | None = None,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-13,
 ) -> float:
     """Closed form for ln E[ exp(z * (log-ratio to theta + shift)) ].
 
@@ -176,9 +173,14 @@ def expected_power_identity(
         -sum_i dmean_i^2 / (2 * (v0_i/(1-z) + v1_i/z))
 
     and a variance displacement term, the integral over x from v0_i to
-    v1_i of  (v1_i - x) / (2 x (x/(1-z) + v1_i/z)) dx,  subtracted.  Both
-    are finite for any admissible pair of variance vectors, and both vanish
-    when the shift is zero.
+    v1_i of  (v1_i - x) / (2 x (x/(1-z) + v1_i/z)) dx,  subtracted.  With
+    d_i = v1_i - v0_i and a = 1/(1-z) that integral is exactly
+
+        0.5 * [z * log1p(d_i/v0_i) - log1p(a*d_i / (a*v0_i + v1_i/z))],
+
+    written with log1p so it stays accurate when v1_i is close to v0_i.
+    Both terms are finite for any admissible pair of variance vectors, and
+    both vanish when the shift is zero.
     """
     z = float(z)
     if not (0.0 < z < 1.0):
@@ -194,21 +196,11 @@ def expected_power_identity(
 
     dmean = m1.mean - m0.mean
     denom = m0.var / (1.0 - z) + m1.var / z
-    total = float(-np.sum(dmean * dmean / (2.0 * denom)))
+    mean_term = -np.sum(dmean * dmean / (2.0 * denom))
 
-    one_minus_z_inv = 1.0 / (1.0 - z)
-    z_inv = 1.0 / z
-    for v0, v1 in zip(m0.var, m1.var):
-        if v0 == v1:
-            continue
-        v1_over_z = z_inv * v1
-
-        def integrand(x, _v1=v1, _vz=v1_over_z):
-            return (_v1 - x) / (2.0 * x * (one_minus_z_inv * x + _vz))
-
-        lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-        value = quadrature.integrate(integrand, lo, hi, rel_tol, abs_tol)
-        if v0 > v1:
-            value = -value
-        total -= value
-    return total
+    a = 1.0 / (1.0 - z)
+    dvar = m1.var - m0.var
+    var_term = 0.5 * np.sum(
+        z * np.log1p(dvar / m0.var) - np.log1p(a * dvar / (a * m0.var + m1.var / z))
+    )
+    return float(mean_term - var_term)

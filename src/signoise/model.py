@@ -44,7 +44,6 @@ __all__ = [
     "grad_signal",
     "eval_noise_var",
     "grad_noise_var",
-    "hess_noise_var",
     "ValidationConfig",
     "ValidationReport",
     "validate_assumptions",
@@ -224,11 +223,6 @@ class LinearSignal:
     def grad(self, alpha: np.ndarray, t: float) -> np.ndarray:
         return np.array([float(np.asarray(b(t))) for b in self.basis])
 
-    def basis_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """Basis values at many instants, shape (len(ts), p)."""
-        ts = np.asarray(ts, dtype=float)
-        return np.column_stack([np.broadcast_to(b(ts), ts.shape) for b in self.basis])
-
     def basis_integral_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact integrals of each basis atom over intervals, shape (n, p)."""
         a = np.asarray(a, dtype=float)
@@ -289,9 +283,6 @@ class KnownNoise:
     def grad(self, beta, t):
         return np.zeros(0)
 
-    def hess(self, beta, t):
-        return np.zeros((0, 0))
-
 
 @dataclass(frozen=True)
 class ScaledNoise:
@@ -309,23 +300,18 @@ class ScaledNoise:
     def grad(self, beta, t):
         return np.array([float(np.asarray(self.profile(t)))])
 
-    def hess(self, beta, t):
-        return np.zeros((1, 1))
-
 
 @dataclass(frozen=True)
 class GeneralNoise:
     """Variance rate given by arbitrary callables.
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required;
-    hess_fn(beta, t) -> (q, q) is optional (finite differences of grad_fn
-    otherwise).  integral_fn / grad_integral_fn enable closed-form moments.
+    integral_fn / grad_integral_fn enable closed-form moments.
     """
 
     q: int
     value_fn: object
     grad_fn: object
-    hess_fn: object = None
     integral_fn: object = None
     grad_integral_fn: object = None
 
@@ -341,26 +327,6 @@ class GeneralNoise:
         if g.size != self.q:
             raise EvaluationError(f"variance gradient has size {g.size}, expected {self.q}")
         return g
-
-    def hess(self, beta, t):
-        if self.hess_fn is not None:
-            h = np.asarray(self.hess_fn(beta, t), dtype=float)
-            if h.shape != (self.q, self.q):
-                raise EvaluationError(
-                    f"variance hessian has shape {h.shape}, expected {(self.q, self.q)}"
-                )
-            return h
-        # symmetric finite difference of the gradient
-        beta = np.asarray(beta, dtype=float)
-        h = np.empty((self.q, self.q))
-        for j in range(self.q):
-            step = 1e-6 * max(1.0, abs(beta[j]))
-            bp = beta.copy()
-            bm = beta.copy()
-            bp[j] += step
-            bm[j] -= step
-            h[:, j] = (self.grad(bp, t) - self.grad(bm, t)) / (2.0 * step)
-        return 0.5 * (h + h.T)
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +467,6 @@ class ParameterSpace:
             raise DomainError(f"dimension mismatch: {v.size} vs {self.d}")
         return bool(np.all(v > self.lower + margin) and np.all(v < self.upper - margin))
 
-    def clip_interior(self, vector: np.ndarray) -> np.ndarray:
-        """Clamp a raw vector into the margin-shrunk closed box."""
-        return np.clip(vector, self.lower + self.interior_margin, self.upper - self.interior_margin)
-
-    def axis_lattice(self, points_per_axis: int) -> list[np.ndarray]:
-        if points_per_axis < 2:
-            raise DomainError("points_per_axis must be >= 2")
-        m = self.interior_margin
-        return [
-            np.linspace(lo + m, hi - m, points_per_axis)
-            for lo, hi in self.alpha_box + self.beta_box
-        ]
-
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation with finiteness and floor checks
@@ -554,17 +507,6 @@ def grad_noise_var(model: ModelSpec, theta: Theta, t: float) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise EvaluationError(f"variance gradient not finite at t={t!r}")
     return g
-
-
-def hess_noise_var(model: ModelSpec, theta: Theta, t: float) -> np.ndarray:
-    h = np.asarray(model.noise.hess(theta.beta, float(t)), dtype=float)
-    if h.shape != (model.q, model.q):
-        raise EvaluationError(
-            f"variance hessian shape {h.shape}, expected {(model.q, model.q)}"
-        )
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"variance hessian not finite at t={t!r}")
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +583,6 @@ def validate_assumptions(
                 s2_max = max(s2_max, v)
                 g = grad_noise_var(model, th, t)
                 gn_max = max(gn_max, float(np.abs(g).max()) if g.size else 0.0)
-                hess_noise_var(model, th, t)
         for alpha in alpha_probes:
             th = Theta(alpha, space.center.beta)
             for t in times:

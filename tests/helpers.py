@@ -78,7 +78,6 @@ def curved_model():
         q=1,
         value_fn=lambda b, t: math.exp(b[0]) * (2.0 + math.sin(t)),
         grad_fn=lambda b, t: np.array([math.exp(b[0]) * (2.0 + math.sin(t))]),
-        hess_fn=lambda b, t: np.array([[math.exp(b[0]) * (2.0 + math.sin(t))]]),
         integral_fn=s2_int,
         grad_integral_fn=lambda b, lo, hi: np.array([s2_int(b, lo, hi)]),
     )

@@ -108,38 +108,46 @@ def test_estimate_closed_form_json_has_variance_matrix(tmp_path):
     assert result["sample_seed"] == 9
 
 
-def test_estimate_bayes_high_dimension_guard(tmp_path, capsys):
-    cfg = _write(tmp_path / "sim.json", _simulate_cfg())
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    five = {
-        "signal": {
-            "kind": "linear",
-            "basis": [{"kind": "const"}]
-            + [{"kind": "cos", "freq": float(k)} for k in range(1, 5)],
-        },
-        "noise": {"kind": "known", "profile": {"kind": "const", "value": 1.0}},
-    }
-    est = _write(
-        tmp_path / "est.json",
-        {
-            "model": five,
-            "space": {"alpha": [[-2.0, 2.0]] * 5, "beta": []},
-            "estimator": "bayes",
-        },
-    )
-    rc = main(
-        [
-            "estimate",
-            "--config",
-            est,
-            "--sample",
-            str(tmp_path / "run" / "sample.csv"),
-            "--out",
-            str(tmp_path / "fit"),
-        ]
-    )
+FIVE_DIM_CONFIG = {
+    "signal": {
+        "kind": "linear",
+        "basis": [{"kind": "const"}] + [{"kind": "cos", "freq": float(k)} for k in range(1, 5)],
+    },
+    "noise": {"kind": "known", "profile": {"kind": "const", "value": 1.0}},
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify"])
+@pytest.mark.parametrize(
+    "estimator, model, alpha, message",
+    [
+        ("newton", MEAN_CONFIG, [1.0], "unknown estimator"),
+        ("bayes", FIVE_DIM_CONFIG, [1.0, 0.0, 0.0, 0.0, 0.0], "dimension guard"),
+    ],
+    ids=["unknown-name", "dimension-guard"],
+)
+def test_estimator_config_errors(tmp_path, capsys, command, estimator, model, alpha, message):
+    # both front ends reject the estimator before reading a sample or
+    # running a replicate
+    space = {"alpha": [[-2.0, 2.0]] * len(alpha), "beta": []}
+    cfg = {"model": model, "space": space, "estimator": estimator}
+    if command == "estimate":
+        extra = ["--sample", str(tmp_path / "never_read.csv")]
+    else:
+        extra = []
+        cfg |= {
+            "kind": "normality",
+            "theta": {"alpha": alpha, "beta": []},
+            "grid": {"kind": "uniform", "h": 0.25},
+            "n_values": [100, 200],
+            "replicates": 200,
+            "seed": 7,
+        }
+    path = _write(tmp_path / "cfg.json", cfg)
+    rc = main([command, "--config", path, "--out", str(tmp_path / "out")] + extra)
     assert rc == 2
-    assert "dimension guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "'estimator'" in err
 
 
 def test_estimate_batch_directory(tmp_path):
@@ -326,3 +334,36 @@ def test_seed_flag_overrides_config(tmp_path):
     )
     meta = json.loads((tmp_path / "b" / "sample_meta.json").read_text())
     assert meta["seed"] == 99
+
+
+def test_estimate_seed_flag_reseeds_importance_sampling(tmp_path):
+    sim = _write(tmp_path / "sim.json", _simulate_cfg(n=50))
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "run")]) == 0
+    est = _write(
+        tmp_path / "est.json",
+        {
+            "model": TRIG_SCALED_CONFIG,
+            "space": SCALED_SPACE,
+            "estimator": "bayes-is",
+            "bayes_draws": 500,
+            "seed": 1,
+        },
+    )
+    sample = str(tmp_path / "run" / "sample.csv")
+
+    def fit(out, *seed):
+        argv = ["estimate", "--config", est, "--sample", sample, "--out", str(tmp_path / out)]
+        assert main(argv + list(seed)) == 0
+        return (tmp_path / out / "estimate.json").read_bytes()
+
+    assert fit("cfg") == fit("one", "--seed", "1")
+    assert fit("one") != fit("two", "--seed", "2")
+
+
+def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
+    cfg = _write(tmp_path / "grid.json", {"grid": {"kind": "uniform", "n": 4, "h": 1.0}})
+    for command in ("grid", "fisher"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err

@@ -237,25 +237,6 @@ def test_config_guards():
         study_from_dict(_study(replicates=50))
     with pytest.raises(ConfigError, match="ladder too short"):
         study_from_dict(_study(kind="rate", n_values=[100, 200]))
-    with pytest.raises(ConfigError, match="dimension guard"):
-        five = {
-            "signal": {
-                "kind": "linear",
-                "basis": [{"kind": "const"}]
-                + [{"kind": "cos", "freq": float(k)} for k in range(1, 5)],
-            },
-            "noise": {"kind": "known", "profile": {"kind": "const", "value": 1.0}},
-        }
-        study_from_dict(
-            _study(
-                model=five,
-                space={"alpha": [[-2.0, 2.0]] * 5, "beta": []},
-                theta={"alpha": [1.0, 0.0, 0.0, 0.0, 0.0], "beta": []},
-                estimator="bayes",
-            )
-        )
-    with pytest.raises(ConfigError, match="estimator"):
-        study_from_dict(_study(estimator="newton"))
     with pytest.raises(ConfigError, match="theta"):
         study_from_dict(_study(theta={"alpha": [5.0], "beta": []}))
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -250,3 +251,33 @@ def test_power_identity_matches_monte_carlo():
                 expected_power_identity(model, theta, shift, z, grid, cache=cache)
             )
             assert abs(powered.mean() - target) < 4.0 * se
+
+
+def _power_identity_oracle(m0, m1, z):
+    """ln E[LR^z] at 40 digits: per interval, the log of the integral of
+    p1^z p0^(1-z) for the two Gaussian increment laws."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for mu0, mu1, v0, v1 in zip(m0.mean, m1.mean, m0.var, m1.var):
+            mu0, mu1, v0, v1 = (mpmath.mpf(float(x)) for x in (mu0, mu1, v0, v1))
+            mix = z * v0 + (1 - z) * v1
+            total -= z * (1 - z) * (mu1 - mu0) ** 2 / (2 * mix)
+            total -= (mpmath.log(mix) - z * mpmath.log(v0) - (1 - z) * mpmath.log(v1)) / 2
+        return float(total)
+
+
+def test_power_identity_matches_mpmath_oracle():
+    model, _, theta = curved_model()
+    n = 400
+    grid = uniform_grid(n, 0.25)
+    cache = MomentCache(model, grid)
+    m0 = cache.moments(theta)
+    shifts = [eps * np.array([1.0, -1.0]) for eps in 10.0 ** -np.arange(1, 11)]
+    shifts.append(np.array([0.1, 0.0]))  # drift only: the variance term vanishes
+    for shift in shifts:
+        m1 = cache.moments(Theta.from_vector(theta.vector + shift, model.p))
+        for z in (0.25, 0.5, 0.75):
+            value = expected_power_identity(model, theta, shift, z, grid, cache=cache)
+            oracle = _power_identity_oracle(m0, m1, z)
+            assert abs(value - oracle) <= 1e-11 * abs(oracle) + 1e-13 * n, (shift, z)

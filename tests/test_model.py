@@ -25,7 +25,6 @@ from signoise import (
     eval_signal,
     grad_noise_var,
     grad_signal,
-    hess_noise_var,
     validate_assumptions,
 )
 
@@ -83,7 +82,6 @@ def test_scaled_noise_values_and_derivatives():
     for t in (0.0, 0.7, 3.2):
         assert eval_noise_var(model, th, t) == pytest.approx(2.0, abs=1e-15)
         assert np.allclose(grad_noise_var(model, th, t), [1.0], atol=1e-15)
-        assert np.allclose(hess_noise_var(model, th, t), [[0.0]], atol=1e-15)
 
 
 def test_trig_profile_noise_value():
@@ -104,20 +102,6 @@ def test_curved_noise_gradient_matches_finite_differences():
     ) / (2.0 * h)
     g = grad_noise_var(model, Theta(np.array([0.3]), np.array([b])), t)
     assert abs(g[0] - fd) / abs(fd) < 1e-6
-
-
-def test_general_noise_hessian_defaults_to_differenced_gradient():
-    noise = GeneralNoise(
-        q=1,
-        value_fn=lambda b, t: math.exp(b[0]) * (2.0 + math.sin(t)),
-        grad_fn=lambda b, t: np.array([math.exp(b[0]) * (2.0 + math.sin(t))]),
-    )
-    model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
-    th = Theta(np.array([0.0]), np.array([0.2]))
-    hess = hess_noise_var(model, th, 1.1)
-    exact = math.exp(0.2) * (2.0 + math.sin(1.1))
-    assert hess.shape == (1, 1)
-    assert hess[0, 0] == pytest.approx(exact, rel=1e-6)
 
 
 def test_noise_floor_violation_raised():
@@ -200,7 +184,6 @@ def test_validation_fails_for_unbounded_variance_probe():
         q=1,
         value_fn=lambda b, t: b[0] * t,
         grad_fn=lambda b, t: np.array([t]),
-        hess_fn=lambda b, t: np.zeros((1, 1)),
     )
     model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
     space = ParameterSpace(((-1.0, 1.0),), ((0.5, 2.0),))
