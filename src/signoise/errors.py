@@ -41,7 +41,7 @@ class NoiseFloorViolation(EvaluationError):
 
 
 class QuadratureError(SignoiseError):
-    """Numerical integration failed to converge to the requested tolerance."""
+    """Numerical integration did not converge or met a non-finite value."""
 
     def __init__(self, message: str, a: float | None = None, b: float | None = None):
         self.a = a

@@ -15,8 +15,9 @@ Closed-form routes: a drift that is linear in alpha reduces to a fixed
 matrix of basis integrals, and a known or scale-parameterized variance
 reduces to a fixed vector of profile integrals, both computed once per
 grid.  Families without exact antiderivatives fall back to adaptive
-quadrature per interval; ``force_quadrature=True`` forces the fallback on
-every family, which is how the two routes are checked against each other.
+quadrature over all intervals at once; ``force_quadrature=True`` forces
+the fallback on every family, which is how the two routes are checked
+against each other.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from . import quadrature
 from .errors import EvaluationError, NoiseFloorViolation, QuadratureError
 from .model import (
-    GeneralNoise,
-    GeneralSignal,
     KnownNoise,
     LinearSignal,
     ModelSpec,
@@ -86,18 +85,9 @@ class MomentCache:
     variances) so that ``moments(theta)`` costs a few matrix products.
     """
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        grid: TimeGrid,
-        rel_tol: float = quadrature.DEFAULT_REL_TOL,
-        abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-        force_quadrature: bool = False,
-    ):
+    def __init__(self, model: ModelSpec, grid: TimeGrid, force_quadrature: bool = False):
         self.model = model
         self.grid = grid
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
         self.force_quadrature = force_quadrature
         self._basis_integrals: np.ndarray | None = None
         self._profile_integrals: np.ndarray | None = None
@@ -115,6 +105,27 @@ class MomentCache:
                 if not np.all(np.isfinite(self._profile_integrals)):
                     raise EvaluationError("non-finite variance profile integral on the grid")
 
+    def _block(self, label: str, family, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closure or quadrature route: integrals (n,) of the rate and (n, k) of its gradient."""
+        integral_fn = getattr(family, "integral_fn", None)
+        grad_integral_fn = getattr(family, "grad_integral_fn", None)
+        if self.force_quadrature or integral_fn is None or grad_integral_fn is None:
+
+            def rates(ts):
+                return [[family.value(params, t), *family.grad(params, t)] for t in ts]
+
+            try:
+                out = quadrature.integrate(rates, self.grid.starts, self.grid.ends)
+            except QuadratureError as exc:
+                raise QuadratureError(f"{label} moment: {exc}") from exc
+        else:
+            rows = [
+                [float(integral_fn(params, a, b)), *np.ravel(grad_integral_fn(params, a, b))]
+                for a, b in zip(self.grid.starts, self.grid.ends)
+            ]
+            out = np.array(rows, dtype=float).reshape(self.grid.n, 1 + params.size)
+        return out[:, 0], out[:, 1:]
+
     # -- drift block --------------------------------------------------------
 
     def signal_basis_integrals(self) -> np.ndarray:
@@ -130,83 +141,20 @@ class MomentCache:
         return self._profile_integrals
 
     def _signal_moments(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        model = self.model
         if self._basis_integrals is not None:
             grad = self._basis_integrals
             return grad @ alpha, grad
-        sig = model.signal
-        if (
-            not self.force_quadrature
-            and isinstance(sig, GeneralSignal)
-            and sig.integral_fn is not None
-            and sig.grad_integral_fn is not None
-        ):
-            mean = np.array(
-                [float(sig.integral_fn(alpha, a, b)) for a, b in self._intervals()]
-            )
-            grad = np.array(
-                [
-                    np.asarray(sig.grad_integral_fn(alpha, a, b), dtype=float).reshape(-1)
-                    for a, b in self._intervals()
-                ]
-            ).reshape(self.grid.n, model.p)
-            return mean, grad
-        mean = np.empty(self.grid.n)
-        grad = np.empty((self.grid.n, model.p))
-        for i, (a, b) in enumerate(self._intervals()):
-            try:
-                mean[i] = quadrature.integrate(
-                    lambda t: sig.value(alpha, t), a, b, self.rel_tol, self.abs_tol
-                )
-                if model.p:
-                    grad[i] = quadrature.integrate_vec(
-                        lambda t: sig.grad(alpha, t), a, b, self.rel_tol, self.abs_tol
-                    )
-            except QuadratureError as exc:
-                raise QuadratureError(f"drift moment on interval {i}: {exc}") from exc
-        return mean, grad
+        return self._block("drift", self.model.signal, alpha)
 
     # -- noise block --------------------------------------------------------
 
     def _noise_moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        model = self.model
         if self._profile_integrals is not None:
             g = self._profile_integrals
-            if isinstance(model.noise, KnownNoise):
+            if isinstance(self.model.noise, KnownNoise):
                 return g.copy(), np.empty((self.grid.n, 0))
             return float(beta[0]) * g, g[:, None].copy()
-        noi = model.noise
-        if (
-            not self.force_quadrature
-            and isinstance(noi, GeneralNoise)
-            and noi.integral_fn is not None
-            and noi.grad_integral_fn is not None
-        ):
-            var = np.array([float(noi.integral_fn(beta, a, b)) for a, b in self._intervals()])
-            grad = np.array(
-                [
-                    np.asarray(noi.grad_integral_fn(beta, a, b), dtype=float).reshape(-1)
-                    for a, b in self._intervals()
-                ]
-            ).reshape(self.grid.n, model.q)
-            return var, grad
-        var = np.empty(self.grid.n)
-        grad = np.empty((self.grid.n, model.q))
-        for i, (a, b) in enumerate(self._intervals()):
-            try:
-                var[i] = quadrature.integrate(
-                    lambda t: noi.value(beta, t), a, b, self.rel_tol, self.abs_tol
-                )
-                if model.q:
-                    grad[i] = quadrature.integrate_vec(
-                        lambda t: noi.grad(beta, t), a, b, self.rel_tol, self.abs_tol
-                    )
-            except QuadratureError as exc:
-                raise QuadratureError(f"variance moment on interval {i}: {exc}") from exc
-        return var, grad
-
-    def _intervals(self):
-        return zip(self.grid.starts, self.grid.ends)
+        return self._block("variance", self.model.noise, beta)
 
     # -- public entry -------------------------------------------------------
 

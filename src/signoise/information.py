@@ -230,16 +230,8 @@ def periodic_limit_fisher(
             g = grad_noise_var(model, theta, t) / s2
             return np.outer(g, g).ravel()
 
-        drift = (
-            quadrature.integrate_vec(drift_kernel, 0.0, period).reshape(p, p) / period
-            if p
-            else np.zeros((0, 0))
-        )
-        var = (
-            quadrature.integrate_vec(var_kernel, 0.0, period).reshape(q, q) / (2.0 * period)
-            if q
-            else np.zeros((0, 0))
-        )
+        drift = _period_mean(drift_kernel, period).reshape(p, p) if p else np.zeros((0, 0))
+        var = 0.5 * _period_mean(var_kernel, period).reshape(q, q) if q else np.zeros((0, 0))
         bundle = InformationBundle(drift, var, None, None, "limit:vanishing_step", eig_floor)
     elif regime == "pattern":
         if offsets is None:
@@ -284,9 +276,15 @@ def periodic_limit_separation(
     def var_kernel(t):
         return (eval_noise_var(model, theta_a, t) - eval_noise_var(model, theta_b, t)) ** 2
 
-    drift_gap = quadrature.integrate(drift_kernel, 0.0, period) / period
-    var_gap = quadrature.integrate(var_kernel, 0.0, period) / period
+    drift_gap = _period_mean(drift_kernel, period)[0]
+    var_gap = _period_mean(var_kernel, period)[0]
     return float(drift_gap), float(var_gap)
+
+
+def _period_mean(kernel, period: float) -> np.ndarray:
+    """(1/P) int_0^P kernel(t) dt for a pointwise kernel returning a scalar or (k,)."""
+    integral = quadrature.integrate(lambda ts: [np.atleast_1d(kernel(t)) for t in ts], 0.0, period)
+    return integral[0] / period
 
 
 def _check_periodicity(

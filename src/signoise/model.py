@@ -239,7 +239,8 @@ class GeneralSignal:
     value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required.
     Exact interval integrals may be supplied through integral_fn(alpha, a, b)
     and grad_integral_fn(alpha, a, b); when absent, moments are computed by
-    adaptive quadrature.
+    adaptive quadrature, which cannot see jumps inside an interval: a rate
+    with jumps must supply both.
     """
 
     p: int
@@ -306,7 +307,8 @@ class GeneralNoise:
     """Variance rate given by arbitrary callables.
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required;
-    integral_fn / grad_integral_fn enable closed-form moments.
+    integral_fn / grad_integral_fn enable closed-form moments, and a rate
+    with jumps inside an interval must supply both, as for GeneralSignal.
     """
 
     q: int

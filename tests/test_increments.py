@@ -5,11 +5,13 @@ from signoise import (
     ConstantFn,
     CosineFn,
     GeneralNoise,
+    GeneralSignal,
     KnownNoise,
     LinearSignal,
     ModelSpec,
     MomentCache,
     NoiseFloorViolation,
+    QuadratureError,
     ScaledNoise,
     Theta,
     constant_profile,
@@ -114,17 +116,16 @@ def test_dual_route_property_over_families():
     rng = np.random.default_rng(41)
     for build in (trig_known_model, trig_scaled_model, curved_model):
         model, space, _ = build()
-        for _ in range(10):
+        # ten short-interval grids, then one with delays up to 5 (most of a 2 pi period)
+        for top in (0.9,) * 10 + (5.0,):
             theta = sample_interior(space, rng)
-            delays = rng.uniform(0.05, 0.9, 8)
+            delays = rng.uniform(0.05, top, 8)
             grid = grid_from_instants(np.concatenate(([0.0], np.cumsum(delays))))
             fast = MomentCache(model, grid).moments(theta)
             slow = MomentCache(model, grid, force_quadrature=True).moments(theta)
-            scale = 1.0 + np.abs(fast.mean)
-            assert np.all(np.abs(fast.mean - slow.mean) < 1e-9 * scale)
-            assert np.all(
-                np.abs(fast.var - slow.var) < 1e-9 * (1.0 + np.abs(fast.var))
-            )
+            for name in ("mean", "var", "grad_mean", "grad_var"):
+                x, y = getattr(fast, name), getattr(slow, name)
+                assert np.all(np.abs(x - y) < 1e-9 * (1.0 + np.abs(x))), (name, top)
 
 
 def test_split_increment_additivity():
@@ -137,6 +138,33 @@ def test_split_increment_additivity():
     assert mw.var[0] == pytest.approx(ms.var.sum(), abs=1e-12)
     assert np.allclose(mw.grad_mean[0], ms.grad_mean.sum(axis=0), atol=1e-12)
     assert np.allclose(mw.grad_var[0], ms.grad_var.sum(axis=0), atol=1e-12)
+
+
+def _singular(t):
+    return 1.0 / abs(t - 2.4321)  # not integrable across t = 2.4321
+
+
+def _nan_at_midpoint(t):
+    return float("nan") if t == 2.5 else 1.0  # the Kronrod centre node of interval 2
+
+
+@pytest.mark.parametrize("rate", [_singular, _nan_at_midpoint], ids=["singular", "nan"])
+@pytest.mark.parametrize("block", ["drift", "variance"])
+def test_quadrature_failure_names_block_and_interval(block, rate):
+    grid = grid_from_instants([0.0, 1.0, 2.0, 3.0, 4.0])
+    if block == "drift":
+        signal = GeneralSignal(1, lambda a, t: a[0] * rate(t), lambda a, t: np.array([rate(t)]))
+        model = ModelSpec(signal, KnownNoise(constant_profile(1.0)))
+        theta = Theta((1.0,), ())
+    else:
+        noise = GeneralNoise(
+            1, lambda b, t: b[0] * (1.0 + rate(t)), lambda b, t: np.array([1.0 + rate(t)])
+        )
+        model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
+        theta = Theta((0.0,), (1.0,))
+    message = rf"{block} moment: interval 2: .* on \[2\.0, 3\.0\]"
+    with pytest.raises(QuadratureError, match=message):
+        MomentCache(model, grid).moments(theta)
 
 
 def test_noise_floor_violation_raised():
