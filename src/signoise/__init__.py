@@ -109,10 +109,6 @@ from .experiments import (
     StudyConfig,
     StudyReport,
     gaussian_expected_loss,
-    lan_study,
-    normality_study,
-    rate_study,
-    risk_study,
     run_study,
     save_report,
     study_from_dict,

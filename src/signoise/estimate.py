@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _BAYES_MAX_DIM = 4
+_BAYES_MAX_CELLS = 4096
+_PROPOSAL_SCALE = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +472,6 @@ def posterior_mean_quadrature(
     sample: IncrementSample,
     prior: Prior | None = None,
     rel_tol: float = 1e-6,
-    max_cells: int = 4096,
     anchor: EstimateResult | None = None,
     cache: MomentCache | None = None,
 ) -> BayesResult:
@@ -480,7 +481,8 @@ def posterior_mean_quadrature(
     MLE) gets its own cells, because nearly all posterior mass sits there
     at moderate sample sizes; cells are then bisected greedily where the
     embedded low/high-order error indicator is largest, until the indicator
-    is below ``rel_tol`` relative to the running normalizer.
+    is below ``rel_tol`` relative to the running normalizer or 4096 cells
+    exist.
 
     Guarded to d <= 4: tensor rules beyond that are not worth their cost.
     """
@@ -538,7 +540,7 @@ def posterior_mean_quadrature(
         push_cell(lo, hi)
 
     cells = len(heap)
-    while cells < max_cells:
+    while cells < _BAYES_MAX_CELLS:
         norm = abs(totals[0])
         if norm > 0.0 and total_err <= rel_tol * norm:
             break
@@ -580,18 +582,16 @@ def posterior_mean_importance(
     prior: Prior | None = None,
     draws: int = 8000,
     seed: int = 0,
-    proposal_scale: float = 1.5,
     anchor: EstimateResult | None = None,
     cache: MomentCache | None = None,
 ) -> BayesResult:
     """Posterior mean by self-normalized importance sampling.
 
     The proposal is an independent Gaussian centered at the MLE with
-    per-axis standard deviations ``proposal_scale`` times the MLE standard
-    errors; draws landing outside the box get zero weight.  The returned
-    ``stderr`` is the delta-method standard error of the weighted mean,
-    which is what makes this route a quantitative cross-check of the
-    cubature route.
+    per-axis standard deviations 1.5 times the MLE standard errors; draws
+    landing outside the box get zero weight.  The returned ``stderr`` is
+    the delta-method standard error of the weighted mean, which is what
+    makes this route a quantitative cross-check of the cubature route.
     """
     if draws < 2:
         raise DomainError(f"draws must be >= 2, got {draws}")
@@ -602,7 +602,7 @@ def posterior_mean_importance(
     est = _anchor_estimate(model, space, grid, sample, cache, anchor)
     center = est.theta.vector
     base_scale = est.stderr if est.stderr is not None else 0.05 * space.widths
-    scale = proposal_scale * np.maximum(base_scale, 1e-12)
+    scale = _PROPOSAL_SCALE * np.maximum(base_scale, 1e-12)
     d = space.d
 
     z = normal_stream(derive_seed(seed, "bayes-is"), 0, draws * d).reshape(draws, d)

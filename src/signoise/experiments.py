@@ -21,6 +21,11 @@ a dedicated counter-based stream, results are assembled by replicate
 index, and reports exclude wall-clock, so the report bytes are identical
 for any worker count.  Failed replicates are dropped, counted, and fail a
 study only when their rate exceeds one percent.
+
+``run_study`` owns all of a study's state: it builds each rung's context
+once and hands it to the replicate chunks (pickled to the workers when
+``workers > 1``), and one process pool serves the whole study.  Nothing
+outlives the call.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats as _stats
@@ -48,10 +54,6 @@ from .simulate import IncrementSample, derive_seed, normal_stream
 __all__ = [
     "StudyConfig",
     "StudyReport",
-    "normality_study",
-    "rate_study",
-    "lan_study",
-    "risk_study",
     "run_study",
     "study_from_dict",
     "save_report",
@@ -60,11 +62,36 @@ __all__ = [
 
 _FAILURE_RATE_LIMIT = 0.01
 _REMAINDER_FLOOR = 1e-10
+_HERMITE_NODES = 24
 
 
 # ---------------------------------------------------------------------------
 # config and report containers
 # ---------------------------------------------------------------------------
+
+
+def _items(value) -> list:
+    """Elements of a list-valued config entry; strings and mappings are rejected."""
+    if isinstance(value, (str, bytes, dict)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return list(value)
+
+
+# StudyConfig field annotation -> normal form, so a config read from JSON
+# numbers and lists equals (and digests like) one built with exact types
+_CONVERTERS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "tuple[int, ...]": lambda v: tuple(int(n) for n in _items(v)),
+    "tuple[float, float]": lambda v: tuple(float(x) for x in _items(v)),
+    "tuple[tuple[float, ...], ...]": lambda v: tuple(
+        tuple(float(x) for x in _items(w)) for w in _items(v)
+    ),
+    "tuple[tuple[str, float], ...]": lambda v: tuple(
+        (str(k), float(a)) for k, a in map(_items, _items(v))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -104,7 +131,14 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in ("normality", "rate", "lan", "risk"):
             raise ConfigError(f"unknown study kind {self.kind!r}", key="kind")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for f in fields(self):
+            convert = _CONVERTERS.get(f.type)
+            value = getattr(self, f.name)
+            if convert is not None and value is not None:
+                try:
+                    object.__setattr__(self, f.name, convert(value))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{f.name} is malformed: {exc}", key=f.name) from None
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("n_values must be positive integers", key="n_values")
         if list(self.n_values) != sorted(set(self.n_values)):
@@ -129,15 +163,11 @@ class StudyConfig:
             )
         if self.info_source == "limit" and self.limit_period is None:
             raise ConfigError("info_source 'limit' needs limit_period", key="limit_period")
-        object.__setattr__(
-            self, "directions", tuple(tuple(float(x) for x in w) for w in self.directions)
-        )
-        object.__setattr__(
-            self, "losses", tuple((str(k), float(a)) for k, a in self.losses)
-        )
         for kind, _a in self.losses:
             if kind not in ("power", "indicator"):
                 raise ConfigError(f"unknown loss kind {kind!r}", key="losses")
+        if len(self.risk_band) != 2:
+            raise ConfigError("risk_band must be [lo, hi]", key="risk_band")
 
     def digest(self) -> str:
         return _config.digest(asdict(self))
@@ -209,12 +239,15 @@ def _batch_se(values: np.ndarray, batches: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-process context and replicate tasks
+# rung contexts and replicate tasks
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Context:
+    """One rung's model, grid and truth, built once per study and passed to
+    every replicate (pickled to workers, so they use the parent's arrays)."""
+
     model: object
     space: object
     grid: TimeGrid
@@ -224,40 +257,27 @@ class _Context:
     sd: np.ndarray
     grid_digest: str
     prior: Prior
-    moments_memo: dict = field(default_factory=dict)
-
-    def moments_at(self, vec_key: tuple):
-        if vec_key not in self.moments_memo:
-            theta = Theta.from_vector(np.array(vec_key), self.model.p)
-            self.moments_memo[vec_key] = self.cache.moments(theta)
-        return self.moments_memo[vec_key]
 
 
-_CONTEXTS: dict[tuple, _Context] = {}
-
-
-def _get_context(cfg: StudyConfig, n: int) -> _Context:
-    key = (cfg.digest(), n)
-    if key not in _CONTEXTS:
-        model = _config.build_model(cfg.model)
-        space = _config.build_space(cfg.space)
-        grid = _config.build_grid_for(cfg.grid, n)
-        theta = _config.build_theta(cfg.theta, model.p, model.q)
-        cache = MomentCache(model, grid)
-        m = cache.moments(theta)
-        prior = _config.build_prior(cfg.prior) if cfg.prior else Prior()
-        _CONTEXTS[key] = _Context(
-            model=model,
-            space=space,
-            grid=grid,
-            cache=cache,
-            theta=theta,
-            mean=m.mean,
-            sd=np.sqrt(m.var),
-            grid_digest=grid.digest(),
-            prior=prior,
-        )
-    return _CONTEXTS[key]
+def _context(cfg: StudyConfig, n: int) -> _Context:
+    model = _config.build_model(cfg.model)
+    space = _config.build_space(cfg.space)
+    grid = _config.build_grid_for(cfg.grid, n)
+    theta = _config.build_theta(cfg.theta, model.p, model.q)
+    cache = MomentCache(model, grid)
+    m = cache.moments(theta)
+    prior = _config.build_prior(cfg.prior) if cfg.prior else Prior()
+    return _Context(
+        model=model,
+        space=space,
+        grid=grid,
+        cache=cache,
+        theta=theta,
+        mean=m.mean,
+        sd=np.sqrt(m.var),
+        grid_digest=grid.digest(),
+        prior=prior,
+    )
 
 
 def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
@@ -274,19 +294,16 @@ def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
     return empirical_fisher(ctx.cache.moments(ctx.theta), ctx.grid)
 
 
-def _estimate_one(ctx: _Context, cfg: StudyConfig, task: dict, r: int) -> np.ndarray | None:
+def _sample(ctx: _Context, seed: int, r: int) -> IncrementSample:
+    z = normal_stream(seed, r, ctx.grid.n)
+    y = ctx.mean + ctx.sd * z
+    return IncrementSample(y, seed, r, ctx.grid_digest, ctx.theta)
+
+
+def _estimate_one(cfg: StudyConfig, ctx: _Context, seed: int, r: int) -> np.ndarray | None:
     """One replicate of an estimation task; None marks a failed replicate."""
-    theta_vec = task.get("theta_vec")
-    if theta_vec is None:
-        theta, mean, sd = ctx.theta, ctx.mean, ctx.sd
-    else:
-        theta = Theta.from_vector(np.asarray(theta_vec), ctx.model.p)
-        m = ctx.moments_at(tuple(theta_vec))
-        mean, sd = m.mean, np.sqrt(m.var)
-    z = normal_stream(task["seed"], r, ctx.grid.n)
-    y = mean + sd * z
-    sample = IncrementSample(y, task["seed"], r, ctx.grid_digest, theta)
-    estimator = resolve_estimator(task["estimator"], ctx.model, ctx.space)
+    sample = _sample(ctx, seed, r)
+    estimator = resolve_estimator(cfg.estimator, ctx.model, ctx.space)
     try:
         return estimator(
             ctx.model,
@@ -297,29 +314,22 @@ def _estimate_one(ctx: _Context, cfg: StudyConfig, task: dict, r: int) -> np.nda
             prior=ctx.prior,
             rel_tol=cfg.bayes_rel_tol,
             draws=cfg.bayes_draws,
-            seed=derive_seed(task["seed"], "is", r),
+            seed=derive_seed(seed, "is", r),
         ).theta.vector
     except (SignoiseError, np.linalg.LinAlgError):
         return None
 
 
-def _lan_one(ctx: _Context, cfg: StudyConfig, task: dict, r: int):
+def _lan_one(scaling: np.ndarray, directions, ctx: _Context, seed: int, r: int):
     """One replicate of the local-expansion task.
 
     Returns (central_sequence, log_ratios, remainders) with one entry per
-    configured direction, or None on failure.
+    direction, or None on failure.
     """
-    z = normal_stream(task["seed"], r, ctx.grid.n)
-    y = ctx.mean + ctx.sd * z
-    sample = IncrementSample(y, task["seed"], r, ctx.grid_digest, ctx.theta)
-    scaling = np.asarray(task["scaling"])
-    directions = task["directions"]
+    sample = _sample(ctx, seed, r)
     try:
-        log_ratios = np.empty(len(directions))
-        remainders = np.empty(len(directions))
-        central = None
-        for j, w in enumerate(directions):
-            dec = normalized_log_ratio(
+        decs = [
+            normalized_log_ratio(
                 ctx.model,
                 ctx.space,
                 ctx.theta,
@@ -329,68 +339,39 @@ def _lan_one(ctx: _Context, cfg: StudyConfig, task: dict, r: int):
                 scaling,
                 cache=ctx.cache,
             )
-            log_ratios[j] = dec.log_ratio
-            remainders[j] = dec.remainder
-            central = dec.score_term
-        if central is None:  # no directions configured: probe at w = 0
-            dec = normalized_log_ratio(
-                ctx.model,
-                ctx.space,
-                ctx.theta,
-                np.zeros(ctx.model.d),
-                ctx.grid,
-                sample,
-                scaling,
-                cache=ctx.cache,
-            )
-            central = dec.score_term
-        return central, log_ratios, remainders
+            for w in directions
+        ]
     except SignoiseError:
         return None
-
-
-_TASK_FNS = {"estimate": _estimate_one, "lan": _lan_one}
+    log_ratios = np.array([dec.log_ratio for dec in decs], dtype=float)
+    remainders = np.array([dec.remainder for dec in decs], dtype=float)
+    return decs[-1].score_term, log_ratios, remainders
 
 
 def _eval_chunk(args):
-    cfg, n, task, r_lo, r_hi = args
-    ctx = _get_context(cfg, n)
-    fn = _TASK_FNS[task["op"]]
-    return [fn(ctx, cfg, task, r) for r in range(r_lo, r_hi)]
+    task, ctx, seed, r_lo, r_hi = args
+    return [task(ctx, seed, r) for r in range(r_lo, r_hi)]
 
 
-def _map_replicates(cfg: StudyConfig, n: int, task: dict, workers: int) -> list:
-    """Run one task over all replicates, assembled in replicate order.
+def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[list, int]:
+    """Run ``task(ctx, seed, r)`` for r < m; returns (results, failures).
 
-    Chunk boundaries depend only on the replicate count, never on the
-    worker count, and chunk outputs are concatenated in submission order;
-    combined with counter-based streams this makes the result list
-    independent of parallelism.
+    Failed replicates (None) are dropped from the results, which stay in
+    replicate order.  Chunk boundaries depend only on the replicate count,
+    never on the worker count, and chunk outputs are concatenated in
+    submission order; combined with counter-based streams this makes the
+    results independent of parallelism.
     """
-    m = cfg.replicates
     chunk = max(1, -(-m // 64))
-    args = [(cfg, n, task, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    if workers <= 1:
-        chunks = [_eval_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_eval_chunk, args))
-    return [item for ch in chunks for item in ch]
-
-
-def _collect_estimates(
-    cfg: StudyConfig, n: int, task: dict, workers: int
-) -> tuple[np.ndarray, int]:
-    """Stack per-replicate estimate vectors; returns (estimates, failures)."""
-    raw = _map_replicates(cfg, n, task, workers)
-    good = [v for v in raw if v is not None]
-    failures = len(raw) - len(good)
-    if not good:
-        raise DomainError(f"every replicate failed at n={n}")
-    return np.stack(good), failures
+    args = [(task, ctx, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    results = [v for part in map_fn(_eval_chunk, args) for v in part if v is not None]
+    if not results:
+        raise DomainError(f"every replicate failed at n={ctx.grid.n}")
+    return results, m - len(results)
 
 
 def _failure_check(report: StudyReport, n: int, failures: int, replicates: int) -> None:
+    report.meta["failures"][str(n)] = failures
     rate = failures / replicates
     report.checks.append(
         _check(
@@ -419,25 +400,18 @@ def _coord_names(p: int, q: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def normality_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
+def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Normalized-error normality and covariance agreement along the ladder."""
-    if cfg.kind != "normality":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'normality'", key="kind")
-    report = StudyReport(cfg.kind, cfg.seed, cfg.digest())
-    failures_meta: dict[str, int] = {}
     for rung, n in enumerate(cfg.n_values):
-        ctx = _get_context(cfg, n)
-        bundle = _reference_bundle(cfg, ctx)
-        cov_ref = bundle.joint_inverse
+        ctx = _context(cfg, n)
+        cov_ref = _reference_bundle(cfg, ctx).joint_inverse
         names = _coord_names(ctx.model.p, ctx.model.q)
-        task = {
-            "op": "estimate",
-            "estimator": cfg.estimator,
-            "seed": derive_seed(cfg.seed, "normality", rung),
-        }
-        estimates, failures = _collect_estimates(cfg, n, task, workers)
-        failures_meta[str(n)] = failures
+        seed = derive_seed(cfg.seed, "normality", rung)
+        results, failures = _replicates(
+            map_fn, partial(_estimate_one, cfg), ctx, seed, cfg.replicates
+        )
         _failure_check(report, n, failures, cfg.replicates)
+        estimates = np.stack(results)
 
         scale = _norm_scale(ctx.grid, ctx.model.p, ctx.model.q)
         u = (estimates - ctx.theta.vector) * scale
@@ -489,8 +463,6 @@ def normality_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                     cfg.cov_rel_tol * ref_norm,
                 )
             )
-    report.meta = _meta(cfg, failures_meta)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +470,19 @@ def normality_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def rate_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
+def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """RMSE decay slopes against total time (drift) and count (variance)."""
-    if cfg.kind != "rate":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'rate'", key="kind")
-    report = StudyReport(cfg.kind, cfg.seed, cfg.digest())
-    failures_meta: dict[str, int] = {}
     log_T, log_n = [], []
     log_rmse_drift, log_rmse_var = [], []
     for rung, n in enumerate(cfg.n_values):
-        ctx = _get_context(cfg, n)
+        ctx = _context(cfg, n)
         p, q = ctx.model.p, ctx.model.q
-        task = {
-            "op": "estimate",
-            "estimator": cfg.estimator,
-            "seed": derive_seed(cfg.seed, "rate", rung),
-        }
-        estimates, failures = _collect_estimates(cfg, n, task, workers)
-        failures_meta[str(n)] = failures
+        seed = derive_seed(cfg.seed, "rate", rung)
+        results, failures = _replicates(
+            map_fn, partial(_estimate_one, cfg), ctx, seed, cfg.replicates
+        )
         _failure_check(report, n, failures, cfg.replicates)
-        err = estimates - ctx.theta.vector
+        err = np.stack(results) - ctx.theta.vector
         if p:
             sq = np.sum(err[:, :p] ** 2, axis=1)
             rmse = math.sqrt(float(sq.mean()))
@@ -555,9 +520,7 @@ def rate_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                 cfg.slope_tol,
             )
         )
-    report.meta = _meta(cfg, failures_meta)
     report.meta["rate_points"] = rate_points
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -565,37 +528,22 @@ def rate_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def lan_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
+def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Central-sequence normality, remainder decay, unit-mean ratio identity."""
-    if cfg.kind != "lan":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'lan'", key="kind")
-    report = StudyReport(cfg.kind, cfg.seed, cfg.digest())
-    failures_meta: dict[str, int] = {}
-    directions = [list(w) for w in cfg.directions]
-    if not directions:
-        # no directions configured: probe w = 0 so the remainder table still
-        # appears, with every entry exactly zero
-        directions = [[0.0] * _config.build_model(cfg.model).d]
-    mean_abs_remainder: dict[int, list[float]] = {j: [] for j in range(len(directions))}
+    mean_abs_remainder: dict[int, list[float]] = {}
     last_rung = len(cfg.n_values) - 1
     for rung, n in enumerate(cfg.n_values):
-        ctx = _get_context(cfg, n)
-        bundle = _reference_bundle(cfg, ctx)
-        scaling = bundle.local_scaling
+        ctx = _context(cfg, n)
+        # no directions configured: probe w = 0 so the remainder table still
+        # appears, with every entry exactly zero
+        directions = cfg.directions or ((0.0,) * ctx.model.d,)
+        scaling = _reference_bundle(cfg, ctx).local_scaling
         names = _coord_names(ctx.model.p, ctx.model.q)
-        task = {
-            "op": "lan",
-            "seed": derive_seed(cfg.seed, "lan", rung),
-            "scaling": scaling,
-            "directions": directions,
-        }
-        raw = _map_replicates(cfg, n, task, workers)
-        good = [v for v in raw if v is not None]
-        failures = len(raw) - len(good)
-        failures_meta[str(n)] = failures
+        seed = derive_seed(cfg.seed, "lan", rung)
+        good, failures = _replicates(
+            map_fn, partial(_lan_one, scaling, directions), ctx, seed, cfg.replicates
+        )
         _failure_check(report, n, failures, cfg.replicates)
-        if not good:
-            raise DomainError(f"every replicate failed at n={n}")
         central = np.stack([g[0] for g in good])
         log_ratios = np.stack([g[1] for g in good])
         remainders = np.stack([g[2] for g in good])
@@ -614,11 +562,11 @@ def lan_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                         cfg.delta_ks_max,
                     )
                 )
-        for j, w in enumerate(directions):
+        for j in range(len(directions)):
             wname = f"w{j}"
             abs_rem = np.abs(remainders[:, j])
             m_rem = float(abs_rem.mean())
-            mean_abs_remainder[j].append(m_rem)
+            mean_abs_remainder.setdefault(j, []).append(m_rem)
             report.rows.append(
                 _row(n, "mean_abs_remainder", wname, m_rem, _batch_se(abs_rem, cfg.batches))
             )
@@ -636,8 +584,7 @@ def lan_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                     slack,
                 )
             )
-    for j in range(len(directions)):
-        seq = mean_abs_remainder[j]
+    for j, seq in mean_abs_remainder.items():
         if len(seq) >= 2:
             # drift-only directions in linear families make the log-ratio
             # exactly quadratic, so the remainder is zero up to roundoff and
@@ -656,8 +603,6 @@ def lan_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                     float(seq[0]),
                 )
             )
-    report.meta = _meta(cfg, failures_meta)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +610,7 @@ def lan_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_expected_loss(cov: np.ndarray, loss: tuple[str, float], nodes: int = 24) -> float:
+def gaussian_expected_loss(cov: np.ndarray, loss: tuple[str, float]) -> float:
     """E[L(|xi|)] for xi ~ N(0, cov).
 
     Quadratic power loss has the closed form trace(cov); anything else is
@@ -681,7 +626,7 @@ def gaussian_expected_loss(cov: np.ndarray, loss: tuple[str, float], nodes: int 
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     eigvals = np.clip(eigvals, 0.0, None)
     transform = eigvecs * np.sqrt(eigvals)
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    x, w = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
     w = w / math.sqrt(2.0 * math.pi)
     mesh = np.meshgrid(*([x] * d), indexing="ij")
     z = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -700,14 +645,10 @@ def _loss_values(r: np.ndarray, loss: tuple[str, float]) -> np.ndarray:
     return (r > a).astype(float)
 
 
-def risk_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
+def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Worst-case normalized risk over a nearby-truth lattice vs the limit."""
-    if cfg.kind != "risk":
-        raise ConfigError(f"config kind is {cfg.kind!r}, expected 'risk'", key="kind")
-    report = StudyReport(cfg.kind, cfg.seed, cfg.digest())
-    failures_meta: dict[str, int] = {}
     for rung, n in enumerate(cfg.n_values):
-        ctx = _get_context(cfg, n)
+        ctx = _context(cfg, n)
         d = ctx.model.d
         center = ctx.theta.vector
         shifts = [np.zeros(d)]
@@ -717,9 +658,9 @@ def risk_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                 e = np.zeros(d)
                 e[k] = sgn * eps
                 shifts.append(e)
-        lattice = [center + s for s in shifts]
-        for j, point in enumerate(lattice):
-            if not ctx.space.contains(Theta.from_vector(point, ctx.model.p)):
+        lattice = [Theta.from_vector(center + s, ctx.model.p) for s in shifts]
+        for j, theta in enumerate(lattice):
+            if not ctx.space.contains(theta):
                 raise ConfigError(
                     f"risk lattice point {j} leaves the parameter box; shrink "
                     "risk_epsilon or move the truth inward",
@@ -733,16 +674,15 @@ def risk_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
             i: [] for i in range(len(cfg.losses))
         }
         total_failures = 0
-        for j, point in enumerate(lattice):
-            task = {
-                "op": "estimate",
-                "estimator": cfg.estimator,
-                "seed": derive_seed(cfg.seed, "risk", rung, j),
-                "theta_vec": [float(v) for v in point],
-            }
-            estimates, failures = _collect_estimates(cfg, n, task, workers)
+        for j, theta in enumerate(lattice):
+            m = ctx.cache.moments(theta)
+            moved = replace(ctx, theta=theta, mean=m.mean, sd=np.sqrt(m.var))
+            seed = derive_seed(cfg.seed, "risk", rung, j)
+            results, failures = _replicates(
+                map_fn, partial(_estimate_one, cfg), moved, seed, cfg.replicates
+            )
             total_failures += failures
-            u = (estimates - point) * scale
+            u = (np.stack(results) - theta.vector) * scale
             r = np.linalg.norm(u, axis=1)
             for i, loss in enumerate(cfg.losses):
                 vals = _loss_values(r, loss)
@@ -752,7 +692,6 @@ def risk_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                 report.rows.append(
                     _row(n, f"risk[{_loss_name(loss)}]", f"point{j}", mean_loss, se)
                 )
-        failures_meta[str(n)] = total_failures
         _failure_check(report, n, total_failures, cfg.replicates * len(lattice))
 
         for i, loss in enumerate(cfg.losses):
@@ -777,8 +716,6 @@ def risk_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
                         hi,
                     )
                 )
-    report.meta = _meta(cfg, failures_meta)
-    return report
 
 
 def _loss_name(loss: tuple[str, float]) -> str:
@@ -791,7 +728,7 @@ def _loss_name(loss: tuple[str, float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _meta(cfg: StudyConfig, failures: dict[str, int]) -> dict:
+def _meta(cfg: StudyConfig) -> dict:
     return {
         "estimator": cfg.estimator,
         "info_source": cfg.info_source,
@@ -799,42 +736,44 @@ def _meta(cfg: StudyConfig, failures: dict[str, int]) -> dict:
         "batches": cfg.batches,
         "n_values": list(cfg.n_values),
         "theta": cfg.theta,
-        "failures": failures,
+        "failures": {},
     }
 
 
-_STUDIES = {
-    "normality": normality_study,
-    "rate": rate_study,
-    "lan": lan_study,
-    "risk": risk_study,
-}
+_STUDIES = {"normality": _normality, "rate": _rate, "lan": _lan, "risk": _risk}
 
 
 def run_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
-    return _STUDIES[cfg.kind](cfg, workers=workers)
+    """Run the study ``cfg`` describes; the report does not depend on ``workers``.
 
-
-_STUDY_FIELD_KEYS = {
-    "kind", "model", "space", "theta", "grid", "n_values", "replicates", "seed",
-    "estimator", "batches", "info_source", "limit_period", "limit_regime",
-    "ks_level", "cov_rel_tol", "slope_tol", "directions", "delta_ks_max",
-    "ratio_se_factor", "losses", "risk_epsilon", "risk_band", "prior",
-    "bayes_rel_tol", "bayes_draws",
-}
+    Each rung's context is built once, here in the calling process, and
+    travels with its replicate chunks.  ``workers > 1`` runs the chunks of
+    every rung and every risk lattice point on one process pool.
+    """
+    report = StudyReport(cfg.kind, cfg.seed, cfg.digest(), meta=_meta(cfg))
+    study = _STUDIES[cfg.kind]
+    if workers <= 1:
+        study(cfg, report, map)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            study(cfg, report, pool.map)
+    return report
 
 
 def study_from_dict(cfg: dict) -> StudyConfig:
     """Validate a raw study config dict and build the StudyConfig.
 
-    Nested model/space/theta/grid dicts are built once here so malformed
-    entries surface as ConfigError before any replicate runs; estimator
-    applicability and the Bayes dimension guard are checked here too.
+    The allowed and required keys are the StudyConfig fields and the
+    fields without defaults.  Nested model/space/theta/grid dicts are
+    built once here so malformed entries surface as ConfigError before any
+    replicate runs; estimator applicability and the Bayes dimension guard
+    are checked here too.
     """
+    schema = fields(StudyConfig)
     _config._check_keys(
         cfg,
-        _STUDY_FIELD_KEYS,
-        {"kind", "model", "space", "theta", "grid", "n_values", "replicates", "seed"},
+        {f.name for f in schema},
+        {f.name for f in schema if f.default is MISSING},
         "study",
     )
     model = _config.build_model(cfg["model"])
@@ -848,70 +787,15 @@ def study_from_dict(cfg: dict) -> StudyConfig:
         )
     if not space.contains(theta):
         raise ConfigError("theta lies outside the parameter box", key="theta")
-
-    n_values = cfg["n_values"]
-    if not isinstance(n_values, list) or not n_values:
-        raise ConfigError("n_values must be a non-empty list", key="n_values")
-    for n in n_values:
-        _config.build_grid_for(cfg["grid"], int(n))
-
-    estimator = cfg.get("estimator", "auto")
-    resolve_estimator(estimator, model, space)
-
-    directions = cfg.get("directions", [])
-    if not isinstance(directions, list):
-        raise ConfigError("directions must be a list of vectors", key="directions")
-    for w in directions:
-        if not isinstance(w, list) or len(w) != space.d:
-            raise ConfigError(
-                f"each direction must be a length-{space.d} vector", key="directions"
-            )
-
-    losses = cfg.get("losses", [["power", 2.0]])
-    if not isinstance(losses, list):
-        raise ConfigError("losses must be a list of [kind, level] pairs", key="losses")
-    loss_tuples = []
-    for item in losses:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ConfigError("each loss must be a [kind, level] pair", key="losses")
-        loss_tuples.append((str(item[0]), float(item[1])))
-
-    band = cfg.get("risk_band", [0.9, 1.3])
-    if not (isinstance(band, list) and len(band) == 2):
-        raise ConfigError("risk_band must be [lo, hi]", key="risk_band")
-
-    if cfg.get("prior") is not None:
-        _config.build_prior(cfg["prior"])
-
-    return StudyConfig(
-        kind=cfg["kind"],
-        model=cfg["model"],
-        space=cfg["space"],
-        theta=cfg["theta"],
-        grid=cfg["grid"],
-        n_values=tuple(int(n) for n in n_values),
-        replicates=int(cfg["replicates"]),
-        seed=int(cfg["seed"]),
-        estimator=estimator,
-        batches=int(cfg.get("batches", 20)),
-        info_source=cfg.get("info_source", "empirical"),
-        limit_period=(
-            None if cfg.get("limit_period") is None else float(cfg["limit_period"])
-        ),
-        limit_regime=cfg.get("limit_regime", "vanishing_step"),
-        ks_level=float(cfg.get("ks_level", 1e-3)),
-        cov_rel_tol=float(cfg.get("cov_rel_tol", 0.10)),
-        slope_tol=float(cfg.get("slope_tol", 0.10)),
-        directions=tuple(tuple(float(x) for x in w) for w in directions),
-        delta_ks_max=float(cfg.get("delta_ks_max", 0.05)),
-        ratio_se_factor=float(cfg.get("ratio_se_factor", 4.0)),
-        losses=tuple(loss_tuples),
-        risk_epsilon=float(cfg.get("risk_epsilon", 0.05)),
-        risk_band=(float(band[0]), float(band[1])),
-        prior=cfg.get("prior"),
-        bayes_rel_tol=float(cfg.get("bayes_rel_tol", 1e-5)),
-        bayes_draws=int(cfg.get("bayes_draws", 4000)),
-    )
+    study = StudyConfig(**cfg)
+    for n in study.n_values:
+        _config.build_grid_for(study.grid, n)
+    resolve_estimator(study.estimator, model, space)
+    if any(len(w) != space.d for w in study.directions):
+        raise ConfigError(f"each direction must be a length-{space.d} vector", key="directions")
+    if study.prior is not None:
+        _config.build_prior(study.prior)
+    return study
 
 
 def save_report(report: StudyReport, out_dir, stem: str = "report") -> list[str]:

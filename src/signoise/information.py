@@ -35,6 +35,9 @@ __all__ = [
     "bundle_from_json",
 ]
 
+_PROBE_POINTS = 64
+_PERIODICITY_RTOL = 1e-8
+
 
 def _inv_sqrt_spd(matrix: np.ndarray, eig_floor: float, what: str) -> np.ndarray:
     """Inverse symmetric square root of an SPD matrix via eigendecomposition."""
@@ -198,8 +201,6 @@ def periodic_limit_fisher(
     offsets=None,
     grid: TimeGrid | None = None,
     eig_floor: float = 1e-12,
-    probe_points: int = 64,
-    periodicity_rtol: float = 1e-8,
 ) -> InformationBundle:
     """Long-run information for periodic models in either limit regime.
 
@@ -216,7 +217,7 @@ def periodic_limit_fisher(
     """
     if not (period > 0.0 and np.isfinite(period)):
         raise DomainError(f"period must be positive, got {period!r}")
-    _check_periodicity(model, theta, period, probe_points, periodicity_rtol)
+    _check_periodicity(model, theta, period)
 
     if regime == "vanishing_step":
         p, q = model.p, model.q
@@ -236,14 +237,13 @@ def periodic_limit_fisher(
     elif regime == "pattern":
         if offsets is None:
             raise DomainError("the pattern regime requires the within-period offsets")
+        # one cycle is a grid with total time P and nu intervals, so its
+        # empirical sums are the pattern limit
         cycle = periodic_pattern_grid(offsets, period, 1)
-        m = MomentCache(model, cycle).moments(theta)
-        nu = cycle.n
-        inv_var = 1.0 / m.var
-        drift = (m.grad_mean.T * inv_var) @ m.grad_mean / period
-        grad_ln = m.grad_var * inv_var[:, None]
-        var = grad_ln.T @ grad_ln / (2.0 * nu)
-        bundle = InformationBundle(drift, var, None, None, "limit:pattern", eig_floor)
+        sums = empirical_fisher(MomentCache(model, cycle).moments(theta), cycle)
+        bundle = InformationBundle(
+            sums.drift_info, sums.var_info, None, None, "limit:pattern", eig_floor
+        )
     else:
         raise DomainError(f"unknown regime {regime!r}")
 
@@ -257,8 +257,6 @@ def periodic_limit_separation(
     theta_a: Theta,
     theta_b: Theta,
     period: float,
-    probe_points: int = 64,
-    periodicity_rtol: float = 1e-8,
 ) -> tuple[float, float]:
     """Vanishing-step limits of the separation gaps for periodic models.
 
@@ -267,8 +265,8 @@ def periodic_limit_separation(
     """
     if not (period > 0.0 and np.isfinite(period)):
         raise DomainError(f"period must be positive, got {period!r}")
-    _check_periodicity(model, theta_a, period, probe_points, periodicity_rtol)
-    _check_periodicity(model, theta_b, period, probe_points, periodicity_rtol)
+    _check_periodicity(model, theta_a, period)
+    _check_periodicity(model, theta_b, period)
 
     def drift_kernel(t):
         return (eval_signal(model, theta_a, t) - eval_signal(model, theta_b, t)) ** 2
@@ -287,21 +285,19 @@ def _period_mean(kernel, period: float) -> np.ndarray:
     return integral[0] / period
 
 
-def _check_periodicity(
-    model: ModelSpec, theta: Theta, period: float, probe_points: int, rtol: float
-) -> None:
-    ts = np.linspace(0.0, period, probe_points, endpoint=False)
+def _check_periodicity(model: ModelSpec, theta: Theta, period: float) -> None:
+    ts = np.linspace(0.0, period, _PROBE_POINTS, endpoint=False)
     f0 = np.array([eval_signal(model, theta, t) for t in ts])
     f1 = np.array([eval_signal(model, theta, t + period) for t in ts])
     s0 = np.array([eval_noise_var(model, theta, t) for t in ts])
     s1 = np.array([eval_noise_var(model, theta, t + period) for t in ts])
     scale_f = 1.0 + float(np.abs(f0).max(initial=0.0))
     scale_s = 1.0 + float(np.abs(s0).max(initial=0.0))
-    if np.abs(f1 - f0).max(initial=0.0) > rtol * scale_f:
+    if np.abs(f1 - f0).max(initial=0.0) > _PERIODICITY_RTOL * scale_f:
         raise PeriodicityError(
             f"drift is not periodic with period {period!r} on the probe lattice"
         )
-    if np.abs(s1 - s0).max(initial=0.0) > rtol * scale_s:
+    if np.abs(s1 - s0).max(initial=0.0) > _PERIODICITY_RTOL * scale_s:
         raise PeriodicityError(
             f"variance rate is not periodic with period {period!r} on the probe lattice"
         )

@@ -7,6 +7,7 @@ import pytest
 from signoise import (
     ConfigError,
     StudyConfig,
+    experiments,
     gaussian_expected_loss,
     run_study,
     save_report,
@@ -219,12 +220,60 @@ def test_indicator_loss_is_diagnostic_only():
     assert not any("indicator" in c["name"] for c in report.checks)
 
 
-def test_reports_are_bit_identical_across_runs_and_workers():
-    cfg = study_from_dict(_study(n_values=[100], replicates=100))
+WORKER_STUDIES = {
+    "normality": {},
+    "rate": {
+        "kind": "rate",
+        "n_values": [100, 1000],
+        "grid": {"kind": "uniform", "step_rule": "inverse_sqrt", "c": 1.0},
+    },
+    "lan": {
+        "kind": "lan",
+        "model": TRIG_SCALED_CONFIG,
+        "space": SCALED_SPACE,
+        "theta": SCALED_THETA,
+        "directions": [[0.5, 0.2, -0.3], [0.0, 0.4, 0.6]],
+    },
+    "risk": {"kind": "risk", "n_values": [100]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORKER_STUDIES))
+def test_reports_are_bit_identical_across_runs_and_workers(kind):
+    overrides = {"n_values": [100], "replicates": 100, **WORKER_STUDIES[kind]}
+    cfg = study_from_dict(_study(**overrides))
     a = run_study(cfg, workers=1).to_json()
     b = run_study(cfg, workers=1).to_json()
     c = run_study(cfg, workers=2).to_json()
     assert a == b == c
+
+
+def test_one_process_pool_per_study(monkeypatch):
+    pools = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cfg = study_from_dict(_study(kind="risk", n_values=[100, 200], replicates=100))
+    report = run_study(cfg, workers=2)
+    assert len(pools) == 1  # not one per rung and lattice point
+    assert set(report.meta["failures"]) == {"100", "200"}
+    run_study(cfg, workers=1)
+    assert len(pools) == 1
+
+
+def test_study_schema_defaults_and_number_coercion():
+    required = {k: v for k, v in _study().items() if k != "estimator"}
+    assert study_from_dict(required) == StudyConfig(**required)
+    loose = _study(ks_level=1, batches=20.0, risk_epsilon=0, bayes_draws=4000.0)
+    exact = _study(ks_level=1.0, batches=20, risk_epsilon=0.0, bayes_draws=4000)
+    assert study_from_dict(loose).digest() == study_from_dict(exact).digest()
+    assert StudyConfig(**loose).digest() == StudyConfig(**exact).digest()
+    with pytest.raises(ConfigError, match="risk_band"):
+        study_from_dict(_study(risk_band="ab"))
 
 
 def test_unknown_config_key_is_named():
