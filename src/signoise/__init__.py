@@ -67,6 +67,7 @@ from .increments import (
 from .simulate import (
     IncrementSample,
     derive_seed,
+    draw_block,
     load_sample,
     moments_for,
     normal_stream,
@@ -76,7 +77,9 @@ from .simulate import (
 )
 from .likelihood import (
     LanDecomposition,
+    LocalExpansion,
     expected_power_identity,
+    local_expansion,
     log_likelihood,
     normalized_log_ratio,
     score,
@@ -96,6 +99,7 @@ from .estimate import (
     EstimateResult,
     MleOptions,
     Prior,
+    closed_form_block,
     closed_form_mle,
     has_closed_form,
     linear_known_noise_mle,

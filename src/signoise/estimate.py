@@ -47,6 +47,7 @@ __all__ = [
     "linear_known_noise_mle",
     "linear_scaled_noise_mle",
     "closed_form_mle",
+    "closed_form_block",
     "has_closed_form",
     "Prior",
     "BayesResult",
@@ -217,9 +218,12 @@ def linear_known_noise_mle(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact weighted least squares for a linear drift and known variances.
 
-    Returns (alpha_hat, covariance).  The estimator is exactly Gaussian
-    around the truth with the returned covariance; this is the one place
-    in the package where finite-sample distribution theory is exact.
+    ``y`` is one increment vector (n,) or k of them as the columns of an
+    (n, k) array; alpha_hat is then (p,) or (p, k), all columns solved
+    with one Gram matrix and one Cholesky factor.  Returns (alpha_hat,
+    covariance).  The estimator is exactly Gaussian around the truth with
+    the returned covariance; this is the one place in the package where
+    finite-sample distribution theory is exact.
     """
     b = np.asarray(basis_integrals, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -232,7 +236,7 @@ def linear_known_noise_mle(
         raise SingularDesignError(
             f"weighted basis Gram matrix is singular: {exc}"
         ) from exc
-    alpha = cho_solve(factor, b.T @ (w * y))
+    alpha = cho_solve(factor, b.T @ (w * y.T).T)
     cov = cho_solve(factor, np.eye(b.shape[1]))
     return alpha, cov
 
@@ -245,21 +249,41 @@ def linear_scaled_noise_mle(
     The drift solve does not involve the scale (it cancels from its normal
     equations), and the scale MLE is the mean profile-weighted squared
     residual.  Returns (alpha_hat, scale_hat, unit_gram_inverse) where the
-    drift covariance is scale * unit_gram_inverse.
+    drift covariance is scale * unit_gram_inverse.  As in
+    ``linear_known_noise_mle``, an (n, k) ``y`` is solved column by column
+    in one pass and gives a (k,) array of scales.
     """
     b = np.asarray(basis_integrals, dtype=float)
     g = np.asarray(profile_integrals, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha, unit_cov = linear_known_noise_mle(b, g, y)
     resid = y - b @ alpha
-    scale = float(np.mean(resid * resid / g))
-    return alpha, scale, unit_cov
+    scale = np.mean((resid * resid).T / g, axis=-1)
+    return alpha, scale if scale.ndim else float(scale), unit_cov
 
 
 def has_closed_form(model: ModelSpec) -> bool:
     return isinstance(model.signal, LinearSignal) and isinstance(
         model.noise, (KnownNoise, ScaledNoise)
     )
+
+
+def closed_form_block(model: ModelSpec, cache: MomentCache, ys: np.ndarray) -> np.ndarray:
+    """Closed-form MLEs of the k increment vectors in the rows of ys (k, n).
+
+    Returns the (k, d) estimates, each row equal to ``closed_form_mle``'s
+    ``theta.vector`` for that row up to summation order.  Raises
+    DomainError for families without a closed form.
+    """
+    if not has_closed_form(model):
+        raise DomainError("no closed-form estimator for this model family")
+    b = cache.signal_basis_integrals()
+    g = cache.noise_profile_integrals()
+    if isinstance(model.noise, KnownNoise):
+        alpha, _ = linear_known_noise_mle(b, g, ys.T)
+        return alpha.T
+    alpha, scale, _ = linear_scaled_noise_mle(b, g, ys.T)
+    return np.column_stack([alpha.T, scale])
 
 
 def closed_form_mle(

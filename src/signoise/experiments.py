@@ -19,13 +19,19 @@ Four study kinds:
 Every study is a pure function of its config: replicate r of rung n reads
 a dedicated counter-based stream, results are assembled by replicate
 index, and reports exclude wall-clock, so the report bytes are identical
-for any worker count.  Failed replicates are dropped, counted, and fail a
-study only when their rate exceeds one percent.
+for any worker count.  Failed replicates are dropped, counted by error
+class, and fail a study only when their rate exceeds one percent.
+
+The unit of work is the replicate chunk: each rung's replicates are split
+into at most 64 contiguous chunks, by replicate count alone, and a chunk
+task draws its increments as one (k, n) block.  Closed-form MLEs solve
+the whole block with one Cholesky factor, and the local expansion reuses
+moments computed once per rung; other estimators loop over the rows.
 
 ``run_study`` owns all of a study's state: it builds each rung's context
-once and hands it to the replicate chunks (pickled to the workers when
-``workers > 1``), and one process pool serves the whole study.  Nothing
-outlives the call.
+once and hands it to the chunk tasks (pickled to the workers, a few
+chunks per batch, when ``workers > 1``), and one process pool serves the
+whole study.  Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
@@ -43,13 +50,13 @@ from scipy import stats as _stats
 
 from . import config as _config
 from .errors import ConfigError, DomainError, SignoiseError
-from .estimate import Prior, resolve_estimator
+from .estimate import ESTIMATORS, Prior, closed_form_block, resolve_estimator
 from .increments import MomentCache
 from .information import InformationBundle, empirical_fisher, periodic_limit_fisher
-from .likelihood import normalized_log_ratio
+from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
 from .sampling import TimeGrid
-from .simulate import IncrementSample, derive_seed, normal_stream
+from .simulate import IncrementSample, derive_seed, draw_block
 
 __all__ = [
     "StudyConfig",
@@ -61,6 +68,7 @@ __all__ = [
 ]
 
 _FAILURE_RATE_LIMIT = 0.01
+_CHUNKS = 64
 _REMAINDER_FLOOR = 1e-10
 _HERMITE_NODES = 24
 
@@ -294,90 +302,80 @@ def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
     return empirical_fisher(ctx.cache.moments(ctx.theta), ctx.grid)
 
 
-def _sample(ctx: _Context, seed: int, r: int) -> IncrementSample:
-    z = normal_stream(seed, r, ctx.grid.n)
-    y = ctx.mean + ctx.sd * z
-    return IncrementSample(y, seed, r, ctx.grid_digest, ctx.theta)
-
-
-def _estimate_one(cfg: StudyConfig, ctx: _Context, seed: int, r: int) -> np.ndarray | None:
-    """One replicate of an estimation task; None marks a failed replicate."""
-    sample = _sample(ctx, seed, r)
+def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int) -> list:
+    """Estimates of replicates lo..hi-1; a failed replicate gives its error class name."""
+    ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
     estimator = resolve_estimator(cfg.estimator, ctx.model, ctx.space)
-    try:
-        return estimator(
-            ctx.model,
-            ctx.space,
-            ctx.grid,
-            sample,
-            cache=ctx.cache,
-            prior=ctx.prior,
-            rel_tol=cfg.bayes_rel_tol,
-            draws=cfg.bayes_draws,
-            seed=derive_seed(seed, "is", r),
-        ).theta.vector
-    except (SignoiseError, np.linalg.LinAlgError):
-        return None
-
-
-def _lan_one(scaling: np.ndarray, directions, ctx: _Context, seed: int, r: int):
-    """One replicate of the local-expansion task.
-
-    Returns (central_sequence, log_ratios, remainders) with one entry per
-    direction, or None on failure.
-    """
-    sample = _sample(ctx, seed, r)
-    try:
-        decs = [
-            normalized_log_ratio(
-                ctx.model,
-                ctx.space,
-                ctx.theta,
-                np.asarray(w, dtype=float),
-                ctx.grid,
-                sample,
-                scaling,
-                cache=ctx.cache,
+    if estimator is ESTIMATORS["mle-closed"]:
+        try:
+            return list(closed_form_block(ctx.model, ctx.cache, ys))
+        except (SignoiseError, np.linalg.LinAlgError) as exc:
+            return [type(exc).__name__] * len(ys)
+    out = []
+    for r, y in zip(range(lo, hi), ys):
+        sample = IncrementSample(y, seed, r, ctx.grid_digest, ctx.theta)
+        try:
+            out.append(
+                estimator(
+                    ctx.model,
+                    ctx.space,
+                    ctx.grid,
+                    sample,
+                    cache=ctx.cache,
+                    prior=ctx.prior,
+                    rel_tol=cfg.bayes_rel_tol,
+                    draws=cfg.bayes_draws,
+                    seed=derive_seed(seed, "is", r),
+                ).theta.vector
             )
-            for w in directions
-        ]
-    except SignoiseError:
-        return None
-    log_ratios = np.array([dec.log_ratio for dec in decs], dtype=float)
-    remainders = np.array([dec.remainder for dec in decs], dtype=float)
-    return decs[-1].score_term, log_ratios, remainders
+        except (SignoiseError, np.linalg.LinAlgError) as exc:
+            out.append(type(exc).__name__)
+    return out
 
 
-def _eval_chunk(args):
-    task, ctx, seed, r_lo, r_hi = args
-    return [task(ctx, seed, r) for r in range(r_lo, r_hi)]
+def _lan_chunk(expansion: LocalExpansion, ctx: _Context, seed: int, lo: int, hi: int) -> list:
+    """One row per replicate lo..hi-1: its log-ratios, central sequence and
+    remainders, in the column order of ``LocalExpansion.evaluate``."""
+    ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
+    return list(np.hstack(expansion.evaluate(ys)))
 
 
-def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[list, int]:
-    """Run ``task(ctx, seed, r)`` for r < m; returns (results, failures).
+def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[list, Counter]:
+    """Run ``task(ctx, seed, lo, hi)`` over chunks of r < m; returns (results, failures).
 
-    Failed replicates (None) are dropped from the results, which stay in
-    replicate order.  Chunk boundaries depend only on the replicate count,
-    never on the worker count, and chunk outputs are concatenated in
-    submission order; combined with counter-based streams this makes the
-    results independent of parallelism.
+    A task returns one entry per replicate: its result, or the class name
+    of the error that failed it.  Failed replicates are dropped from the
+    results, which stay in replicate order, and counted by class.  Chunk
+    boundaries depend only on the replicate count, never on the worker
+    count, and chunk outputs are concatenated in submission order;
+    combined with counter-based streams this makes the results
+    independent of parallelism.
     """
-    chunk = max(1, -(-m // 64))
-    args = [(task, ctx, seed, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    results = [v for part in map_fn(_eval_chunk, args) for v in part if v is not None]
+    chunk = max(1, -(-m // _CHUNKS))
+    los = range(0, m, chunk)
+    his = [min(lo + chunk, m) for lo in los]
+    results, failures = [], Counter()
+    for part in map_fn(task, [ctx] * len(los), [seed] * len(los), los, his):
+        for v in part:
+            if isinstance(v, str):
+                failures[v] += 1
+            else:
+                results.append(v)
     if not results:
-        raise DomainError(f"every replicate failed at n={ctx.grid.n}")
-    return results, m - len(results)
+        raise DomainError(f"every replicate failed at n={ctx.grid.n}: {dict(failures)}")
+    return results, failures
 
 
-def _failure_check(report: StudyReport, n: int, failures: int, replicates: int) -> None:
-    report.meta["failures"][str(n)] = failures
-    rate = failures / replicates
+def _failure_check(report: StudyReport, n: int, failures: Counter, replicates: int) -> None:
+    count = sum(failures.values())
+    report.meta["failures"][str(n)] = count
+    report.meta["failure_classes"][str(n)] = dict(sorted(failures.items()))
+    rate = count / replicates
     report.checks.append(
         _check(
             f"failure-rate[n={n}]",
             rate <= _FAILURE_RATE_LIMIT,
-            f"{failures}/{replicates} replicates failed",
+            f"{count}/{replicates} replicates failed",
             rate,
             _FAILURE_RATE_LIMIT,
         )
@@ -408,7 +406,7 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         names = _coord_names(ctx.model.p, ctx.model.q)
         seed = derive_seed(cfg.seed, "normality", rung)
         results, failures = _replicates(
-            map_fn, partial(_estimate_one, cfg), ctx, seed, cfg.replicates
+            map_fn, partial(_estimate_chunk, cfg), ctx, seed, cfg.replicates
         )
         _failure_check(report, n, failures, cfg.replicates)
         estimates = np.stack(results)
@@ -479,7 +477,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         p, q = ctx.model.p, ctx.model.q
         seed = derive_seed(cfg.seed, "rate", rung)
         results, failures = _replicates(
-            map_fn, partial(_estimate_one, cfg), ctx, seed, cfg.replicates
+            map_fn, partial(_estimate_chunk, cfg), ctx, seed, cfg.replicates
         )
         _failure_check(report, n, failures, cfg.replicates)
         err = np.stack(results) - ctx.theta.vector
@@ -536,17 +534,20 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         ctx = _context(cfg, n)
         # no directions configured: probe w = 0 so the remainder table still
         # appears, with every entry exactly zero
-        directions = cfg.directions or ((0.0,) * ctx.model.d,)
+        directions = np.array(cfg.directions or ((0.0,) * ctx.model.d,))
         scaling = _reference_bundle(cfg, ctx).local_scaling
+        expansion = local_expansion(
+            ctx.model, ctx.space, ctx.theta, directions, scaling, ctx.cache
+        )
         names = _coord_names(ctx.model.p, ctx.model.q)
         seed = derive_seed(cfg.seed, "lan", rung)
         good, failures = _replicates(
-            map_fn, partial(_lan_one, scaling, directions), ctx, seed, cfg.replicates
+            map_fn, partial(_lan_chunk, expansion), ctx, seed, cfg.replicates
         )
         _failure_check(report, n, failures, cfg.replicates)
-        central = np.stack([g[0] for g in good])
-        log_ratios = np.stack([g[1] for g in good])
-        remainders = np.stack([g[2] for g in good])
+        log_ratios, central, remainders = np.split(
+            np.stack(good), [len(directions), len(directions) + ctx.model.d], axis=1
+        )
 
         for k, name in enumerate(names):
             ks = _stats.kstest(central[:, k], "norm")
@@ -673,13 +674,13 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         loss_records: dict[int, list[tuple[float, float]]] = {
             i: [] for i in range(len(cfg.losses))
         }
-        total_failures = 0
+        total_failures = Counter()
         for j, theta in enumerate(lattice):
             m = ctx.cache.moments(theta)
             moved = replace(ctx, theta=theta, mean=m.mean, sd=np.sqrt(m.var))
             seed = derive_seed(cfg.seed, "risk", rung, j)
             results, failures = _replicates(
-                map_fn, partial(_estimate_one, cfg), moved, seed, cfg.replicates
+                map_fn, partial(_estimate_chunk, cfg), moved, seed, cfg.replicates
             )
             total_failures += failures
             u = (np.stack(results) - theta.vector) * scale
@@ -737,6 +738,7 @@ def _meta(cfg: StudyConfig) -> dict:
         "n_values": list(cfg.n_values),
         "theta": cfg.theta,
         "failures": {},
+        "failure_classes": {},
     }
 
 
@@ -748,7 +750,9 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
 
     Each rung's context is built once, here in the calling process, and
     travels with its replicate chunks.  ``workers > 1`` runs the chunks of
-    every rung and every risk lattice point on one process pool.
+    every rung and every risk lattice point on one process pool; each
+    worker takes its share of a rung's chunks in about four batches, so
+    the context is pickled once per batch rather than once per chunk.
     """
     report = StudyReport(cfg.kind, cfg.seed, cfg.digest(), meta=_meta(cfg))
     study = _STUDIES[cfg.kind]
@@ -756,7 +760,7 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
         study(cfg, report, map)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            study(cfg, report, pool.map)
+            study(cfg, report, partial(pool.map, chunksize=max(1, _CHUNKS // (4 * workers))))
     return report
 
 

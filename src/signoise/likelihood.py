@@ -10,7 +10,10 @@ Beyond the likelihood itself this module exposes the centered two-point
 decomposition used by the asymptotic studies: the log-ratio between a base
 point and a locally rescaled alternative splits into a linear score term,
 an explicit quadratic, and a remainder, the remainder being defined
-residually so the identity holds exactly at any sample size.
+residually so the identity holds exactly at any sample size.  The moments
+at the base and shifted points do not depend on the sample, so a
+``LocalExpansion`` holds them once and decomposes a whole (k, n) block of
+samples per call; ``normalized_log_ratio`` is its one-sample case.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "log_likelihood",
     "score",
     "LanDecomposition",
+    "LocalExpansion",
+    "local_expansion",
     "normalized_log_ratio",
     "expected_power_identity",
 ]
@@ -37,8 +42,8 @@ __all__ = [
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-def _check_lengths(moments: IncrementMoments, y: np.ndarray) -> None:
-    if y.shape != (moments.n,):
+def _check_lengths(moments: IncrementMoments, y: np.ndarray, ndim: int = 1) -> None:
+    if y.ndim != ndim or y.shape[-1] != moments.n:
         raise DomainError(f"y has shape {y.shape}, moments have n={moments.n}")
 
 
@@ -46,11 +51,17 @@ def log_likelihood(moments: IncrementMoments, y: np.ndarray) -> float:
     """Exact Gaussian log-likelihood of the increment vector y."""
     y = np.asarray(y, dtype=float)
     _check_lengths(moments, y)
+    return float(_log_likelihood_rows(moments, y))
+
+
+def _log_likelihood_rows(moments: IncrementMoments, y: np.ndarray):
+    """Log-likelihood of each row of y (..., n); contiguous rows sum exactly
+    as a single vector does, so a block row equals its one-sample value."""
     resid = y - moments.mean
-    return float(
+    return (
         -0.5 * moments.n * _LN_2PI
         - 0.5 * np.sum(np.log(moments.var))
-        - 0.5 * np.sum(resid * resid / moments.var)
+        - 0.5 * np.sum(resid * resid / moments.var, axis=-1)
     )
 
 
@@ -93,6 +104,93 @@ class LanDecomposition:
         return float(0.5 * self.direction @ self.direction)
 
 
+@dataclass(frozen=True)
+class LocalExpansion:
+    """Moments at a base point and at its shifts theta + scaling @ w_j.
+
+    ``directions`` is (J, d), one direction w_j per row, and ``shifted``
+    holds the moments at each shifted point in the same order.  Built by
+    ``local_expansion``; ``evaluate`` applies it to any block of samples.
+    """
+
+    base: IncrementMoments
+    shifted: tuple[IncrementMoments, ...]
+    directions: np.ndarray
+    scaling: np.ndarray
+
+    def evaluate(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decompose the log-ratios of the k samples in the rows of ys (k, n).
+
+        Returns (log_ratios (k, J), score_terms (k, d), remainders (k, J)):
+        row i, column j is the decomposition of sample i along direction j,
+        with ``remainder = log_ratio - score_term . w_j + |w_j|^2 / 2``.
+        """
+        ys = np.asarray(ys, dtype=float)
+        m0 = self.base
+        _check_lengths(m0, ys, ndim=2)
+        ll0 = _log_likelihood_rows(m0, ys)
+        log_ratios = np.stack(
+            [_log_likelihood_rows(m1, ys) - ll0 for m1 in self.shifted], axis=-1
+        )
+
+        # normalized central sequence at the base point
+        sd0 = np.sqrt(m0.var)
+        resid = (ys - m0.mean) / sd0
+        raw_alpha = (resid / sd0) @ m0.grad_mean
+        raw_beta = ((resid * resid - 1.0) / 2.0) @ (m0.grad_var / m0.var[:, None])
+        score_terms = np.concatenate([raw_alpha, raw_beta], axis=1) @ self.scaling
+
+        linear = score_terms @ self.directions.T
+        quad = 0.5 * np.sum(self.directions * self.directions, axis=1)
+        return log_ratios, score_terms, log_ratios - linear + quad
+
+
+def local_expansion(
+    model: ModelSpec,
+    space: ParameterSpace,
+    theta: Theta,
+    directions: np.ndarray,
+    scaling: np.ndarray,
+    cache: MomentCache,
+) -> LocalExpansion:
+    """Moments for the log-ratios from theta to theta + scaling @ w_j.
+
+    Parameters
+    ----------
+    directions : ndarray, shape (J, d)
+        Local directions w_j, one per row.
+    scaling : ndarray, shape (d, d)
+        The local rescaling matrix (symmetric PSD block-diagonal in
+        practice); rows/columns ordered drift block then variance block.
+
+    Raises
+    ------
+    OutOfSpaceError
+        If the base point or a shifted point leaves the open parameter
+        box; the message names the direction index, n and the point.
+    """
+    d = model.d
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != d:
+        raise DomainError(f"directions have shape {directions.shape}, expected (J, {d})")
+    scaling = np.asarray(scaling, dtype=float)
+    if scaling.shape != (d, d):
+        raise DomainError(f"scaling has shape {scaling.shape}, expected {(d, d)}")
+    if not space.contains(theta):
+        raise OutOfSpaceError("base point is outside the parameter box")
+    shifted = []
+    for j, w in enumerate(directions):
+        point = theta.vector + scaling @ w
+        shifted_theta = Theta.from_vector(point, model.p)
+        if not space.contains(shifted_theta):
+            raise OutOfSpaceError(
+                f"direction {j} at n={cache.grid.n}: shifted point {point!r} "
+                "leaves the parameter box"
+            )
+        shifted.append(cache.moments(shifted_theta))
+    return LocalExpansion(cache.moments(theta), tuple(shifted), directions, scaling)
+
+
 def normalized_log_ratio(
     model: ModelSpec,
     space: ParameterSpace,
@@ -105,55 +203,17 @@ def normalized_log_ratio(
 ) -> LanDecomposition:
     """Decompose the log-ratio to the point theta + scaling @ direction.
 
-    Parameters
-    ----------
-    direction : ndarray, shape (d,)
-        Local direction w; the shifted point is theta + (scaling @ w).
-    scaling : ndarray, shape (d, d)
-        The local rescaling matrix (symmetric PSD block-diagonal in
-        practice); rows/columns ordered drift block then variance block.
-
-    Raises
-    ------
-    OutOfSpaceError
-        If the shifted point leaves the open parameter box.
+    The one-sample, one-direction case of ``local_expansion``, whose
+    parameters and errors it shares; ``direction`` has shape (d,).
     """
     if cache is None:
         cache = MomentCache(model, grid)
     w = np.asarray(direction, dtype=float).reshape(-1)
-    d = model.d
-    if w.size != d:
-        raise DomainError(f"direction has size {w.size}, expected {d}")
-    scaling = np.asarray(scaling, dtype=float)
-    if scaling.shape != (d, d):
-        raise DomainError(f"scaling has shape {scaling.shape}, expected {(d, d)}")
-
-    shifted_vec = theta.vector + scaling @ w
-    shifted = Theta.from_vector(shifted_vec, model.p)
-    if not space.contains(theta):
-        raise OutOfSpaceError("base point is outside the parameter box")
-    if not space.contains(shifted):
-        raise OutOfSpaceError(
-            f"shifted point {shifted_vec!r} leaves the parameter box"
-        )
-
-    m0 = cache.moments(theta)
-    m1 = cache.moments(shifted)
-    y = sample.y
-    log_ratio = log_likelihood(m1, y) - log_likelihood(m0, y)
-
-    # normalized central sequence at the base point
-    resid = (y - m0.mean) / np.sqrt(m0.var)
-    raw_alpha = m0.grad_mean.T @ (resid / np.sqrt(m0.var))
-    grad_ln_var = m0.grad_var / m0.var[:, None]
-    raw_beta = grad_ln_var.T @ ((resid * resid - 1.0) / 2.0)
-    raw = np.concatenate([raw_alpha, raw_beta])
-    score_term = scaling.T @ raw
-
-    linear = float(score_term @ w)
-    quad = 0.5 * float(w @ w)
-    remainder = log_ratio - linear + quad
-    return LanDecomposition(log_ratio, score_term, w, remainder)
+    expansion = local_expansion(model, space, theta, w[None], scaling, cache)
+    log_ratios, score_terms, remainders = expansion.evaluate(sample.y[None])
+    return LanDecomposition(
+        float(log_ratios[0, 0]), score_terms[0], w, float(remainders[0, 0])
+    )
 
 
 def expected_power_identity(

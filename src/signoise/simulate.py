@@ -26,6 +26,7 @@ from .sampling import TimeGrid, grid_from_instants
 __all__ = [
     "IncrementSample",
     "normal_stream",
+    "draw_block",
     "derive_seed",
     "simulate_increments",
     "simulate_batch",
@@ -61,6 +62,19 @@ def normal_stream(seed: int, replicate: int, count: int) -> np.ndarray:
     raw = Philox(key=key).random_raw(count)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
+
+
+def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Replicates lo..hi-1 of the family with these moments, shape (hi - lo, n).
+
+    Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit;
+    each row is written in place, so no second block-sized array is made.
+    """
+    out = np.empty((hi - lo, mean.size))
+    for row, r in zip(out, range(lo, hi)):
+        np.multiply(sd, normal_stream(seed, r, mean.size), out=row)
+        row += mean
+    return out
 
 
 def derive_seed(seed: int, *salts) -> int:
@@ -110,8 +124,7 @@ def simulate_increments(
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    z = normal_stream(seed, replicate, m.n)
-    y = m.mean + np.sqrt(m.var) * z
+    y = draw_block(m.mean, np.sqrt(m.var), seed, replicate, replicate + 1)[0]
     return IncrementSample(y, int(seed), int(replicate), grid.digest(), theta)
 
 
@@ -132,11 +145,7 @@ def simulate_batch(
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    sd = np.sqrt(m.var)
-    out = np.empty((replicates, m.n))
-    for r in range(replicates):
-        out[r] = m.mean + sd * normal_stream(seed, r, m.n)
-    return out
+    return draw_block(m.mean, np.sqrt(m.var), seed, 0, replicates)
 
 
 def moments_for(model: ModelSpec, theta: Theta, grid: TimeGrid) -> IncrementMoments:

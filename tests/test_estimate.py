@@ -15,9 +15,11 @@ from signoise import (
     ParameterSpace,
     Prior,
     Theta,
+    closed_form_block,
     closed_form_mle,
     constant_profile,
     mle_numeric,
+    periodic_pattern_grid,
     posterior_mean_importance,
     posterior_mean_quadrature,
     simulate_batch,
@@ -135,6 +137,24 @@ def test_numeric_mle_concentrates():
         ok = np.all(np.abs(fit.theta.vector - theta.vector) < 5.0 * fit.stderr)
         hits += bool(ok)
     assert hits / draws.shape[0] >= 0.99
+
+
+@pytest.mark.parametrize("build", [trig_known_model, trig_scaled_model])
+@pytest.mark.parametrize(
+    "grid",
+    [uniform_grid(400, 0.25), periodic_pattern_grid((0.25, 1.0), 1.0, 200)],
+    ids=["uniform", "pattern"],
+)
+def test_closed_form_block_rows_match_per_sample_fits(build, grid):
+    model, space, theta = build()
+    cache = MomentCache(model, grid)
+    ys = simulate_batch(model, theta, grid, seed=17, replicates=20, cache=cache)
+    block = closed_form_block(model, cache, ys)
+    assert block.shape == (20, model.d)
+    for r, y in enumerate(ys):
+        sample = IncrementSample(y, 17, r, grid.digest())
+        single = closed_form_mle(model, space, grid, sample, cache=cache).theta.vector
+        np.testing.assert_allclose(block[r], single, rtol=1e-12, atol=0.0)
 
 
 def test_numeric_matches_closed_form():

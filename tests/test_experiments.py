@@ -6,7 +6,12 @@ import pytest
 
 from signoise import (
     ConfigError,
+    DomainError,
+    OutOfSpaceError,
+    SingularDesignError,
     StudyConfig,
+    closed_form_mle,
+    estimate,
     experiments,
     gaussian_expected_loss,
     run_study,
@@ -152,6 +157,21 @@ def test_lan_drift_only_direction_sits_at_roundoff_floor():
     assert "roundoff floor" in decay["detail"]
 
 
+def test_lan_direction_leaving_the_box_is_named():
+    cfg = _study(
+        kind="lan",
+        model=TRIG_SCALED_CONFIG,
+        space=SCALED_SPACE,
+        theta=SCALED_THETA,
+        n_values=[100],
+        replicates=100,
+        directions=[[0.5, 0.2, -0.3], [0.0, 0.0, 50.0]],
+    )
+    with pytest.raises(OutOfSpaceError, match=r"direction 1 at n=100: shifted point") as err:
+        run_study(study_from_dict(cfg))
+    assert isinstance(err.value, DomainError)
+
+
 def test_lan_study_checks_and_rows():
     cfg = _study(
         kind="lan",
@@ -263,6 +283,30 @@ def test_one_process_pool_per_study(monkeypatch):
     assert set(report.meta["failures"]) == {"100", "200"}
     run_study(cfg, workers=1)
     assert len(pools) == 1
+
+
+def _flaky_estimator(model, space, grid, sample, cache, **_):
+    """Fails replicates r = 0 mod 7 and r = 0 mod 11 with two error classes."""
+    if sample.replicate % 7 == 0:
+        raise SingularDesignError("forced")
+    if sample.replicate % 11 == 0:
+        raise np.linalg.LinAlgError("forced")
+    return closed_form_mle(model, space, grid, sample, cache=cache)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_are_bucketed_by_error_class(monkeypatch, workers):
+    monkeypatch.setitem(estimate.ESTIMATORS, "mle", _flaky_estimator)
+    cfg = study_from_dict(_study(estimator="mle", n_values=[100, 200], replicates=100))
+    report = run_study(cfg, workers=workers)
+    singular = sum(1 for r in range(100) if r % 7 == 0)
+    linalg = sum(1 for r in range(100) if r % 7 and r % 11 == 0)
+    assert (singular, linalg) == (15, 8)
+    buckets = {"LinAlgError": linalg, "SingularDesignError": singular}
+    assert report.meta["failure_classes"] == {"100": buckets, "200": buckets}
+    assert list(report.meta["failure_classes"]["100"]) == sorted(buckets)
+    assert report.meta["failures"] == {"100": 23, "200": 23}
+    assert not report.passed  # 23% is far above the 1% failure-rate limit
 
 
 def test_study_schema_defaults_and_number_coercion():

@@ -10,6 +10,7 @@ from signoise import (
     closed_form_mle,
     empirical_fisher,
     expected_power_identity,
+    local_expansion,
     log_likelihood,
     moments_for,
     normalized_log_ratio,
@@ -139,6 +140,34 @@ def test_decomposition_identity_is_exact():
         assert lan.log_ratio == pytest.approx(direct, abs=1e-12)
         rebuilt = lan.linear_part - lan.quadratic_part + lan.remainder
         assert lan.log_ratio == pytest.approx(rebuilt, abs=1e-12)
+
+
+def test_local_expansion_block_rows_match_normalized_log_ratio():
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(300, 0.25)
+    cache = MomentCache(model, grid)
+    phi = empirical_fisher(cache.moments(theta), grid).local_scaling
+    directions = np.array([[0.6, 0.3, 0.2], [0.0, 0.5, 0.7], [0.0, 0.0, 0.0]])
+    ys = simulate_batch(model, theta, grid, seed=505, replicates=16, cache=cache)
+    expansion = local_expansion(model, space, theta, directions, phi, cache)
+    log_ratios, score_terms, remainders = expansion.evaluate(ys)
+    assert log_ratios.shape == remainders.shape == (16, 3)
+    assert score_terms.shape == (16, 3)
+
+    def close(block_value, single_value):
+        assert abs(block_value - single_value) <= 1e-12 * (1.0 + abs(single_value))
+
+    for r, y in enumerate(ys):
+        sample = simulate_increments(model, theta, grid, seed=505, replicate=r, cache=cache)
+        assert np.array_equal(sample.y, y)
+        for j, w in enumerate(directions):
+            lan = normalized_log_ratio(model, space, theta, w, grid, sample, phi, cache)
+            close(log_ratios[r, j], lan.log_ratio)
+            close(remainders[r, j], lan.remainder)
+            for k in range(3):
+                close(score_terms[r, k], lan.score_term[k])
+    # the zero direction is exactly degenerate in the block too
+    assert np.all(log_ratios[:, 2] == 0.0) and np.all(remainders[:, 2] == 0.0)
 
 
 def test_shift_outside_box_is_rejected():

@@ -5,6 +5,7 @@ from scipy import stats
 from signoise import (
     Theta,
     derive_seed,
+    draw_block,
     load_sample,
     moments_for,
     normal_stream,
@@ -37,6 +38,17 @@ def test_same_seed_replicate_is_bitwise_identical():
 
     batch = simulate_batch(model, theta, grid, seed=7, replicates=5)
     assert np.array_equal(batch[3], a.y)
+
+
+def test_draw_block_rows_equal_normal_stream_replicates():
+    model, _, theta = trig_scaled_model()
+    grid = uniform_grid(64, 0.25)
+    m = moments_for(model, theta, grid)
+    sd = np.sqrt(m.var)
+    block = draw_block(m.mean, sd, 7, 5, 12)
+    assert block.shape == (7, 64)
+    for j, r in enumerate(range(5, 12)):
+        assert np.array_equal(block[j], m.mean + sd * normal_stream(7, r, 64))
 
 
 def test_distinct_replicates_differ():
