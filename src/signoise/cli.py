@@ -106,7 +106,7 @@ def _cmd_estimate(args) -> int:
     if model.p != space.p or model.q != space.q:
         raise ConfigError("model and space dimensions do not match", key="space")
     estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space)
-    prior = _config.build_prior(cfg["prior"]) if cfg.get("prior") else None
+    prior = _config.build_prior(cfg["prior"], space.d) if cfg.get("prior") else None
     seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
     cfg_digest = _config.digest(cfg)
 

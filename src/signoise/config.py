@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .estimate import Prior
 from .model import (
     ConstantFn,
@@ -306,16 +306,20 @@ def build_grid_for(cfg: dict, n: int) -> TimeGrid:
     raise ConfigError(f"grid kind {kind!r} cannot generate a size ladder", key="kind")
 
 
-def build_prior(cfg: dict) -> Prior:
+def build_prior(cfg: dict, d: int) -> Prior:
+    """The prior of a d-dimensional parameter vector."""
     _check_keys(cfg, {"kind", "center", "scale"}, {"kind"}, "prior")
     kind = cfg["kind"]
     if kind == "uniform":
         return Prior()
     if kind == "gaussian":
         _check_keys(cfg, {"kind", "center", "scale"}, {"kind", "center", "scale"}, "prior")
-        return Prior(
-            kind="gaussian",
-            center=tuple(_number_list(cfg, "center", "prior")),
-            scale=tuple(_number_list(cfg, "scale", "prior")),
-        )
+        center = tuple(_number_list(cfg, "center", "prior"))
+        scale = tuple(_number_list(cfg, "scale", "prior"))
+        try:
+            prior = Prior(kind="gaussian", center=center, scale=scale)
+            prior.check_dimension(d)
+        except DomainError as exc:
+            raise ConfigError(str(exc), key="prior") from exc
+        return prior
     raise ConfigError(f"unknown prior kind {kind!r}", key="kind")

@@ -5,6 +5,14 @@ deterministic low-discrepancy set of interior starts, so repeated calls
 with the same inputs return bit-identical results.  For drifts linear in
 their parameters the weighted least-squares solution is the exact MLE and
 is available in closed form, with or without a single variance scale.
+For these families the log-likelihood depends on a sample only through a
+few weighted sums: one O(n*p) pass per sample gives the weighted
+least-squares point a0, its weighted residual sum of squares and B'W r0
+(``increments.LinearDesign.statistics``), after which each parameter point
+costs O(p^2) from these and the grid's Gram matrix G = B'WB.  The
+quadratic is centred at a0, not at zero: expanded at zero it subtracts
+terms of order y'Wy, which at a long horizon or a large drift exceed the
+residual sum by so many orders of magnitude that their rounding swamps it.
 
 Bayes posterior means are computed two independent ways: an adaptive
 tensor-product Gauss-Legendre cubature anchored at the MLE (the primary
@@ -20,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
@@ -30,10 +37,9 @@ from .errors import (
     DomainError,
     NoiseFloorViolation,
     OptimizationError,
-    SingularDesignError,
     SingularInformationError,
 )
-from .increments import MomentCache
+from .increments import LinearDesign, MomentCache
 from .information import empirical_fisher
 from .likelihood import log_likelihood, score
 from .model import KnownNoise, LinearSignal, ModelSpec, ParameterSpace, ScaledNoise, Theta
@@ -225,20 +231,10 @@ def linear_known_noise_mle(
     the returned covariance; this is the one place in the package where
     finite-sample distribution theory is exact.
     """
-    b = np.asarray(basis_integrals, dtype=float)
-    var = np.asarray(var, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = 1.0 / var
-    gram = (b.T * w) @ b
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError as exc:
-        raise SingularDesignError(
-            f"weighted basis Gram matrix is singular: {exc}"
-        ) from exc
-    alpha = cho_solve(factor, b.T @ (w * y.T).T)
-    cov = cho_solve(factor, np.eye(b.shape[1]))
-    return alpha, cov
+    design = LinearDesign(
+        np.asarray(basis_integrals, dtype=float), np.asarray(var, dtype=float)
+    )
+    return design.solve(np.asarray(y, dtype=float)), design.unit_covariance()
 
 
 def linear_scaled_noise_mle(
@@ -253,13 +249,18 @@ def linear_scaled_noise_mle(
     ``linear_known_noise_mle``, an (n, k) ``y`` is solved column by column
     in one pass and gives a (k,) array of scales.
     """
-    b = np.asarray(basis_integrals, dtype=float)
-    g = np.asarray(profile_integrals, dtype=float)
-    y = np.asarray(y, dtype=float)
-    alpha, unit_cov = linear_known_noise_mle(b, g, y)
-    resid = y - b @ alpha
-    scale = np.mean((resid * resid).T / g, axis=-1)
-    return alpha, scale if scale.ndim else float(scale), unit_cov
+    design = LinearDesign(
+        np.asarray(basis_integrals, dtype=float), np.asarray(profile_integrals, dtype=float)
+    )
+    alpha, scale = _scaled_fit(design, np.asarray(y, dtype=float))
+    return alpha, scale, design.unit_covariance()
+
+
+def _scaled_fit(design: LinearDesign, y: np.ndarray):
+    """(alpha_hat, scale_hat) of y (n,) or of each column of y (n, k)."""
+    alpha, q0, _ = design.statistics(y)
+    scale = q0 / y.shape[0]
+    return alpha, scale if scale.ndim else float(scale)
 
 
 def has_closed_form(model: ModelSpec) -> bool:
@@ -277,12 +278,10 @@ def closed_form_block(model: ModelSpec, cache: MomentCache, ys: np.ndarray) -> n
     """
     if not has_closed_form(model):
         raise DomainError("no closed-form estimator for this model family")
-    b = cache.signal_basis_integrals()
-    g = cache.noise_profile_integrals()
+    design = cache.linear_design()
     if isinstance(model.noise, KnownNoise):
-        alpha, _ = linear_known_noise_mle(b, g, ys.T)
-        return alpha.T
-    alpha, scale, _ = linear_scaled_noise_mle(b, g, ys.T)
+        return design.solve(ys.T).T
+    alpha, scale = _scaled_fit(design, ys.T)
     return np.column_stack([alpha.T, scale])
 
 
@@ -304,15 +303,16 @@ def closed_form_mle(
         raise DomainError("no closed-form estimator for this model family")
     if cache is None:
         cache = MomentCache(model, grid)
-    b = cache.signal_basis_integrals()
-    g = cache.noise_profile_integrals()
+    design = cache.linear_design()
     y = sample.y
     if isinstance(model.noise, KnownNoise):
-        alpha, cov = linear_known_noise_mle(b, g, y)
+        alpha = design.solve(y)
+        cov = design.unit_covariance()
         theta_hat = Theta(alpha, np.zeros(0))
         stderr = np.sqrt(np.diag(cov))
     else:
-        alpha, scale, unit_cov = linear_scaled_noise_mle(b, g, y)
+        alpha, scale = _scaled_fit(design, y)
+        unit_cov = design.unit_covariance()
         theta_hat = Theta(alpha, np.array([scale]))
         stderr = np.concatenate(
             [np.sqrt(scale * np.diag(unit_cov)), [scale * math.sqrt(2.0 / grid.n)]]
@@ -366,6 +366,14 @@ class Prior:
             if any(s <= 0.0 for s in self.scale):
                 raise DomainError("gaussian prior scales must be positive")
 
+    def check_dimension(self, d: int) -> None:
+        """Raise DomainError unless the prior fits a d-dimensional parameter."""
+        if self.kind == "gaussian" and len(self.center) != d:
+            raise DomainError(
+                f"gaussian prior has length {len(self.center)}, but the parameter "
+                f"vector has d = {d}"
+            )
+
     def log_density(self, vectors: np.ndarray) -> np.ndarray:
         """Unnormalized log density; vectors has shape (k, d)."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -405,27 +413,28 @@ class BayesResult:
 def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
     """Vectorized log-likelihood over a (k, d) batch of parameter vectors.
 
-    Uses the precomputed basis/profile integrals when the family allows,
-    falling back to a per-point loop otherwise.
+    Linear drifts with known or scaled variances reduce y once to the
+    statistics of ``LinearDesign.statistics`` and then cost O(p^2) per
+    point; other families evaluate their moments point by point.
     """
     model = cache.model
     if has_closed_form(model):
-        b = cache.signal_basis_integrals()
-        g = cache.noise_profile_integrals()
+        design = cache.linear_design()
+        a0, q0, c = design.statistics(y)
+        gram = design.gram
         n = y.size
-        const = -0.5 * n * math.log(2.0 * math.pi)
+        const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * design.log_profile_sum
         scaled = isinstance(model.noise, ScaledNoise)
-        log_g_sum = float(np.sum(np.log(g)))
         p = model.p
 
         def batch(thetas: np.ndarray) -> np.ndarray:
             thetas = np.atleast_2d(thetas)
-            resid = y[:, None] - b @ thetas[:, :p].T
-            quad_unit = np.sum(resid * resid / g[:, None], axis=0)
+            delta = thetas[:, :p] - a0
+            quad_unit = q0 - 2.0 * (delta @ c) + np.sum((delta @ gram) * delta, axis=1)
             if scaled:
                 scale = thetas[:, p]
-                return const - 0.5 * (n * np.log(scale) + log_g_sum) - 0.5 * quad_unit / scale
-            return const - 0.5 * log_g_sum - 0.5 * quad_unit
+                return const - 0.5 * n * np.log(scale) - 0.5 * quad_unit / scale
+            return const - 0.5 * quad_unit
 
         return batch
 
@@ -456,26 +465,30 @@ def _anchor_estimate(
     return mle_numeric(model, space, grid, sample, cache=cache)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _unit_tensor_rule(order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre nodes (order**d, d) and weights on [0, 1]^d."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
+    wts = weights
+    for _ in range(d - 1):
+        wts = np.multiply.outer(wts, weights)
+    return np.stack([m.ravel() for m in mesh], axis=-1), wts.ravel()
 
 
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[order]
+# the embedded low/high-order pair of every cell, for each dimension the
+# cubature accepts
+_UNIT_RULES = {
+    (order, d): _unit_tensor_rule(order, d)
+    for order in (5, 9)
+    for d in range(1, _BAYES_MAX_DIM + 1)
+}
 
 
 def _tensor_points(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre nodes and weights on the box [lo, hi]."""
-    nodes, weights = _gl_rule(order)
-    axes = [lo[k] + (hi[k] - lo[k]) * nodes for k in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wts = weights
-    for _ in range(lo.size - 1):
-        wts = np.multiply.outer(wts, weights)
-    return pts, wts.ravel() * float(np.prod(hi - lo))
+    nodes, weights = _UNIT_RULES[order, lo.size]
+    return lo + (hi - lo) * nodes, weights * float(np.prod(hi - lo))
 
 
 def _cell_integrals(eval_components, lo, hi) -> tuple[np.ndarray, np.ndarray, float]:
@@ -516,6 +529,7 @@ def posterior_mean_quadrature(
         )
     if prior is None:
         prior = Prior()
+    prior.check_dimension(space.d)
     if cache is None:
         cache = MomentCache(model, grid)
     est = _anchor_estimate(model, space, grid, sample, cache, anchor)
@@ -621,6 +635,7 @@ def posterior_mean_importance(
         raise DomainError(f"draws must be >= 2, got {draws}")
     if prior is None:
         prior = Prior()
+    prior.check_dimension(space.d)
     if cache is None:
         cache = MomentCache(model, grid)
     est = _anchor_estimate(model, space, grid, sample, cache, anchor)

@@ -274,7 +274,7 @@ def _context(cfg: StudyConfig, n: int) -> _Context:
     theta = _config.build_theta(cfg.theta, model.p, model.q)
     cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    prior = _config.build_prior(cfg.prior) if cfg.prior else Prior()
+    prior = _config.build_prior(cfg.prior, space.d) if cfg.prior else Prior()
     return _Context(
         model=model,
         space=space,
@@ -798,7 +798,7 @@ def study_from_dict(cfg: dict) -> StudyConfig:
     if any(len(w) != space.d for w in study.directions):
         raise ConfigError(f"each direction must be a length-{space.d} vector", key="directions")
     if study.prior is not None:
-        _config.build_prior(study.prior)
+        _config.build_prior(study.prior, space.d)
     return study
 
 

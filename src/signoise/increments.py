@@ -14,20 +14,23 @@ runs through.
 Closed-form routes: a drift that is linear in alpha reduces to a fixed
 matrix of basis integrals, and a known or scale-parameterized variance
 reduces to a fixed vector of profile integrals, both computed once per
-grid.  Families without exact antiderivatives fall back to adaptive
-quadrature over all intervals at once; ``force_quadrature=True`` forces
-the fallback on every family, which is how the two routes are checked
-against each other.
+grid, and when both hold ``MomentCache.linear_design`` adds their
+weighted Gram matrix and its Cholesky factor.  Families without exact
+antiderivatives fall back to adaptive quadrature over all intervals at
+once; ``force_quadrature=True`` forces the fallback on every family,
+which is how the two routes are checked against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import quadrature
-from .errors import EvaluationError, NoiseFloorViolation, QuadratureError
+from .errors import EvaluationError, NoiseFloorViolation, QuadratureError, SingularDesignError
 from .model import (
     KnownNoise,
     LinearSignal,
@@ -37,7 +40,7 @@ from .model import (
 )
 from .sampling import TimeGrid
 
-__all__ = ["IncrementMoments", "MomentCache", "log_variance_terms"]
+__all__ = ["IncrementMoments", "LinearDesign", "MomentCache", "log_variance_terms"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,59 @@ def log_variance_terms(moments: IncrementMoments) -> tuple[np.ndarray, np.ndarra
     return ln_var, grad_ln
 
 
+class LinearDesign:
+    """Weighted least squares on basis integrals B (n, p) with variances g (n,).
+
+    Holds the Gram matrix G = B'WB, W = diag(1/g), and its Cholesky factor:
+    the one place either is formed.  B and g are kept by reference, so no
+    n-long array is added.  Raises SingularDesignError when G is singular.
+    """
+
+    def __init__(self, basis: np.ndarray, profile: np.ndarray):
+        self.basis = basis
+        self.profile = profile
+        self.gram = (basis.T * (1.0 / profile)) @ basis
+        try:
+            self.factor = cho_factor(self.gram)
+        except LinAlgError as exc:
+            raise SingularDesignError(
+                f"weighted basis Gram matrix is singular: {exc}"
+            ) from exc
+
+    @cached_property
+    def log_profile_sum(self) -> float:
+        """Sum of ln g_i, the variance part of the log-likelihood normalizer."""
+        return float(np.sum(np.log(self.profile)))
+
+    def unit_covariance(self) -> np.ndarray:
+        """G^{-1}: the covariance of ``solve(y)`` when y has variances g."""
+        return cho_solve(self.factor, np.eye(self.gram.shape[0]))
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
+        w = 1.0 / self.profile
+        return cho_solve(self.factor, self.basis.T @ (w * y.T).T)
+
+    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a0, q0, c) of y (n,), or of each column of y (n, k), in one pass.
+
+        a0 is the weighted least-squares solution, r0 = y - B a0 its
+        residual, q0 = r0'W r0 and c = B'W r0 (zero up to rounding).  For
+        every coefficient vector a,
+
+            (y - B a)'W(y - B a) = q0 - 2 (a - a0)'c + (a - a0)'G(a - a0),
+
+        which costs O(p^2) per a.  It is centred at a0 because expanded at
+        zero it subtracts terms of order y'Wy, which at a long horizon or a
+        large drift exceed the residual sum by many digits.
+        """
+        alpha = self.solve(y)
+        resid = y - self.basis @ alpha
+        q0 = np.sum((resid * resid).T / self.profile, axis=-1)
+        c = self.basis.T @ (resid.T / self.profile).T
+        return alpha, q0, c
+
+
 class MomentCache:
     """Grid-bound moment evaluator for one model.
 
@@ -91,6 +147,7 @@ class MomentCache:
         self.force_quadrature = force_quadrature
         self._basis_integrals: np.ndarray | None = None
         self._profile_integrals: np.ndarray | None = None
+        self._design: LinearDesign | None = None
         if not force_quadrature:
             if isinstance(model.signal, LinearSignal):
                 self._basis_integrals = model.signal.basis_integral_matrix(
@@ -139,6 +196,14 @@ class MomentCache:
         if self._profile_integrals is None:
             raise EvaluationError("noise family has no precomputed profile integrals")
         return self._profile_integrals
+
+    def linear_design(self) -> LinearDesign:
+        """The grid's LinearDesign, built once; linear drifts with known or scaled variances."""
+        if self._design is None:
+            self._design = LinearDesign(
+                self.signal_basis_integrals(), self.noise_profile_integrals()
+            )
+        return self._design
 
     def _signal_moments(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._basis_integrals is not None:

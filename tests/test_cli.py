@@ -119,18 +119,34 @@ FIVE_DIM_CONFIG = {
 
 @pytest.mark.parametrize("command", ["estimate", "verify"])
 @pytest.mark.parametrize(
-    "estimator, model, alpha, message",
+    "estimator, model, alpha, prior, message, key",
     [
-        ("newton", MEAN_CONFIG, [1.0], "unknown estimator"),
-        ("bayes", FIVE_DIM_CONFIG, [1.0, 0.0, 0.0, 0.0, 0.0], "dimension guard"),
+        ("newton", MEAN_CONFIG, [1.0], None, "unknown estimator", "estimator"),
+        (
+            "bayes", FIVE_DIM_CONFIG, [1.0, 0.0, 0.0, 0.0, 0.0], None, "dimension guard",
+            "estimator",
+        ),
+        (
+            "bayes", MEAN_CONFIG, [1.0],
+            {"kind": "gaussian", "center": [0.0, 0.0], "scale": [1.0, 1.0]},
+            "gaussian prior has length 2, but the parameter vector has d = 1", "prior",
+        ),
+        (
+            "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [0.0], "scale": [-1.0]},
+            "gaussian prior scales must be positive", "prior",
+        ),
     ],
-    ids=["unknown-name", "dimension-guard"],
+    ids=["unknown-name", "dimension-guard", "prior-length", "prior-scale"],
 )
-def test_estimator_config_errors(tmp_path, capsys, command, estimator, model, alpha, message):
-    # both front ends reject the estimator before reading a sample or
-    # running a replicate
+def test_estimator_config_errors(
+    tmp_path, capsys, command, estimator, model, alpha, prior, message, key
+):
+    # both front ends reject the estimator and its prior before reading a
+    # sample or running a replicate
     space = {"alpha": [[-2.0, 2.0]] * len(alpha), "beta": []}
     cfg = {"model": model, "space": space, "estimator": estimator}
+    if prior is not None:
+        cfg["prior"] = prior
     if command == "estimate":
         extra = ["--sample", str(tmp_path / "never_read.csv")]
     else:
@@ -147,7 +163,7 @@ def test_estimator_config_errors(tmp_path, capsys, command, estimator, model, al
     rc = main([command, "--config", path, "--out", str(tmp_path / "out")] + extra)
     assert rc == 2
     err = capsys.readouterr().err
-    assert message in err and "'estimator'" in err
+    assert message in err and f"(key: {key!r})" in err
 
 
 def test_estimate_batch_directory(tmp_path):

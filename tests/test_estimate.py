@@ -1,6 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+
+import signoise.increments
 
 from signoise import (
     ConstantFn,
@@ -14,10 +17,12 @@ from signoise import (
     MomentCache,
     ParameterSpace,
     Prior,
+    ScaledNoise,
     Theta,
     closed_form_block,
     closed_form_mle,
     constant_profile,
+    log_likelihood,
     mle_numeric,
     periodic_pattern_grid,
     posterior_mean_importance,
@@ -26,6 +31,8 @@ from signoise import (
     simulate_increments,
     uniform_grid,
 )
+
+from signoise.estimate import _make_batch_loglik, _tensor_points
 
 from helpers import mean_model, trig_known_model, trig_scaled_model
 
@@ -313,3 +320,133 @@ def test_tensor_cubature_dimension_guard():
     sample = simulate_increments(model, Theta((1.0, 0.0, 0.0, 0.0, 0.0), ()), grid, seed=2)
     with pytest.raises(DomainError):
         posterior_mean_quadrature(model, space, grid, sample)
+
+
+def _trig_model(noise: str, level: float):
+    """Drift level * (1, 0.5 cos 2 pi t) with known or scaled unit-rate noise."""
+    family = ScaledNoise if noise == "scaled" else KnownNoise
+    model = ModelSpec(LinearSignal((ConstantFn(), CosineFn(1.0))), family(constant_profile(1.0)))
+    beta_box = ((0.1, 4.0),) if noise == "scaled" else ()
+    space = ParameterSpace(((0.0, 2.0 * level), (-level, level)), beta_box)
+    theta = Theta((level, 0.5 * level), (1.0,) if noise == "scaled" else ())
+    return model, space, theta
+
+
+def _points_near_fit(rng, model, space, grid, cache, y, count, width):
+    """Points within width standard errors of the closed-form fit (scales in [0.5, 2])."""
+    fit = closed_form_mle(model, space, grid, IncrementSample(y, 0, 0, grid.digest()), cache)
+    p = model.p
+    alpha = fit.theta.alpha + width * fit.stderr[:p] * rng.uniform(-1.0, 1.0, (count, p))
+    if model.q == 0:
+        return alpha
+    return np.column_stack([alpha, rng.uniform(0.5, 2.0, count)])
+
+
+@pytest.mark.parametrize("noise", ["known", "scaled"])
+@pytest.mark.parametrize(
+    "grid",
+    [uniform_grid(2000, 49.7), periodic_pattern_grid((29.7, 99.1), 99.1, 1000)],
+    ids=["uniform", "pattern"],
+)
+@pytest.mark.parametrize("level", [1.0, 1e3])
+def test_linear_statistics_match_log_likelihood(noise, grid, level):
+    # T near 1e5.  Half of the points sit within 6 standard errors of the
+    # fit, where the log-likelihood is far smaller than y'Wy: a quadratic
+    # expanded at zero instead of at the fit misses there by ~1e-8 relative.
+    model, space, theta = _trig_model(noise, level)
+    cache = MomentCache(model, grid)
+    y = simulate_increments(model, theta, grid, seed=31, cache=cache).y
+    rng = np.random.default_rng(8)
+    points = np.vstack([
+        space.lower + space.widths * rng.uniform(size=(1000, space.d)),
+        _points_near_fit(rng, model, space, grid, cache, y, 1000, 6.0),
+    ])
+    got = _make_batch_loglik(cache, y)(points)
+    ref = np.array(
+        [log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y) for v in points]
+    )
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("noise", ["known", "scaled"])
+def test_linear_statistics_match_mpmath_oracle_at_long_horizon(noise):
+    # T = 1e7 and drift 1e3: y'Wy is ~1e13 while the log-likelihood near
+    # the fit is ~5e3.  Both routes take the same float inputs; the oracle
+    # evaluates the exact sum in 40 digits.
+    model, space, theta = _trig_model(noise, 1e3)
+    grid = uniform_grid(1000, 9999.7)
+    cache = MomentCache(model, grid)
+    y = simulate_increments(model, theta, grid, seed=32, cache=cache).y
+    points = _points_near_fit(np.random.default_rng(9), model, space, grid, cache, y, 20, 3.0)
+    b = cache.signal_basis_integrals()
+    g = cache.noise_profile_integrals()
+    statistics = _make_batch_loglik(cache, y)(points)
+    direct = np.array(
+        [log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y) for v in points]
+    )
+    oracle = []
+    with mpmath.workdps(40):
+        for v in points:
+            alpha = [mpmath.mpf(float(a)) for a in v[: model.p]]
+            scale = mpmath.mpf(float(v[model.p])) if model.q else mpmath.mpf(1)
+            total = -mpmath.mpf(grid.n) / 2 * mpmath.log(2 * mpmath.pi)
+            for bi, gi, yi in zip(b.tolist(), g.tolist(), y.tolist()):
+                var = scale * mpmath.mpf(gi)
+                resid = mpmath.mpf(yi) - sum(mpmath.mpf(bij) * a for bij, a in zip(bi, alpha))
+                total -= (mpmath.log(var) + resid * resid / var) / 2
+            oracle.append(total)
+        err_statistics, err_direct = (
+            float(max(abs(mpmath.mpf(float(v)) - o) / abs(o) for v, o in zip(route, oracle)))
+            for route in (statistics, direct)
+        )
+    assert err_statistics <= 10.0 * err_direct
+
+
+def test_gram_is_factored_once_per_cache(monkeypatch):
+    factor = signoise.increments.cho_factor
+    calls = []
+    monkeypatch.setattr(
+        signoise.increments, "cho_factor", lambda gram: calls.append(1) or factor(gram)
+    )
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(100, 0.25)
+    cache = MomentCache(model, grid)
+    ys = simulate_batch(model, theta, grid, seed=21, replicates=3, cache=cache)
+    for r, y in enumerate(ys):
+        sample = IncrementSample(y, 21, r, grid.digest())
+        closed_form_mle(model, space, grid, sample, cache=cache)
+        closed_form_block(model, cache, ys)
+        posterior_mean_quadrature(model, space, grid, sample, rel_tol=1e-4, cache=cache)
+        posterior_mean_importance(model, space, grid, sample, draws=500, cache=cache)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tensor_rule_matches_meshgrid_construction(d):
+    rng = np.random.default_rng(d)
+    lo = rng.uniform(-3.0, 0.0, d)
+    hi = lo + rng.uniform(0.01, 2.0, d)
+    for order in (5, 9):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+        axes = [lo[k] + (hi[k] - lo[k]) * nodes for k in range(d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        wts = weights
+        for _ in range(d - 1):
+            wts = np.multiply.outer(wts, weights)
+        got_pts, got_wts = _tensor_points(lo, hi, order)
+        assert np.array_equal(got_pts, pts)
+        assert np.array_equal(got_wts, wts.ravel() * float(np.prod(hi - lo)))
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_gaussian_prior_length_must_match_dimension(length):
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(50, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=4)
+    prior = Prior("gaussian", (0.0,) * length, (1.0,) * length)
+    message = f"gaussian prior has length {length}, but the parameter vector has d = 3"
+    for route in (posterior_mean_quadrature, posterior_mean_importance):
+        with pytest.raises(DomainError, match=message):
+            route(model, space, grid, sample, prior=prior)
