@@ -40,13 +40,8 @@ from .model import (
     ScaledNoise,
     SineFn,
     Theta,
-    ValidationConfig,
     ValidationReport,
     constant_profile,
-    eval_noise_var,
-    eval_signal,
-    grad_noise_var,
-    grad_signal,
     validate_assumptions,
 )
 from .sampling import (

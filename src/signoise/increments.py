@@ -17,8 +17,9 @@ reduces to a fixed vector of profile integrals, both computed once per
 grid, and when both hold ``MomentCache.linear_design`` adds their
 weighted Gram matrix and its Cholesky factor.  Families without exact
 antiderivatives fall back to adaptive quadrature over all intervals at
-once; ``force_quadrature=True`` forces the fallback on every family,
-which is how the two routes are checked against each other.
+once, split at the jumps a family declares; ``force_quadrature=True``
+forces the fallback on every family, which is how the two routes are
+checked against each other.
 """
 
 from __future__ import annotations
@@ -167,14 +168,17 @@ class MomentCache:
         integral_fn = getattr(family, "integral_fn", None)
         grad_integral_fn = getattr(family, "grad_integral_fn", None)
         if self.force_quadrature or integral_fn is None or grad_integral_fn is None:
-
-            def rates(ts):
-                return [[family.value(params, t), *family.grad(params, t)] for t in ts]
-
+            knots = self.grid.instants
+            if hasattr(family, "jumps"):  # split at declared jumps, which the rule cannot see
+                knots = np.union1d(knots, family.jumps(knots[0], knots[-1]))
             try:
-                out = quadrature.integrate(rates, self.grid.starts, self.grid.ends)
+                out = quadrature.integrate(
+                    lambda ts: family.rates(params, ts), knots[:-1], knots[1:]
+                )
             except QuadratureError as exc:
                 raise QuadratureError(f"{label} moment: {exc}") from exc
+            if knots.size > self.grid.instants.size:
+                out = np.add.reduceat(out, np.searchsorted(knots, self.grid.starts), axis=0)
         else:
             rows = [
                 [float(integral_fn(params, a, b)), *np.ravel(grad_integral_fn(params, a, b))]

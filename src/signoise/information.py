@@ -22,7 +22,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, PeriodicityError, SingularInformationError
 from .increments import IncrementMoments, MomentCache
-from .model import ModelSpec, Theta, eval_noise_var, eval_signal, grad_noise_var, grad_signal
+from .model import ModelSpec, Theta
 from .sampling import TimeGrid, periodic_pattern_grid
 
 __all__ = [
@@ -222,14 +222,13 @@ def periodic_limit_fisher(
     if regime == "vanishing_step":
         p, q = model.p, model.q
 
-        def drift_kernel(t):
-            g = grad_signal(model, theta, t)
-            return np.outer(g, g).ravel() / eval_noise_var(model, theta, t)
+        def drift_kernel(ts):
+            drift, noise = model.rates(theta, ts)
+            return _outer(drift[:, 1:]) / noise[:, :1]
 
-        def var_kernel(t):
-            s2 = eval_noise_var(model, theta, t)
-            g = grad_noise_var(model, theta, t) / s2
-            return np.outer(g, g).ravel()
+        def var_kernel(ts):
+            _, noise = model.rates(theta, ts)
+            return _outer(noise[:, 1:] / noise[:, :1])
 
         drift = _period_mean(drift_kernel, period).reshape(p, p) if p else np.zeros((0, 0))
         var = 0.5 * _period_mean(var_kernel, period).reshape(q, q) if q else np.zeros((0, 0))
@@ -268,29 +267,28 @@ def periodic_limit_separation(
     _check_periodicity(model, theta_a, period)
     _check_periodicity(model, theta_b, period)
 
-    def drift_kernel(t):
-        return (eval_signal(model, theta_a, t) - eval_signal(model, theta_b, t)) ** 2
+    def gaps(ts):
+        (fa, sa), (fb, sb) = model.rates(theta_a, ts), model.rates(theta_b, ts)
+        return fa[:, :1] - fb[:, :1], sa[:, :1] - sb[:, :1]
 
-    def var_kernel(t):
-        return (eval_noise_var(model, theta_a, t) - eval_noise_var(model, theta_b, t)) ** 2
-
-    drift_gap = _period_mean(drift_kernel, period)[0]
-    var_gap = _period_mean(var_kernel, period)[0]
+    drift_gap = _period_mean(lambda ts: gaps(ts)[0] ** 2, period)[0]
+    var_gap = _period_mean(lambda ts: gaps(ts)[1] ** 2, period)[0]
     return float(drift_gap), float(var_gap)
 
 
+def _outer(g: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of g (m, k), flattened to (m, k * k)."""
+    return (g[:, :, None] * g[:, None, :]).reshape(g.shape[0], -1)
+
+
 def _period_mean(kernel, period: float) -> np.ndarray:
-    """(1/P) int_0^P kernel(t) dt for a pointwise kernel returning a scalar or (k,)."""
-    integral = quadrature.integrate(lambda ts: [np.atleast_1d(kernel(t)) for t in ts], 0.0, period)
-    return integral[0] / period
+    """(1/P) int_0^P kernel(t) dt for an array kernel mapping (m,) times to (m, k)."""
+    return quadrature.integrate(kernel, 0.0, period)[0] / period
 
 
 def _check_periodicity(model: ModelSpec, theta: Theta, period: float) -> None:
     ts = np.linspace(0.0, period, _PROBE_POINTS, endpoint=False)
-    f0 = np.array([eval_signal(model, theta, t) for t in ts])
-    f1 = np.array([eval_signal(model, theta, t + period) for t in ts])
-    s0 = np.array([eval_noise_var(model, theta, t) for t in ts])
-    s1 = np.array([eval_noise_var(model, theta, t + period) for t in ts])
+    (f0, s0), (f1, s1) = ([r[:, 0] for r in model.rates(theta, x)] for x in (ts, ts + period))
     scale_f = 1.0 + float(np.abs(f0).max(initial=0.0))
     scale_s = 1.0 + float(np.abs(s0).max(initial=0.0))
     if np.abs(f1 - f0).max(initial=0.0) > _PERIODICITY_RTOL * scale_f:

@@ -5,6 +5,14 @@ rate f(alpha, t) and a noise variance rate sigma2(beta, t).  Families bundle
 the function with its parameter gradient and, where available, exact
 antiderivatives so interval moments never need numerical quadrature.
 
+Every family answers one array call, ``rates(params, ts)``: for a 1-d array
+of m times it returns an (m, 1 + k) array whose column 0 is the rate and
+whose other columns are its gradient in the k parameters, the layout
+``quadrature.integrate`` consumes.  ``ModelSpec.rates`` is the checked form
+used everywhere else.  A family whose rate jumps may also declare
+``jumps(lo, hi)``, the sorted jump times inside (lo, hi); quadrature then
+splits intervals there, so the forced route stays exact for step families.
+
 Built-in families cover drifts that are linear in alpha over a fixed time
 basis, and variances that are a known profile or a profile scaled by a
 single positive parameter.  Arbitrary callables are admitted through the
@@ -40,16 +48,18 @@ __all__ = [
     "ModelSpec",
     "ParameterSpace",
     "Theta",
-    "eval_signal",
-    "grad_signal",
-    "eval_noise_var",
-    "grad_noise_var",
-    "ValidationConfig",
     "ValidationReport",
     "validate_assumptions",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# the finite lattice of ``validate_assumptions``
+_POINTS_PER_AXIS = 32
+_TIME_POINTS = 32
+_TIME_MAX = 10.0
+_SIGMA2_CEILING = 1e6
+_GRADIENT_CEILING = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +163,19 @@ class PeriodicStepFn:
     def integral(self, a, b):
         return self._antiderivative(b) - self._antiderivative(a)
 
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        """The cell edges strictly inside (lo, hi)."""
+        w = self._cell_width()
+        k = np.arange(math.floor(lo / w), math.ceil(hi / w) + 1)
+        edges = k * w
+        return edges[(edges > lo) & (edges < hi)]
+
+
+def _jumps(atoms, lo: float, hi: float) -> np.ndarray:
+    """Sorted union of the jump times that ``atoms`` declare inside (lo, hi)."""
+    found = [atom.jumps(lo, hi) for atom in atoms if hasattr(atom, "jumps")]
+    return np.unique(np.concatenate(found)) if found else np.empty(0)
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -187,6 +210,9 @@ class Profile:
             out = out + c * atom.integral(a, b)
         return out
 
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return _jumps(self.atoms, lo, hi)
+
 
 def constant_profile(value: float) -> Profile:
     return Profile(offset=float(value))
@@ -217,11 +243,12 @@ class LinearSignal:
     def p(self) -> int:
         return len(self.basis)
 
-    def value(self, alpha: np.ndarray, t: float) -> float:
-        return float(sum(a * float(np.asarray(b(t))) for a, b in zip(alpha, self.basis)))
+    def rates(self, alpha: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        basis = np.column_stack([np.broadcast_to(atom(ts), ts.shape) for atom in self.basis])
+        return np.column_stack((basis @ alpha, basis))
 
-    def grad(self, alpha: np.ndarray, t: float) -> np.ndarray:
-        return np.array([float(np.asarray(b(t))) for b in self.basis])
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return _jumps(self.basis, lo, hi)
 
     def basis_integral_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact integrals of each basis atom over intervals, shape (n, p)."""
@@ -236,11 +263,13 @@ class LinearSignal:
 class GeneralSignal:
     """Drift given by arbitrary callables.
 
-    value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required.
-    Exact interval integrals may be supplied through integral_fn(alpha, a, b)
-    and grad_integral_fn(alpha, a, b); when absent, moments are computed by
-    adaptive quadrature, which cannot see jumps inside an interval: a rate
-    with jumps must supply both.
+    value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required;
+    they take one time point, and ``rates`` calls them once per point of its
+    time array.  Exact interval integrals may be supplied through
+    integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b); when absent,
+    moments are computed by adaptive quadrature.  This family declares no
+    ``jumps``, so quadrature cannot see a jump inside an interval: a rate
+    with jumps must supply both integrals.
     """
 
     p: int
@@ -253,14 +282,8 @@ class GeneralSignal:
         if self.p < 0:
             raise DomainError(f"p must be >= 0, got {self.p}")
 
-    def value(self, alpha, t):
-        return float(self.value_fn(alpha, t))
-
-    def grad(self, alpha, t):
-        g = np.asarray(self.grad_fn(alpha, t), dtype=float).reshape(-1)
-        if g.size != self.p:
-            raise EvaluationError(f"drift gradient has size {g.size}, expected {self.p}")
-        return g
+    def rates(self, alpha, ts):
+        return _pointwise(self.value_fn, self.grad_fn, alpha, ts, self.p, "drift")
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +301,11 @@ class KnownNoise:
     def q(self) -> int:
         return 0
 
-    def value(self, beta, t):
-        return float(np.asarray(self.profile(t)))
+    def rates(self, beta, ts):
+        return self.profile(ts)[:, None]
 
-    def grad(self, beta, t):
-        return np.zeros(0)
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return self.profile.jumps(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -295,20 +318,23 @@ class ScaledNoise:
     def q(self) -> int:
         return 1
 
-    def value(self, beta, t):
-        return float(beta[0]) * float(np.asarray(self.profile(t)))
+    def rates(self, beta, ts):
+        g = self.profile(ts)
+        return np.column_stack((float(beta[0]) * g, g))
 
-    def grad(self, beta, t):
-        return np.array([float(np.asarray(self.profile(t)))])
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return self.profile.jumps(lo, hi)
 
 
 @dataclass(frozen=True)
 class GeneralNoise:
     """Variance rate given by arbitrary callables.
 
-    value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required;
-    integral_fn / grad_integral_fn enable closed-form moments, and a rate
-    with jumps inside an interval must supply both, as for GeneralSignal.
+    value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required and
+    take one time point, as for GeneralSignal; integral_fn /
+    grad_integral_fn enable closed-form moments, and a rate with jumps
+    inside an interval must supply both, since this family declares no
+    ``jumps`` either.
     """
 
     q: int
@@ -321,14 +347,20 @@ class GeneralNoise:
         if self.q < 0:
             raise DomainError(f"q must be >= 0, got {self.q}")
 
-    def value(self, beta, t):
-        return float(self.value_fn(beta, t))
+    def rates(self, beta, ts):
+        return _pointwise(self.value_fn, self.grad_fn, beta, ts, self.q, "variance")
 
-    def grad(self, beta, t):
-        g = np.asarray(self.grad_fn(beta, t), dtype=float).reshape(-1)
-        if g.size != self.q:
-            raise EvaluationError(f"variance gradient has size {g.size}, expected {self.q}")
-        return g
+
+def _pointwise(value_fn, grad_fn, params, ts, k: int, what: str) -> np.ndarray:
+    """Scalar user callables stacked into (m, 1 + k): the package's one per-point loop."""
+    out = np.empty((ts.size, 1 + k))
+    for row, t in zip(out, ts):
+        row[0] = float(value_fn(params, t))
+        g = np.asarray(grad_fn(params, t), dtype=float).reshape(-1)
+        if g.size != k:
+            raise EvaluationError(f"{what} gradient has size {g.size}, expected {k}")
+        row[1:] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +396,30 @@ class ModelSpec:
     @property
     def d(self) -> int:
         return self.p + self.q
+
+    def rates(self, theta: "Theta", ts) -> tuple[np.ndarray, np.ndarray]:
+        """Checked rates at the times ``ts``: drift (m, 1 + p) and noise (m, 1 + q).
+
+        Raises EvaluationError for a non-finite value or gradient and
+        NoiseFloorViolation for a variance rate at or below the floor, each
+        naming the first offending time.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        drift = self.signal.rates(theta.alpha, ts)
+        noise = self.noise.rates(theta.beta, ts)
+        for what, block in (("drift", drift), ("variance rate", noise)):
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                t = float(ts[np.argmax(bad)])
+                raise EvaluationError(f"{what} or its gradient is not finite at t={t!r}")
+        low = noise[:, 0] <= self.sigma2_floor
+        if low.any():
+            i = int(np.argmax(low))
+            raise NoiseFloorViolation(
+                f"variance rate {float(noise[i, 0])!r} at t={float(ts[i])!r} is at or below "
+                f"the floor {self.sigma2_floor!r}"
+            )
+        return drift, noise
 
 
 @dataclass(frozen=True)
@@ -471,60 +527,8 @@ class ParameterSpace:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation with finiteness and floor checks
-# ---------------------------------------------------------------------------
-
-
-def eval_signal(model: ModelSpec, theta: Theta, t: float) -> float:
-    v = model.signal.value(theta.alpha, float(t))
-    if not np.isfinite(v):
-        raise EvaluationError(f"drift is not finite at t={t!r}")
-    return v
-
-
-def grad_signal(model: ModelSpec, theta: Theta, t: float) -> np.ndarray:
-    g = np.asarray(model.signal.grad(theta.alpha, float(t)), dtype=float)
-    if g.shape != (model.p,):
-        raise EvaluationError(f"drift gradient shape {g.shape}, expected ({model.p},)")
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"drift gradient not finite at t={t!r}")
-    return g
-
-
-def eval_noise_var(model: ModelSpec, theta: Theta, t: float) -> float:
-    v = model.noise.value(theta.beta, float(t))
-    if not np.isfinite(v):
-        raise EvaluationError(f"variance rate not finite at t={t!r}")
-    if v <= model.sigma2_floor:
-        raise NoiseFloorViolation(
-            f"variance rate {v!r} at t={t!r} is at or below the floor {model.sigma2_floor!r}"
-        )
-    return v
-
-
-def grad_noise_var(model: ModelSpec, theta: Theta, t: float) -> np.ndarray:
-    g = np.asarray(model.noise.grad(theta.beta, float(t)), dtype=float)
-    if g.shape != (model.q,):
-        raise EvaluationError(f"variance gradient shape {g.shape}, expected ({model.q},)")
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"variance gradient not finite at t={t!r}")
-    return g
-
-
-# ---------------------------------------------------------------------------
 # regularity screen
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    """Knobs for the finite-lattice regularity screen."""
-
-    points_per_axis: int = 32
-    time_points: int = 32
-    time_max: float = 10.0
-    sigma2_ceiling: float = 1e6
-    gradient_ceiling: float = 1e6
 
 
 @dataclass(frozen=True)
@@ -544,7 +548,6 @@ class ValidationReport:
 def validate_assumptions(
     model: ModelSpec,
     space: ParameterSpace,
-    config: ValidationConfig = ValidationConfig(),
     times: np.ndarray | None = None,
 ) -> ValidationReport:
     """Screen a model/box pair on a finite lattice of parameters and times.
@@ -561,51 +564,39 @@ def validate_assumptions(
             f"(p={space.p}, q={space.q})"
         )
     if times is None:
-        times = np.linspace(0.0, config.time_max, config.time_points)
+        times = np.linspace(0.0, _TIME_MAX, _TIME_POINTS)
     times = np.asarray(times, dtype=float)
 
     # probe the closed box: the regularity bounds concern the closure, and
     # every evaluator accepts boundary parameters
     lattice = [
-        np.linspace(lo, hi, config.points_per_axis)
-        for lo, hi in space.alpha_box + space.beta_box
+        np.linspace(lo, hi, _POINTS_PER_AXIS) for lo, hi in space.alpha_box + space.beta_box
     ]
-    alpha_probes = _axis_sweep(lattice[: space.p], space.center.alpha)
-    beta_probes = _axis_sweep(lattice[space.p :], space.center.beta)
+    center = space.center
+    probes = [Theta(center.alpha, b) for b in _axis_sweep(lattice[space.p :], center.beta)]
+    probes += [Theta(a, center.beta) for a in _axis_sweep(lattice[: space.p], center.alpha)]
 
     failures: list[str] = []
     s2_min, s2_max = np.inf, -np.inf
     gs_max, gn_max = 0.0, 0.0
     try:
-        for beta in beta_probes:
-            th = Theta(space.center.alpha, beta)
-            for t in times:
-                v = eval_noise_var(model, th, t)
-                s2_min = min(s2_min, v)
-                s2_max = max(s2_max, v)
-                g = grad_noise_var(model, th, t)
-                gn_max = max(gn_max, float(np.abs(g).max()) if g.size else 0.0)
-        for alpha in alpha_probes:
-            th = Theta(alpha, space.center.beta)
-            for t in times:
-                eval_signal(model, th, t)
-                g = grad_signal(model, th, t)
-                gs_max = max(gs_max, float(np.abs(g).max()) if g.size else 0.0)
+        for th in probes:
+            drift, noise = model.rates(th, times)
+            s2_min = min(s2_min, float(noise[:, 0].min(initial=np.inf)))
+            s2_max = max(s2_max, float(noise[:, 0].max(initial=-np.inf)))
+            gs_max = max(gs_max, float(np.abs(drift[:, 1:]).max(initial=0.0)))
+            gn_max = max(gn_max, float(np.abs(noise[:, 1:]).max(initial=0.0)))
     except EvaluationError as exc:
         failures.append(f"evaluation failed on the lattice: {exc}")
         return ValidationReport(False, s2_min, s2_max, gs_max, gn_max, tuple(failures))
 
-    if not (s2_min > model.sigma2_floor):
+    if s2_max > _SIGMA2_CEILING:
         failures.append(
-            f"variance rate min {s2_min!r} does not clear the floor {model.sigma2_floor!r}"
+            f"variance rate max {s2_max!r} exceeds the ceiling {_SIGMA2_CEILING!r}"
         )
-    if s2_max > config.sigma2_ceiling:
-        failures.append(
-            f"variance rate max {s2_max!r} exceeds the ceiling {config.sigma2_ceiling!r}"
-        )
-    if gs_max > config.gradient_ceiling:
+    if gs_max > _GRADIENT_CEILING:
         failures.append(f"drift gradient max {gs_max!r} exceeds the ceiling")
-    if gn_max > config.gradient_ceiling:
+    if gn_max > _GRADIENT_CEILING:
         failures.append(f"variance gradient max {gn_max!r} exceeds the ceiling")
 
     return ValidationReport(not failures, s2_min, s2_max, gs_max, gn_max, tuple(failures))

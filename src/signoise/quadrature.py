@@ -5,8 +5,9 @@ et al., 1983) is applied to all intervals together; only the pieces of the
 intervals whose embedded error is too large are bisected and evaluated again.
 Failures raise: a silently inaccurate moment poisons every likelihood on it.
 The rule assumes an integrand smooth on each interval: a jump between the
-outermost node and an end of an interval is invisible to it, so rates with
-jumps inside an interval must come with exact integrals.
+outermost node and an end of an interval is invisible to it, so callers
+split intervals at known jumps, and rates with unknown jumps inside an
+interval must come with exact integrals.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from signoise import (
     LinearSignal,
     ModelSpec,
     ParameterSpace,
+    PeriodicStepFn,
+    Profile,
     ScaledNoise,
     Theta,
     constant_profile,
@@ -84,6 +86,23 @@ def curved_model():
     model = ModelSpec(signal, noise)
     space = ParameterSpace(((-1.2, 1.2),), ((-1.0, 1.0),))
     theta = Theta(np.array([0.3]), np.array([0.2]))
+    return model, space, theta
+
+
+def steps_model():
+    """Step drift (four cells of period 1) and a scaled step noise weight, d = 3.
+
+    The noise weight's three cells of width 0.7/3 are not dyadic, so its
+    edges fall between the drift's.  Both take the closed-form route.
+    """
+    model = ModelSpec(
+        LinearSignal((ConstantFn(), PeriodicStepFn((1.0, -0.5, 0.25, 0.8), 1.0))),
+        ScaledNoise(
+            Profile(offset=0.6, coefs=(0.5,), atoms=(PeriodicStepFn((0.2, 1.0, 0.5), 0.7),))
+        ),
+    )
+    space = ParameterSpace(((-3.0, 3.0), (-3.0, 3.0)), ((0.1, 4.0),))
+    theta = Theta(np.array([0.7, -0.4]), np.array([1.2]))
     return model, space, theta
 
 

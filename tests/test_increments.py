@@ -4,6 +4,7 @@ import pytest
 from signoise import (
     ConstantFn,
     CosineFn,
+    EvaluationError,
     GeneralNoise,
     GeneralSignal,
     KnownNoise,
@@ -20,7 +21,13 @@ from signoise import (
     uniform_grid,
 )
 
-from helpers import curved_model, sample_interior, trig_known_model, trig_scaled_model
+from helpers import (
+    curved_model,
+    sample_interior,
+    steps_model,
+    trig_known_model,
+    trig_scaled_model,
+)
 
 
 def _mean_model():
@@ -114,7 +121,8 @@ def test_general_noise_matches_finite_differences():
 
 def test_dual_route_property_over_families():
     rng = np.random.default_rng(41)
-    for build in (trig_known_model, trig_scaled_model, curved_model):
+    # the step family's forced route integrates between its declared jumps
+    for build in (trig_known_model, trig_scaled_model, curved_model, steps_model):
         model, space, _ = build()
         # ten short-interval grids, then one with delays up to 5 (most of a 2 pi period)
         for top in (0.9,) * 10 + (5.0,):
@@ -165,6 +173,28 @@ def test_quadrature_failure_names_block_and_interval(block, rate):
     message = rf"{block} moment: interval 2: .* on \[2\.0, 3\.0\]"
     with pytest.raises(QuadratureError, match=message):
         MomentCache(model, grid).moments(theta)
+
+
+@pytest.mark.parametrize("block", ["drift", "variance"])
+def test_wrong_gradient_size_names_expected_size(block):
+    def bad_grad(params, t):
+        return np.zeros(2)  # one parameter, two gradient entries
+
+    if block == "drift":
+        model = ModelSpec(
+            GeneralSignal(1, lambda a, t: a[0], bad_grad), KnownNoise(constant_profile(1.0))
+        )
+        theta = Theta((1.0,), ())
+    else:
+        noise = GeneralNoise(1, lambda b, t: b[0], bad_grad)
+        model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
+        theta = Theta((0.0,), (1.0,))
+    message = rf"{block} gradient has size 2, expected 1"
+    with pytest.raises(EvaluationError, match=message):
+        model.rates(theta, [0.5])
+    cache = MomentCache(model, uniform_grid(3, 0.5), force_quadrature=True)
+    with pytest.raises(EvaluationError, match=message):
+        cache.moments(theta)
 
 
 def test_noise_floor_violation_raised():

@@ -19,34 +19,39 @@ from signoise import (
     ScaledNoise,
     SineFn,
     Theta,
-    ValidationConfig,
     constant_profile,
-    eval_noise_var,
-    eval_signal,
-    grad_noise_var,
-    grad_signal,
     validate_assumptions,
 )
 
 from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
 
 
+def _drift(model, th, t):
+    """Checked drift row at one time: the value, then its gradient in alpha."""
+    return model.rates(th, [t])[0][0]
+
+
+def _noise(model, th, t):
+    """Checked variance row at one time: the rate, then its gradient in beta."""
+    return model.rates(th, [t])[1][0]
+
+
 def test_linear_signal_values():
     model, _, _ = trig_known_model()
     th = Theta(np.array([1.0, 2.0]), np.zeros(0))
-    assert eval_signal(model, th, 0.0) == pytest.approx(3.0, abs=1e-15)
-    assert eval_signal(model, th, 0.25) == pytest.approx(1.0, abs=1e-15)
+    drift, _ = model.rates(th, [0.0, 0.25])
+    assert drift[:, 0] == pytest.approx([3.0, 1.0], abs=1e-15)
     zero = Theta(np.zeros(2), np.zeros(0))
-    for t in (0.0, 0.3, 1.7, 12.5):
-        assert eval_signal(model, zero, t) == 0.0
+    drift, _ = model.rates(zero, [0.0, 0.3, 1.7, 12.5])
+    assert np.all(drift[:, 0] == 0.0)
 
 
 def test_linear_signal_gradient_is_basis():
     model, _, _ = trig_known_model()
     for alpha in (np.array([1.0, 2.0]), np.array([-0.4, 0.9])):
         th = Theta(alpha, np.zeros(0))
-        assert np.allclose(grad_signal(model, th, 0.0), [1.0, 1.0], atol=1e-15)
-        assert np.allclose(grad_signal(model, th, 0.25), [1.0, 0.0], atol=1e-15)
+        drift, _ = model.rates(th, [0.0, 0.25])
+        assert np.allclose(drift[:, 1:], [[1.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_linear_signal_exact_linearity():
@@ -57,9 +62,10 @@ def test_linear_signal_exact_linearity():
         a2 = rng.normal(size=2)
         ca, cb = rng.normal(size=2)
         t = rng.uniform(0.0, 5.0)
-        combo = eval_signal(model, Theta(ca * a1 + cb * a2, np.zeros(0)), t)
-        parts = ca * eval_signal(model, Theta(a1, np.zeros(0)), t) + cb * eval_signal(
-            model, Theta(a2, np.zeros(0)), t
+        combo = _drift(model, Theta(ca * a1 + cb * a2, np.zeros(0)), t)[0]
+        parts = (
+            ca * _drift(model, Theta(a1, np.zeros(0)), t)[0]
+            + cb * _drift(model, Theta(a2, np.zeros(0)), t)[0]
         )
         assert combo == pytest.approx(parts, rel=1e-14, abs=1e-14)
 
@@ -69,19 +75,19 @@ def test_curved_signal_gradient_matches_finite_differences():
     a, t = 0.3, 1.7
     h = 1e-6
     fd = (
-        eval_signal(model, Theta(np.array([a + h]), np.array([0.2])), t)
-        - eval_signal(model, Theta(np.array([a - h]), np.array([0.2])), t)
+        _drift(model, Theta(np.array([a + h]), np.array([0.2])), t)[0]
+        - _drift(model, Theta(np.array([a - h]), np.array([0.2])), t)[0]
     ) / (2.0 * h)
-    g = grad_signal(model, Theta(np.array([a]), np.array([0.2])), t)
+    g = _drift(model, Theta(np.array([a]), np.array([0.2])), t)[1:]
     assert abs(g[0] - fd) / abs(fd) < 1e-6
 
 
 def test_scaled_noise_values_and_derivatives():
     model = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)))
     th = Theta(np.array([0.0]), np.array([2.0]))
-    for t in (0.0, 0.7, 3.2):
-        assert eval_noise_var(model, th, t) == pytest.approx(2.0, abs=1e-15)
-        assert np.allclose(grad_noise_var(model, th, t), [1.0], atol=1e-15)
+    _, noise = model.rates(th, [0.0, 0.7, 3.2])
+    assert noise[:, 0] == pytest.approx([2.0] * 3, abs=1e-15)
+    assert np.allclose(noise[:, 1:], 1.0, atol=1e-15)
 
 
 def test_trig_profile_noise_value():
@@ -89,7 +95,7 @@ def test_trig_profile_noise_value():
     profile = Profile(offset=2.0, coefs=(1.0,), atoms=(CosineFn(1.0),))
     model = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(profile))
     th = Theta(np.array([0.0]), np.array([1.0]))
-    assert eval_noise_var(model, th, 0.5) == pytest.approx(1.0, abs=1e-14)
+    assert _noise(model, th, 0.5)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_curved_noise_gradient_matches_finite_differences():
@@ -97,18 +103,18 @@ def test_curved_noise_gradient_matches_finite_differences():
     b, t = 0.2, 1.1
     h = 1e-6
     fd = (
-        eval_noise_var(model, Theta(np.array([0.3]), np.array([b + h])), t)
-        - eval_noise_var(model, Theta(np.array([0.3]), np.array([b - h])), t)
+        _noise(model, Theta(np.array([0.3]), np.array([b + h])), t)[0]
+        - _noise(model, Theta(np.array([0.3]), np.array([b - h])), t)[0]
     ) / (2.0 * h)
-    g = grad_noise_var(model, Theta(np.array([0.3]), np.array([b])), t)
+    g = _noise(model, Theta(np.array([0.3]), np.array([b])), t)[1:]
     assert abs(g[0] - fd) / abs(fd) < 1e-6
 
 
 def test_noise_floor_violation_raised():
     model = ModelSpec(LinearSignal((ConstantFn(),)), KnownNoise(constant_profile(0.0)))
     th = Theta(np.array([0.0]), np.zeros(0))
-    with pytest.raises(NoiseFloorViolation):
-        eval_noise_var(model, th, 1.0)
+    with pytest.raises(NoiseFloorViolation, match=r"at t=1\.0 is at or below the floor"):
+        model.rates(th, [1.0])
 
 
 def test_builtin_gradients_match_finite_differences_at_random_points():
@@ -122,23 +128,23 @@ def test_builtin_gradients_match_finite_differences_at_random_points():
             vec = rng.uniform(lo, hi)
             th = Theta(vec[: model.p], vec[model.p :])
             t = rng.uniform(0.0, 4.0)
-            g = grad_signal(model, th, t)
+            g = _drift(model, th, t)[1:]
             for k in range(model.p):
                 e = np.zeros(model.d)
                 e[k] = h
                 up = Theta(vec[: model.p] + e[: model.p], vec[model.p :])
                 dn = Theta(vec[: model.p] - e[: model.p], vec[model.p :])
-                fd = (eval_signal(model, up, t) - eval_signal(model, dn, t)) / (2 * h)
+                fd = (_drift(model, up, t)[0] - _drift(model, dn, t)[0]) / (2 * h)
                 assert abs(g[k] - fd) <= 1e-6 * max(1.0, abs(fd))
-            gv = grad_noise_var(model, th, t)
+            gv = _noise(model, th, t)[1:]
             for k in range(model.q):
                 bp = vec[model.p :].copy()
                 bm = vec[model.p :].copy()
                 bp[k] += h
                 bm[k] -= h
                 fd = (
-                    eval_noise_var(model, Theta(vec[: model.p], bp), t)
-                    - eval_noise_var(model, Theta(vec[: model.p], bm), t)
+                    _noise(model, Theta(vec[: model.p], bp), t)[0]
+                    - _noise(model, Theta(vec[: model.p], bm), t)[0]
                 ) / (2 * h)
                 assert abs(gv[k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -187,12 +193,7 @@ def test_validation_fails_for_unbounded_variance_probe():
     )
     model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
     space = ParameterSpace(((-1.0, 1.0),), ((0.5, 2.0),))
-    report = validate_assumptions(
-        model,
-        space,
-        config=ValidationConfig(sigma2_ceiling=1e6),
-        times=np.geomspace(1e-3, 1e9, 64),
-    )
+    report = validate_assumptions(model, space, times=np.geomspace(1e-3, 1e9, 64))
     assert not report.passed
     assert any("ceiling" in msg for msg in report.failures)
 
@@ -232,8 +233,8 @@ def test_evaluation_error_mentions_time():
     )
     model = ModelSpec(signal, noise)
     th = Theta(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(EvaluationError):
-        eval_noise_var(model, th, 2.5)
+    with pytest.raises(EvaluationError, match=r"t=2\.5"):
+        model.rates(th, [2.5])
 
 
 def test_mean_model_dimensions():

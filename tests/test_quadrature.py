@@ -24,14 +24,8 @@ def test_integrate_matches_mpmath_oracle():
     starts = np.repeat([0.3, 1e4], 3)
     ends = starts + np.tile([1e-6, 0.37, 5.0], 2)
 
-    def drift(ts):
-        return np.array([[model.signal.value(alpha, t), *model.signal.grad(alpha, t)] for t in ts])
-
-    def variance(ts):
-        return np.array([[model.noise.value(beta, t), *model.noise.grad(beta, t)] for t in ts])
-
-    got_drift = quadrature.integrate(drift, starts, ends)
-    got_var = quadrature.integrate(variance, starts, ends)
+    got_drift = quadrature.integrate(lambda ts: model.signal.rates(alpha, ts), starts, ends)
+    got_var = quadrature.integrate(lambda ts: model.noise.rates(beta, ts), starts, ends)
     for i, (lo, hi) in enumerate(zip(starts, ends)):
         want_drift, want_var = _curved_oracle(alpha[0], beta[0], lo, hi)
         for got, want in ((got_drift[i], want_drift), (got_var[i], want_var)):
