@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import (
     ConfigError,
@@ -122,6 +121,8 @@ class EstimateResult:
 def _halton_starts(space: ParameterSpace, count: int) -> np.ndarray:
     lo = space.lower + space.interior_margin
     hi = space.upper - space.interior_margin
+    from scipy.stats import qmc  # deferred: scipy.stats costs ~0.5 s at import
+
     sampler = qmc.Halton(d=space.d, scramble=False)
     sampler.fast_forward(1)  # skip the all-zero corner point
     u = sampler.random(count)

@@ -46,7 +46,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import config as _config
 from .errors import ConfigError, DomainError, SignoiseError
@@ -400,6 +399,8 @@ def _coord_names(p: int, q: int) -> list[str]:
 
 def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Normalized-error normality and covariance agreement along the ladder."""
+    from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
+
     for rung, n in enumerate(cfg.n_values):
         ctx = _context(cfg, n)
         cov_ref = _reference_bundle(cfg, ctx).joint_inverse
@@ -422,7 +423,7 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             var_se = math.sqrt(max(m4 - var**2, 0.0) / u.shape[0])
             report.rows.append(_row(n, "variance", name, var, var_se))
             ref_sd = math.sqrt(cov_ref[k, k])
-            ks = _stats.kstest(u[:, k], "norm", args=(0.0, ref_sd))
+            ks = kstest(u[:, k], "norm", args=(0.0, ref_sd))
             report.rows.append(_row(n, "ks_stat", name, float(ks.statistic)))
             report.rows.append(_row(n, "ks_pvalue", name, float(ks.pvalue)))
             report.checks.append(
@@ -470,6 +471,8 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
 
 def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """RMSE decay slopes against total time (drift) and count (variance)."""
+    from scipy.stats import linregress  # deferred: scipy.stats costs ~0.5 s at import
+
     log_T, log_n = [], []
     log_rmse_drift, log_rmse_var = [], []
     for rung, n in enumerate(cfg.n_values):
@@ -506,7 +509,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         if len(xs) < 2:
             continue
         rate_points[label] = [[float(x), float(y)] for x, y in zip(xs, ys)]
-        fit = _stats.linregress(xs, ys)
+        fit = linregress(xs, ys)
         slope_se = float(fit.stderr) if np.isfinite(fit.stderr) else float("nan")
         report.rows.append(_row(0, f"slope_{label}", "", float(fit.slope), slope_se))
         report.checks.append(
@@ -528,6 +531,8 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
 
 def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Central-sequence normality, remainder decay, unit-mean ratio identity."""
+    from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
+
     mean_abs_remainder: dict[int, list[float]] = {}
     last_rung = len(cfg.n_values) - 1
     for rung, n in enumerate(cfg.n_values):
@@ -550,7 +555,7 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         )
 
         for k, name in enumerate(names):
-            ks = _stats.kstest(central[:, k], "norm")
+            ks = kstest(central[:, k], "norm")
             report.rows.append(_row(n, "central_ks_stat", name, float(ks.statistic)))
             report.rows.append(_row(n, "central_ks_pvalue", name, float(ks.pvalue)))
             if rung == last_rung:

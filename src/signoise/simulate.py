@@ -1,10 +1,16 @@
 """Exact sampling of increment vectors, reproducible by construction.
 
-Randomness is counter-based: a 128-bit Philox key is formed from
+Randomness is counter-based: a 128-bit Philox4x64-10 key is formed from
 (seed, replicate), raw 64-bit words are mapped to uniforms, and normals
 come out of the inverse normal CDF.  Consequence: the k-th normal of a
 replicate is a pure function of (seed, replicate, k), independent of how
 many replicates run, in what order, or on how many processes.
+
+Every draw goes through one core, ``_standard_normals``: it builds one
+Philox per call and re-keys it for each replicate, and it turns raw words
+into normals a slab of at most ``_SLAB_WORDS`` words at a time, so a
+block needs the output array plus one slab.  Neither changes the
+stream, which ``normal_stream`` defines.
 """
 
 from __future__ import annotations
@@ -44,36 +50,86 @@ def _check_seed(value: int, name: str) -> int:
     return value
 
 
+_SLAB_WORDS = 65_536
+
+
+def _standard_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """Rows lo..hi-1 of the streams of ``seed``, ``count`` normals each.
+
+    Setting the state (key ``(seed << 64) | r``, counter zero, empty
+    buffer) yields the words ``Philox(key=...)`` would, without building a
+    generator per replicate.  A full slab, or the last partial one, is
+    mapped to normals in place into its stretch of the output; a row
+    longer than the slab carries on with the same generator.
+    """
+    out = np.empty((hi - lo, count))
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return out
+    gen = Philox(key=0)
+    state = gen.state
+    key = state["state"]["key"]
+    key[1] = seed
+    slab = np.empty(min(_SLAB_WORDS, flat.size), dtype=np.uint64)
+    filled = done = 0
+    for r in range(lo, hi):
+        key[0] = r
+        gen.state = state
+        left = count
+        while left:
+            take = min(left, slab.size - filled)
+            slab[filled : filled + take] = gen.random_raw(take)
+            filled += take
+            left -= take
+            if filled == slab.size or done + filled == flat.size:
+                words = slab[:filled]
+                u = flat[done : done + filled]
+                np.right_shift(words, np.uint64(11), out=words)
+                u[...] = words
+                u += 0.5
+                u *= 2.0**-53
+                ndtri(u, out=u)
+                done += filled
+                filled = 0
+    return out
+
+
 def normal_stream(seed: int, replicate: int, count: int) -> np.ndarray:
     """Standard normals indexed by (seed, replicate, position).
 
-    Each value consumes exactly one 64-bit Philox word: the top 53 bits
-    become a uniform strictly inside (0, 1) via u = (k + 0.5) * 2**-53,
-    then the inverse normal CDF maps u to a normal.  Fixed consumption per
-    position is what makes the stream position-addressable.
+    The stream is the words of Philox4x64-10 under the 128-bit key
+    ``(seed << 64) | replicate`` from counter zero, one word per value: the
+    top 53 bits become a uniform strictly inside (0, 1) via
+    u = (k + 0.5) * 2**-53, then the inverse normal CDF maps u to a normal.
+    Fixed consumption per position is what makes the stream
+    position-addressable.  This is row 0 of ``draw_block``'s core.
     """
     seed = _check_seed(seed, "seed")
     replicate = _check_seed(replicate, "replicate")
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.zeros(0)
-    key = (seed << 64) | replicate
-    raw = Philox(key=key).random_raw(count)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return _standard_normals(seed, replicate, replicate + 1, count)[0]
 
 
 def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) -> np.ndarray:
     """Replicates lo..hi-1 of the family with these moments, shape (hi - lo, n).
 
-    Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit;
-    each row is written in place, so no second block-sized array is made.
+    Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit:
+    the same stream, drawn by one generator re-keyed per replicate, then
+    scaled and shifted in place.  Memory beyond the block is bounded by
+    the slab of ``_SLAB_WORDS`` raw words.  Requires 0 <= lo <= hi <= 2**64.
     """
-    out = np.empty((hi - lo, mean.size))
-    for row, r in zip(out, range(lo, hi)):
-        np.multiply(sd, normal_stream(seed, r, mean.size), out=row)
-        row += mean
+    seed = _check_seed(seed, "seed")
+    lo, hi = int(lo), int(hi)
+    if lo < 0:
+        raise DomainError(f"lo must be >= 0, got {lo}")
+    if hi < lo:
+        raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
+    if hi > _MAX_SEED:
+        raise DomainError(f"hi must be <= 2**64 (replicates lie in [0, 2**64)), got {hi}")
+    out = _standard_normals(seed, lo, hi, mean.size)
+    out *= sd
+    out += mean
     return out
 
 
@@ -121,11 +177,12 @@ def simulate_increments(
     cache: MomentCache | None = None,
 ) -> IncrementSample:
     """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i."""
+    replicate = _check_seed(replicate, "replicate")
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
     y = draw_block(m.mean, np.sqrt(m.var), seed, replicate, replicate + 1)[0]
-    return IncrementSample(y, int(seed), int(replicate), grid.digest(), theta)
+    return IncrementSample(y, int(seed), replicate, grid.digest(), theta)
 
 
 def simulate_batch(

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signoise
 from signoise.cli import main
 
 from helpers import MEAN_CONFIG, TRIG_KNOWN_CONFIG, TRIG_SCALED_CONFIG
@@ -383,3 +387,15 @@ def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
             main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is about half a second of import; only the callers that
+    # need it (Halton starts, KS and slope checks) load it.
+    src = str(Path(signoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, signoise; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

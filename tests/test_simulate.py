@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy import stats
+from scipy.special import ndtri
 
 from signoise import (
     Theta,
@@ -14,6 +18,8 @@ from signoise import (
     simulate_increments,
     uniform_grid,
 )
+from signoise import simulate
+from signoise.errors import DomainError
 
 from helpers import mean_model, trig_scaled_model
 
@@ -49,6 +55,63 @@ def test_draw_block_rows_equal_normal_stream_replicates():
     assert block.shape == (7, 64)
     for j, r in enumerate(range(5, 12)):
         assert np.array_equal(block[j], m.mean + sd * normal_stream(7, r, 64))
+
+
+def _sha256_prefix(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def test_streams_match_frozen_digests():
+    # Digests of the streams as drawn by the earlier implementation, which
+    # built one Philox(key=...) per replicate; the extreme key fills both
+    # 64-bit halves of the Philox key.
+    assert _sha256_prefix(normal_stream(2**64 - 1, 2**64 - 2, 1000)) == "510199a4641bfb72"
+    block = draw_block(np.linspace(-1, 1, 300), np.linspace(0.5, 2, 300), 12345, 7, 40)
+    assert _sha256_prefix(block) == "f9cfcef26e192fd2"
+
+
+def _defined_stream(seed: int, replicate: int, count: int) -> np.ndarray:
+    """The stream from its definition: fresh Philox key, top 53 bits, ndtri."""
+    raw = Philox(key=(seed << 64) | replicate).random_raw(count)
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [(2, simulate._SLAB_WORDS + 3), (5, simulate._SLAB_WORDS // 2 + 7)],
+    ids=["row-split-across-slabs", "block-over-several-slabs"],
+)
+def test_draw_block_rows_match_stream_across_slabs(rows, n):
+    mean = np.linspace(-1.0, 1.0, n)
+    sd = np.linspace(0.5, 2.0, n)
+    block = draw_block(mean, sd, 2024, 9, 9 + rows)
+    for j in range(rows):
+        z = normal_stream(2024, 9 + j, n)
+        assert np.array_equal(z, _defined_stream(2024, 9 + j, n))
+        assert np.array_equal(block[j], mean + sd * z)
+
+
+def test_draw_block_builds_one_generator_per_call(monkeypatch):
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "Philox", counting_philox)
+    draw_block(np.zeros(16), np.ones(16), 3, 0, 12)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bound",
+    [(5, 3, "hi"), (2**64 - 1, 2**64 + 1, "hi"), (-1, 2, "lo")],
+    ids=["hi-below-lo", "hi-past-2**64", "negative-lo"],
+)
+def test_draw_block_rejects_bad_range_before_drawing(monkeypatch, lo, hi, bound):
+    monkeypatch.setattr(simulate, "Philox", None)  # any draw would fail differently
+    with pytest.raises(DomainError, match=rf"^{bound} must"):
+        draw_block(np.zeros(4), np.ones(4), 1, lo, hi)
 
 
 def test_distinct_replicates_differ():
