@@ -57,6 +57,7 @@ from .sampling import (
 from .increments import (
     IncrementMoments,
     MomentCache,
+    has_closed_form,
     log_variance_terms,
 )
 from .simulate import (
@@ -94,11 +95,7 @@ from .estimate import (
     EstimateResult,
     MleOptions,
     Prior,
-    closed_form_block,
     closed_form_mle,
-    has_closed_form,
-    linear_known_noise_mle,
-    linear_scaled_noise_mle,
     mle_numeric,
     posterior_mean_importance,
     posterior_mean_quadrature,

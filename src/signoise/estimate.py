@@ -3,16 +3,13 @@
 The numeric MLE runs a quasi-Newton ascent with the analytic score from a
 deterministic low-discrepancy set of interior starts, so repeated calls
 with the same inputs return bit-identical results.  For drifts linear in
-their parameters the weighted least-squares solution is the exact MLE and
-is available in closed form, with or without a single variance scale.
-For these families the log-likelihood depends on a sample only through a
-few weighted sums: one O(n*p) pass per sample gives the weighted
-least-squares point a0, its weighted residual sum of squares and B'W r0
-(``increments.LinearDesign.statistics``), after which each parameter point
-costs O(p^2) from these and the grid's Gram matrix G = B'WB.  The
-quadratic is centred at a0, not at zero: expanded at zero it subtracts
-terms of order y'Wy, which at a long horizon or a large drift exceed the
-residual sum by so many orders of magnitude that their rounding swamps it.
+their parameters, with known variances or one unknown variance scale, the
+MLE is exact and ``increments.LinearDesign`` is its one owner: it gives
+``closed_form_mle``'s fit and covariance, the block fits of Monte-Carlo
+studies, and the log-likelihood the Bayes routes integrate, at O(p^2) per
+parameter point once a sample is reduced to a few weighted sums
+(``LinearDesign.statistics`` says why that quadratic is centred at the
+weighted least-squares point and not at zero).
 
 Bayes posterior means are computed two independent ways: an adaptive
 tensor-product Gauss-Legendre cubature anchored at the MLE (the primary
@@ -28,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConfigError,
@@ -38,10 +34,11 @@ from .errors import (
     OptimizationError,
     SingularInformationError,
 )
-from .increments import LinearDesign, MomentCache
+from .increments import MomentCache, has_closed_form
 from .information import empirical_fisher
 from .likelihood import log_likelihood, score
-from .model import KnownNoise, LinearSignal, ModelSpec, ParameterSpace, ScaledNoise, Theta
+from .quadrature import tensor_rule
+from .model import ModelSpec, ParameterSpace, Theta
 from .sampling import TimeGrid
 from .simulate import IncrementSample, derive_seed, normal_stream
 
@@ -49,11 +46,7 @@ __all__ = [
     "MleOptions",
     "EstimateResult",
     "mle_numeric",
-    "linear_known_noise_mle",
-    "linear_scaled_noise_mle",
     "closed_form_mle",
-    "closed_form_block",
-    "has_closed_form",
     "Prior",
     "BayesResult",
     "posterior_mean_quadrature",
@@ -173,6 +166,8 @@ def mle_numeric(
         m = cache.moments(th)
         return -log_likelihood(m, y), -score(m, y)
 
+    from scipy.optimize import minimize  # deferred: only this route optimizes
+
     lo = space.lower + space.interior_margin
     hi = space.upper - space.interior_margin
     bounds = list(zip(lo, hi))
@@ -220,72 +215,6 @@ def mle_numeric(
     )
 
 
-def linear_known_noise_mle(
-    basis_integrals: np.ndarray, var: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact weighted least squares for a linear drift and known variances.
-
-    ``y`` is one increment vector (n,) or k of them as the columns of an
-    (n, k) array; alpha_hat is then (p,) or (p, k), all columns solved
-    with one Gram matrix and one Cholesky factor.  Returns (alpha_hat,
-    covariance).  The estimator is exactly Gaussian around the truth with
-    the returned covariance; this is the one place in the package where
-    finite-sample distribution theory is exact.
-    """
-    design = LinearDesign(
-        np.asarray(basis_integrals, dtype=float), np.asarray(var, dtype=float)
-    )
-    return design.solve(np.asarray(y, dtype=float)), design.unit_covariance()
-
-
-def linear_scaled_noise_mle(
-    basis_integrals: np.ndarray, profile_integrals: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Exact joint MLE for a linear drift and a scaled variance profile.
-
-    The drift solve does not involve the scale (it cancels from its normal
-    equations), and the scale MLE is the mean profile-weighted squared
-    residual.  Returns (alpha_hat, scale_hat, unit_gram_inverse) where the
-    drift covariance is scale * unit_gram_inverse.  As in
-    ``linear_known_noise_mle``, an (n, k) ``y`` is solved column by column
-    in one pass and gives a (k,) array of scales.
-    """
-    design = LinearDesign(
-        np.asarray(basis_integrals, dtype=float), np.asarray(profile_integrals, dtype=float)
-    )
-    alpha, scale = _scaled_fit(design, np.asarray(y, dtype=float))
-    return alpha, scale, design.unit_covariance()
-
-
-def _scaled_fit(design: LinearDesign, y: np.ndarray):
-    """(alpha_hat, scale_hat) of y (n,) or of each column of y (n, k)."""
-    alpha, q0, _ = design.statistics(y)
-    scale = q0 / y.shape[0]
-    return alpha, scale if scale.ndim else float(scale)
-
-
-def has_closed_form(model: ModelSpec) -> bool:
-    return isinstance(model.signal, LinearSignal) and isinstance(
-        model.noise, (KnownNoise, ScaledNoise)
-    )
-
-
-def closed_form_block(model: ModelSpec, cache: MomentCache, ys: np.ndarray) -> np.ndarray:
-    """Closed-form MLEs of the k increment vectors in the rows of ys (k, n).
-
-    Returns the (k, d) estimates, each row equal to ``closed_form_mle``'s
-    ``theta.vector`` for that row up to summation order.  Raises
-    DomainError for families without a closed form.
-    """
-    if not has_closed_form(model):
-        raise DomainError("no closed-form estimator for this model family")
-    design = cache.linear_design()
-    if isinstance(model.noise, KnownNoise):
-        return design.solve(ys.T).T
-    alpha, scale = _scaled_fit(design, ys.T)
-    return np.column_stack([alpha.T, scale])
-
-
 def closed_form_mle(
     model: ModelSpec,
     space: ParameterSpace,
@@ -293,37 +222,24 @@ def closed_form_mle(
     sample: IncrementSample,
     cache: MomentCache | None = None,
 ) -> EstimateResult:
-    """Dispatch to the exact closed-form MLE where one exists.
+    """The exact MLE of a linear drift with known or scaled variances.
 
-    Unlike the numeric route this is unconstrained: the exact maximizer is
-    returned even if it falls outside the box (it almost never does for a
-    box containing the truth).  Raises DomainError for families without a
-    closed form.
+    Fit and covariance come from the grid's ``LinearDesign``.  With known
+    variances the estimator is exactly Gaussian around the truth with the
+    returned covariance; this is the one place in the package where
+    finite-sample distribution theory is exact.  Unlike the numeric route
+    this is unconstrained: the exact maximizer is returned even if it falls
+    outside the box (it almost never does for a box containing the truth).
+    Raises DomainError for families without a closed form.
     """
-    if not has_closed_form(model):
-        raise DomainError("no closed-form estimator for this model family")
     if cache is None:
         cache = MomentCache(model, grid)
     design = cache.linear_design()
-    y = sample.y
-    if isinstance(model.noise, KnownNoise):
-        alpha = design.solve(y)
-        cov = design.unit_covariance()
-        theta_hat = Theta(alpha, np.zeros(0))
-        stderr = np.sqrt(np.diag(cov))
-    else:
-        alpha, scale = _scaled_fit(design, y)
-        unit_cov = design.unit_covariance()
-        theta_hat = Theta(alpha, np.array([scale]))
-        stderr = np.concatenate(
-            [np.sqrt(scale * np.diag(unit_cov)), [scale * math.sqrt(2.0 / grid.n)]]
-        )
-        p = alpha.size
-        cov = np.zeros((p + 1, p + 1))
-        cov[:p, :p] = scale * unit_cov
-        cov[p, p] = 2.0 * scale * scale / grid.n
+    vector = design.fit(sample.y)
+    stderr, cov = design.covariance(vector)
+    theta_hat = Theta.from_vector(vector, model.p)
     try:
-        log_lik = log_likelihood(cache.moments(theta_hat), y)
+        log_lik = log_likelihood(cache.moments(theta_hat), sample.y)
     except NoiseFloorViolation:
         # perfect interpolation: the fitted scale collapses to zero and the
         # profile likelihood is unbounded above
@@ -334,7 +250,6 @@ def closed_form_mle(
         converged=True,
         iterations=0,
         method="mle-closed",
-        multistart_spread=0.0,
         stderr=stderr,
         covariance=cov,
     )
@@ -412,32 +327,10 @@ class BayesResult:
 
 
 def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
-    """Vectorized log-likelihood over a (k, d) batch of parameter vectors.
-
-    Linear drifts with known or scaled variances reduce y once to the
-    statistics of ``LinearDesign.statistics`` and then cost O(p^2) per
-    point; other families evaluate their moments point by point.
-    """
+    """Log-likelihood of a (k, d) batch: ``LinearDesign``'s if there is one, else point by point."""
     model = cache.model
     if has_closed_form(model):
-        design = cache.linear_design()
-        a0, q0, c = design.statistics(y)
-        gram = design.gram
-        n = y.size
-        const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * design.log_profile_sum
-        scaled = isinstance(model.noise, ScaledNoise)
-        p = model.p
-
-        def batch(thetas: np.ndarray) -> np.ndarray:
-            thetas = np.atleast_2d(thetas)
-            delta = thetas[:, :p] - a0
-            quad_unit = q0 - 2.0 * (delta @ c) + np.sum((delta @ gram) * delta, axis=1)
-            if scaled:
-                scale = thetas[:, p]
-                return const - 0.5 * n * np.log(scale) - 0.5 * quad_unit / scale
-            return const - 0.5 * quad_unit
-
-        return batch
+        return cache.linear_design().log_likelihood(y)
 
     def batch(thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(thetas)
@@ -469,12 +362,7 @@ def _anchor_estimate(
 def _unit_tensor_rule(order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre nodes (order**d, d) and weights on [0, 1]^d."""
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
-    wts = weights
-    for _ in range(d - 1):
-        wts = np.multiply.outer(wts, weights)
-    return np.stack([m.ravel() for m in mesh], axis=-1), wts.ravel()
+    return tensor_rule(0.5 * (x + 1.0), 0.5 * w, d)
 
 
 # the embedded low/high-order pair of every cell, for each dimension the

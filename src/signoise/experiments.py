@@ -49,11 +49,12 @@ import numpy as np
 
 from . import config as _config
 from .errors import ConfigError, DomainError, SignoiseError
-from .estimate import ESTIMATORS, Prior, closed_form_block, resolve_estimator
+from .estimate import ESTIMATORS, Prior, resolve_estimator
 from .increments import MomentCache
 from .information import InformationBundle, empirical_fisher, periodic_limit_fisher
 from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
+from .quadrature import tensor_rule
 from .sampling import TimeGrid
 from .simulate import IncrementSample, derive_seed, draw_block
 
@@ -307,7 +308,7 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
     estimator = resolve_estimator(cfg.estimator, ctx.model, ctx.space)
     if estimator is ESTIMATORS["mle-closed"]:
         try:
-            return list(closed_form_block(ctx.model, ctx.cache, ys))
+            return list(ctx.cache.linear_design().fit(ys.T))
         except (SignoiseError, np.linalg.LinAlgError) as exc:
             return [type(exc).__name__] * len(ys)
     out = []
@@ -633,15 +634,9 @@ def gaussian_expected_loss(cov: np.ndarray, loss: tuple[str, float]) -> float:
     eigvals = np.clip(eigvals, 0.0, None)
     transform = eigvecs * np.sqrt(eigvals)
     x, w = np.polynomial.hermite_e.hermegauss(_HERMITE_NODES)
-    w = w / math.sqrt(2.0 * math.pi)
-    mesh = np.meshgrid(*([x] * d), indexing="ij")
-    z = np.stack([m.ravel() for m in mesh], axis=-1)
-    wt = w
-    for _ in range(d - 1):
-        wt = np.multiply.outer(wt, w)
-    xi = z @ transform.T
-    r = np.linalg.norm(xi, axis=1)
-    return float(wt.ravel() @ _loss_values(r, loss))
+    z, wt = tensor_rule(x, w / math.sqrt(2.0 * math.pi), d)
+    r = np.linalg.norm(z @ transform.T, axis=1)
+    return float(wt @ _loss_values(r, loss))
 
 
 def _loss_values(r: np.ndarray, loss: tuple[str, float]) -> np.ndarray:

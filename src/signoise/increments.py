@@ -14,8 +14,10 @@ runs through.
 Closed-form routes: a drift that is linear in alpha reduces to a fixed
 matrix of basis integrals, and a known or scale-parameterized variance
 reduces to a fixed vector of profile integrals, both computed once per
-grid, and when both hold ``MomentCache.linear_design`` adds their
-weighted Gram matrix and its Cholesky factor.  Families without exact
+grid.  When both hold (``has_closed_form``) the MLE is exact and
+``LinearDesign``, built once per grid by ``MomentCache.linear_design``,
+is its one owner: fit, covariance and O(p^2) log-likelihood, for known
+and scaled variances alike.  Families without exact
 antiderivatives fall back to adaptive quadrature over all intervals at
 once, split at the jumps a family declares; ``force_quadrature=True``
 forces the fallback on every family, which is how the two routes are
@@ -24,14 +26,21 @@ checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, block_diag, cho_factor, cho_solve
 
 from . import quadrature
-from .errors import EvaluationError, NoiseFloorViolation, QuadratureError, SingularDesignError
+from .errors import (
+    DomainError,
+    EvaluationError,
+    NoiseFloorViolation,
+    QuadratureError,
+    SingularDesignError,
+)
 from .model import (
     KnownNoise,
     LinearSignal,
@@ -41,7 +50,13 @@ from .model import (
 )
 from .sampling import TimeGrid
 
-__all__ = ["IncrementMoments", "LinearDesign", "MomentCache", "log_variance_terms"]
+__all__ = [
+    "IncrementMoments",
+    "LinearDesign",
+    "MomentCache",
+    "has_closed_form",
+    "log_variance_terms",
+]
 
 
 @dataclass(frozen=True)
@@ -81,17 +96,27 @@ def log_variance_terms(moments: IncrementMoments) -> tuple[np.ndarray, np.ndarra
     return ln_var, grad_ln
 
 
+def has_closed_form(model: ModelSpec) -> bool:
+    """Whether the model's MLE is exact: a linear drift with known or scaled variances."""
+    return isinstance(model.signal, LinearSignal) and isinstance(
+        model.noise, (KnownNoise, ScaledNoise)
+    )
+
+
 class LinearDesign:
-    """Weighted least squares on basis integrals B (n, p) with variances g (n,).
+    """Exact MLE on basis integrals B (n, p) and variances g (n,), or beta * g if ``scaled``.
 
     Holds the Gram matrix G = B'WB, W = diag(1/g), and its Cholesky factor:
     the one place either is formed.  B and g are kept by reference, so no
     n-long array is added.  Raises SingularDesignError when G is singular.
+    The drift MLE is the weighted least-squares solution, which the scale
+    cancels from; the scale MLE is the mean weighted squared residual.
     """
 
-    def __init__(self, basis: np.ndarray, profile: np.ndarray):
+    def __init__(self, basis: np.ndarray, profile: np.ndarray, scaled: bool):
         self.basis = basis
         self.profile = profile
+        self.scaled = scaled
         self.gram = (basis.T * (1.0 / profile)) @ basis
         try:
             self.factor = cho_factor(self.gram)
@@ -104,10 +129,6 @@ class LinearDesign:
     def log_profile_sum(self) -> float:
         """Sum of ln g_i, the variance part of the log-likelihood normalizer."""
         return float(np.sum(np.log(self.profile)))
-
-    def unit_covariance(self) -> np.ndarray:
-        """G^{-1}: the covariance of ``solve(y)`` when y has variances g."""
-        return cho_solve(self.factor, np.eye(self.gram.shape[0]))
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
@@ -132,6 +153,46 @@ class LinearDesign:
         q0 = np.sum((resid * resid).T / self.profile, axis=-1)
         c = self.basis.T @ (resid.T / self.profile).T
         return alpha, q0, c
+
+    def fit(self, y: np.ndarray) -> np.ndarray:
+        """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""
+        if not self.scaled:
+            return self.solve(y).T
+        alpha, q0, _ = self.statistics(y)
+        return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
+
+    def covariance(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stderr, covariance) at the fit theta (d,).
+
+        G^{-1}; when scaled, G^{-1} times the scale beta, and 2 beta^2 / n for beta.
+        """
+        n, p = self.basis.shape
+        cov = cho_solve(self.factor, np.eye(p))
+        if not self.scaled:
+            return np.sqrt(np.diag(cov)), cov
+        scale = theta[p]
+        stderr = np.concatenate([np.sqrt(scale * np.diag(cov)), [scale * math.sqrt(2.0 / n)]])
+        return stderr, block_diag(scale * cov, 2.0 * scale * scale / n)
+
+    def log_likelihood(self, y: np.ndarray):
+        """The log-likelihood of y as a function of a (k, d) batch of parameter vectors.
+
+        Reduces y once to ``statistics``; each point then costs O(p^2).
+        """
+        a0, q0, c = self.statistics(y)
+        n, p = self.basis.shape
+        const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * self.log_profile_sum
+
+        def batch(thetas: np.ndarray) -> np.ndarray:
+            thetas = np.atleast_2d(thetas)
+            delta = thetas[:, :p] - a0
+            quad_unit = q0 - 2.0 * (delta @ c) + np.sum((delta @ self.gram) * delta, axis=1)
+            if self.scaled:
+                scale = thetas[:, p]
+                return const - 0.5 * n * np.log(scale) - 0.5 * quad_unit / scale
+            return const - 0.5 * quad_unit
+
+        return batch
 
 
 class MomentCache:
@@ -184,7 +245,17 @@ class MomentCache:
                 [float(integral_fn(params, a, b)), *np.ravel(grad_integral_fn(params, a, b))]
                 for a, b in zip(self.grid.starts, self.grid.ends)
             ]
-            out = np.array(rows, dtype=float).reshape(self.grid.n, 1 + params.size)
+            try:
+                out = np.array(rows, dtype=float).reshape(self.grid.n, 1 + params.size)
+            except ValueError:
+                for i, row in enumerate(rows):
+                    if len(row) != 1 + params.size:
+                        raise EvaluationError(
+                            f"{label} gradient has size {len(row) - 1}, expected "
+                            f"{params.size}: interval {i} on "
+                            f"[{float(self.grid.starts[i])!r}, {float(self.grid.ends[i])!r}]"
+                        ) from None
+                raise
         return out[:, 0], out[:, 1:]
 
     # -- drift block --------------------------------------------------------
@@ -202,10 +273,14 @@ class MomentCache:
         return self._profile_integrals
 
     def linear_design(self) -> LinearDesign:
-        """The grid's LinearDesign, built once; linear drifts with known or scaled variances."""
+        """The grid's LinearDesign, built once; DomainError unless ``has_closed_form``."""
         if self._design is None:
+            if not has_closed_form(self.model):
+                raise DomainError("no closed-form estimator for this model family")
             self._design = LinearDesign(
-                self.signal_basis_integrals(), self.noise_profile_integrals()
+                self.signal_basis_integrals(),
+                self.noise_profile_integrals(),
+                scaled=self.model.q == 1,
             )
         return self._design
 

@@ -7,7 +7,8 @@ Failures raise: a silently inaccurate moment poisons every likelihood on it.
 The rule assumes an integrand smooth on each interval: a jump between the
 outermost node and an end of an interval is invisible to it, so callers
 split intervals at known jumps, and rates with unknown jumps inside an
-interval must come with exact integrals.
+interval must come with exact integrals.  ``tensor_rule`` is the fixed
+tensor-product rule of the Bayes cubature and the Gaussian risk bound.
 """
 
 from __future__ import annotations
@@ -108,3 +109,12 @@ def _adapt(fn, a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
         new_value, new_err = _kronrod(fn, lo[kept:], hi[kept:])
         value = np.concatenate((value[keep], new_value))
         err = np.concatenate((err[keep], new_err))
+
+
+def tensor_rule(nodes: np.ndarray, weights: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d-fold tensor product of a 1-d rule: points (m**d, d) and weights (m**d,)."""
+    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
+    wts = weights
+    for _ in range(d - 1):
+        wts = np.multiply.outer(wts, weights)
+    return np.stack([m.ravel() for m in mesh], axis=-1), wts.ravel()

@@ -390,12 +390,18 @@ def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is about half a second of import; only the callers that
-    # need it (Halton starts, KS and slope checks) load it.
+    # scipy.stats is about half a second of import and scipy.optimize about
+    # a fifth; only the callers that need them (Halton starts, KS and slope
+    # checks, the numeric MLE) load them.
     src = str(Path(signoise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, signoise; print('scipy.stats' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, signoise; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
+        ],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -19,7 +19,6 @@ from signoise import (
     Prior,
     ScaledNoise,
     Theta,
-    closed_form_block,
     closed_form_mle,
     constant_profile,
     log_likelihood,
@@ -156,12 +155,40 @@ def test_closed_form_block_rows_match_per_sample_fits(build, grid):
     model, space, theta = build()
     cache = MomentCache(model, grid)
     ys = simulate_batch(model, theta, grid, seed=17, replicates=20, cache=cache)
-    block = closed_form_block(model, cache, ys)
+    block = cache.linear_design().fit(ys.T)
     assert block.shape == (20, model.d)
     for r, y in enumerate(ys):
         sample = IncrementSample(y, 17, r, grid.digest())
         single = closed_form_mle(model, space, grid, sample, cache=cache).theta.vector
         np.testing.assert_allclose(block[r], single, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [trig_known_model, trig_scaled_model])
+@pytest.mark.parametrize(
+    "grid",
+    [uniform_grid(400, 0.25), periodic_pattern_grid((0.25, 1.0), 1.0, 200)],
+    ids=["uniform", "pattern"],
+)
+def test_closed_form_covariance_matches_normal_equations(build, grid):
+    # independent construction: (B'WB)^{-1} by a plain inverse, times the
+    # fitted scale, and 2 scale^2 / n for the scale entry
+    model, space, theta = build()
+    cache = MomentCache(model, grid)
+    sample = simulate_increments(model, theta, grid, seed=29, cache=cache)
+    fit = closed_form_mle(model, space, grid, sample, cache=cache)
+    b = cache.signal_basis_integrals()
+    g = cache.noise_profile_integrals()
+    want = np.linalg.inv(b.T @ (b / g[:, None]))
+    if model.q:
+        scale = fit.theta.beta[0]
+        assert scale != 1.0
+        want = np.block([
+            [scale * want, np.zeros((model.p, 1))],
+            [np.zeros((1, model.p)), np.array([[2.0 * scale * scale / grid.n]])],
+        ])
+    assert fit.covariance.shape == want.shape == (model.d, model.d)
+    np.testing.assert_allclose(fit.covariance, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(fit.stderr, np.sqrt(np.diag(want)), rtol=1e-12, atol=0.0)
 
 
 def test_numeric_matches_closed_form():
@@ -415,7 +442,7 @@ def test_gram_is_factored_once_per_cache(monkeypatch):
     for r, y in enumerate(ys):
         sample = IncrementSample(y, 21, r, grid.digest())
         closed_form_mle(model, space, grid, sample, cache=cache)
-        closed_form_block(model, cache, ys)
+        cache.linear_design().fit(ys.T)
         posterior_mean_quadrature(model, space, grid, sample, rel_tol=1e-4, cache=cache)
         posterior_mean_importance(model, space, grid, sample, draws=500, cache=cache)
     assert len(calls) == 1

@@ -196,6 +196,32 @@ def test_wrong_gradient_size_names_expected_size(block):
     with pytest.raises(EvaluationError, match=message):
         cache.moments(theta)
 
+    # closure route: exact integrals whose gradient has the wrong size on
+    # every interval, or only from interval 2 on
+    def integral(params, a, b):
+        return params[0] * (b - a)
+
+    def grad_everywhere(params, a, b):
+        return np.zeros(2)
+
+    def grad_from_interval_2(params, a, b):
+        return np.zeros(1 if a < 1.0 else 3)
+
+    cases = [
+        (grad_everywhere, r"size 2, expected 1: interval 0 on \[0\.0, 0\.5\]"),
+        (grad_from_interval_2, r"size 3, expected 1: interval 2 on \[1\.0, 1\.5\]"),
+    ]
+    for grad_integral, detail in cases:
+        if block == "drift":
+            family = GeneralSignal(1, lambda a, t: a[0], bad_grad, integral, grad_integral)
+            model = ModelSpec(family, KnownNoise(constant_profile(1.0)))
+        else:
+            family = GeneralNoise(1, lambda b, t: b[0], bad_grad, integral, grad_integral)
+            model = ModelSpec(LinearSignal((ConstantFn(),)), family)
+        cache = MomentCache(model, uniform_grid(4, 0.5))
+        with pytest.raises(EvaluationError, match=rf"{block} gradient has {detail}"):
+            cache.moments(theta)
+
 
 def test_noise_floor_violation_raised():
     def var_fn(beta, t):
