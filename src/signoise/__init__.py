@@ -24,7 +24,6 @@ from .errors import (
     SignoiseError,
     SingularDesignError,
     SingularInformationError,
-    ValidationFailure,
 )
 from .model import (
     ConstantFn,
@@ -40,9 +39,7 @@ from .model import (
     ScaledNoise,
     SineFn,
     Theta,
-    ValidationReport,
     constant_profile,
-    validate_assumptions,
 )
 from .sampling import (
     TimeGrid,
@@ -56,9 +53,9 @@ from .sampling import (
 )
 from .increments import (
     IncrementMoments,
+    LinearDesign,
     MomentCache,
     has_closed_form,
-    log_variance_terms,
 )
 from .simulate import (
     IncrementSample,

@@ -197,7 +197,7 @@ def build_model(cfg: dict) -> ModelSpec:
 
 
 def build_space(cfg: dict) -> ParameterSpace:
-    _check_keys(cfg, {"alpha", "beta", "interior_margin"}, {"alpha", "beta"}, "space")
+    _check_keys(cfg, {"alpha", "beta"}, {"alpha", "beta"}, "space")
 
     def box(key):
         v = cfg[key]
@@ -207,8 +207,7 @@ def build_space(cfg: dict) -> ParameterSpace:
             raise ConfigError(f"space.{key} must be a list of [lo, hi] pairs", key=key)
         return tuple((float(lo), float(hi)) for lo, hi in v)
 
-    margin = cfg.get("interior_margin")
-    return ParameterSpace(box("alpha"), box("beta"), None if margin is None else float(margin))
+    return ParameterSpace(box("alpha"), box("beta"))
 
 
 def build_theta(cfg: dict, p: int, q: int) -> Theta:

@@ -77,7 +77,3 @@ class OptimizationError(SignoiseError):
 
 class DegeneratePosteriorError(SignoiseError):
     """A posterior normalizer came out zero, negative, or non-finite."""
-
-
-class ValidationFailure(SignoiseError):
-    """A model/parameter-space pair failed its regularity screen."""

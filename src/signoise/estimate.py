@@ -30,8 +30,10 @@ from .errors import (
     ConfigError,
     DegeneratePosteriorError,
     DomainError,
+    EvaluationError,
     NoiseFloorViolation,
     OptimizationError,
+    QuadratureError,
     SingularInformationError,
 )
 from .increments import MomentCache, has_closed_form
@@ -112,8 +114,7 @@ class EstimateResult:
 
 
 def _halton_starts(space: ParameterSpace, count: int) -> np.ndarray:
-    lo = space.lower + space.interior_margin
-    hi = space.upper - space.interior_margin
+    lo, hi = space.interior_bounds
     from scipy.stats import qmc  # deferred: scipy.stats costs ~0.5 s at import
 
     sampler = qmc.Halton(d=space.d, scramble=False)
@@ -149,11 +150,13 @@ def mle_numeric(
     options: MleOptions = MleOptions(),
     cache: MomentCache | None = None,
 ) -> EstimateResult:
-    """Maximize the exact log-likelihood over the margin-shrunk box.
+    """Maximize the exact log-likelihood over the box's ``interior_bounds``.
 
     Runs L-BFGS-B with the analytic gradient from ``multistarts``
-    deterministic Halton points and returns the best finisher.  Raises
-    OptimizationError with per-start diagnostics if every start fails.
+    deterministic Halton points and returns the best finisher.  A start
+    whose evaluation fails (say, a variance at or below the floor) is
+    dropped with a ``start k: ...`` diagnostic.  Raises OptimizationError,
+    naming every start, if every start fails.
     """
     if model.p != space.p or model.q != space.q:
         raise DomainError("model and space dimensions do not match")
@@ -168,9 +171,7 @@ def mle_numeric(
 
     from scipy.optimize import minimize  # deferred: only this route optimizes
 
-    lo = space.lower + space.interior_margin
-    hi = space.upper - space.interior_margin
-    bounds = list(zip(lo, hi))
+    bounds = list(zip(*space.interior_bounds))
     starts = _halton_starts(space, options.multistarts)
 
     finished = []
@@ -189,15 +190,17 @@ def mle_numeric(
                     "gtol": options.grad_tol,
                 },
             )
-        except (FloatingPointError, ValueError) as exc:
-            diagnostics.append(f"start {k}: raised {exc!r}")
+        except (EvaluationError, QuadratureError, FloatingPointError, ValueError) as exc:
+            diagnostics.append(f"start {k}: {type(exc).__name__}: {exc}")
             continue
         if not np.isfinite(res.fun):
             diagnostics.append(f"start {k}: non-finite objective {res.fun!r}")
             continue
         finished.append(res)
     if not finished:
-        raise OptimizationError("no optimizer start finished", diagnostics)
+        raise OptimizationError(
+            "no optimizer start finished: " + "; ".join(diagnostics), diagnostics
+        )
 
     best = min(finished, key=lambda r: r.fun)
     spread = max(float(np.abs(r.x - best.x).max()) for r in finished)
@@ -486,8 +489,8 @@ def posterior_mean_quadrature(
     normalizer = totals[0]
     if not (np.isfinite(normalizer) and normalizer > 0.0):
         raise DegeneratePosteriorError(
-            f"posterior normalizer came out {normalizer!r}; the posterior carries no mass "
-            "resolvable at this tolerance"
+            f"posterior normalizer came out {float(normalizer)!r}; the posterior carries "
+            "no mass resolvable at this tolerance"
         )
     mean_vec = totals[1:] / normalizer
     if not np.all(np.isfinite(mean_vec)):

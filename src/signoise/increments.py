@@ -55,7 +55,6 @@ __all__ = [
     "LinearDesign",
     "MomentCache",
     "has_closed_form",
-    "log_variance_terms",
 ]
 
 
@@ -87,13 +86,6 @@ class IncrementMoments:
     @property
     def n(self) -> int:
         return self.mean.shape[0]
-
-
-def log_variance_terms(moments: IncrementMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Return (ln var_i, grad of ln var_i) with shapes (n,) and (n, q)."""
-    ln_var = np.log(moments.var)
-    grad_ln = moments.grad_var / moments.var[:, None]
-    return ln_var, grad_ln
 
 
 def has_closed_form(model: ModelSpec) -> bool:

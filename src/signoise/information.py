@@ -37,18 +37,24 @@ __all__ = [
 
 _PROBE_POINTS = 64
 _PERIODICITY_RTOL = 1e-8
+# an information block with an eigenvalue below this is treated as singular
+_EIG_FLOOR = 1e-12
 
 
-def _inv_sqrt_spd(matrix: np.ndarray, eig_floor: float, what: str) -> np.ndarray:
+def _check_eigenvalues(eigvals: np.ndarray, what: str) -> None:
+    if eigvals.min() < _EIG_FLOOR:
+        raise SingularInformationError(
+            f"{what} has eigenvalue {eigvals.min()!r} below the floor {_EIG_FLOOR!r}"
+        )
+
+
+def _inv_sqrt_spd(matrix: np.ndarray, what: str) -> np.ndarray:
     """Inverse symmetric square root of an SPD matrix via eigendecomposition."""
     if matrix.size == 0:
         return np.zeros_like(matrix)
     sym = 0.5 * (matrix + matrix.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals.min() < eig_floor:
-        raise SingularInformationError(
-            f"{what} has eigenvalue {eigvals.min()!r} below the floor {eig_floor!r}"
-        )
+    _check_eigenvalues(eigvals, what)
     return (eigvecs * eigvals**-0.5) @ eigvecs.T
 
 
@@ -67,7 +73,6 @@ class InformationBundle:
     total_time: float | None
     n: int | None
     source: str
-    eig_floor: float = 1e-12
 
     def __post_init__(self):
         jp = np.asarray(self.drift_info, dtype=float)
@@ -113,11 +118,7 @@ class InformationBundle:
         return out
 
     def _checked(self, block: np.ndarray, what: str) -> np.ndarray:
-        eigvals = np.linalg.eigvalsh(0.5 * (block + block.T))
-        if eigvals.min() < self.eig_floor:
-            raise SingularInformationError(
-                f"{what} has eigenvalue {eigvals.min()!r} below the floor {self.eig_floor!r}"
-            )
+        _check_eigenvalues(np.linalg.eigvalsh(0.5 * (block + block.T)), what)
         return block
 
     def _require_design(self) -> tuple[float, int]:
@@ -131,13 +132,13 @@ class InformationBundle:
     def drift_scaling(self) -> np.ndarray:
         """(T * drift_info)^(-1/2), the drift-block local scale."""
         total_time, _ = self._require_design()
-        return _inv_sqrt_spd(total_time * self.drift_info, self.eig_floor, "drift block")
+        return _inv_sqrt_spd(total_time * self.drift_info, "drift block")
 
     @cached_property
     def var_scaling(self) -> np.ndarray:
         """(n * var_info)^(-1/2), the variance-block local scale."""
         _, n = self._require_design()
-        return _inv_sqrt_spd(n * self.var_info, self.eig_floor, "variance block")
+        return _inv_sqrt_spd(n * self.var_info, "variance block")
 
     @cached_property
     def local_scaling(self) -> np.ndarray:
@@ -149,13 +150,11 @@ class InformationBundle:
 
     def with_design(self, grid: TimeGrid) -> "InformationBundle":
         return InformationBundle(
-            self.drift_info, self.var_info, grid.total_time, grid.n, self.source, self.eig_floor
+            self.drift_info, self.var_info, grid.total_time, grid.n, self.source
         )
 
 
-def empirical_fisher(
-    moments: IncrementMoments, grid: TimeGrid, eig_floor: float = 1e-12
-) -> InformationBundle:
+def empirical_fisher(moments: IncrementMoments, grid: TimeGrid) -> InformationBundle:
     """Finite-design information sums.
 
     Drift block:    (1/T) sum_i grad_mean_i grad_mean_i^T / var_i
@@ -167,7 +166,7 @@ def empirical_fisher(
     drift = (moments.grad_mean.T * inv_var) @ moments.grad_mean / grid.total_time
     grad_ln = moments.grad_var * inv_var[:, None]
     var = grad_ln.T @ grad_ln / (2.0 * grid.n)
-    return InformationBundle(drift, var, grid.total_time, grid.n, "empirical", eig_floor)
+    return InformationBundle(drift, var, grid.total_time, grid.n, "empirical")
 
 
 def separation_gaps(
@@ -200,7 +199,6 @@ def periodic_limit_fisher(
     regime: str = "vanishing_step",
     offsets=None,
     grid: TimeGrid | None = None,
-    eig_floor: float = 1e-12,
 ) -> InformationBundle:
     """Long-run information for periodic models in either limit regime.
 
@@ -232,7 +230,7 @@ def periodic_limit_fisher(
 
         drift = _period_mean(drift_kernel, period).reshape(p, p) if p else np.zeros((0, 0))
         var = 0.5 * _period_mean(var_kernel, period).reshape(q, q) if q else np.zeros((0, 0))
-        bundle = InformationBundle(drift, var, None, None, "limit:vanishing_step", eig_floor)
+        bundle = InformationBundle(drift, var, None, None, "limit:vanishing_step")
     elif regime == "pattern":
         if offsets is None:
             raise DomainError("the pattern regime requires the within-period offsets")
@@ -240,9 +238,7 @@ def periodic_limit_fisher(
         # empirical sums are the pattern limit
         cycle = periodic_pattern_grid(offsets, period, 1)
         sums = empirical_fisher(MomentCache(model, cycle).moments(theta), cycle)
-        bundle = InformationBundle(
-            sums.drift_info, sums.var_info, None, None, "limit:pattern", eig_floor
-        )
+        bundle = InformationBundle(sums.drift_info, sums.var_info, None, None, "limit:pattern")
     else:
         raise DomainError(f"unknown regime {regime!r}")
 
@@ -308,7 +304,6 @@ def bundle_to_json(bundle: InformationBundle) -> str:
         "total_time": bundle.total_time,
         "n": bundle.n,
         "source": bundle.source,
-        "eig_floor": bundle.eig_floor,
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -327,5 +322,4 @@ def bundle_from_json(text: str) -> InformationBundle:
         payload["total_time"],
         payload["n"],
         payload["source"],
-        float(payload.get("eig_floor", 1e-12)),
     )

@@ -1,4 +1,4 @@
-"""Drift and noise parameter families, parameter boxes, and regularity checks.
+"""Drift and noise parameter families and parameter boxes.
 
 The observation model is built from two time-varying ingredients: a drift
 rate f(alpha, t) and a noise variance rate sigma2(beta, t).  Families bundle
@@ -22,16 +22,11 @@ general families; those fall back to quadrature for interval moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EvaluationError,
-    NoiseFloorViolation,
-    ValidationFailure,
-)
+from .errors import DomainError, EvaluationError, NoiseFloorViolation
 
 __all__ = [
     "ConstantFn",
@@ -48,18 +43,9 @@ __all__ = [
     "ModelSpec",
     "ParameterSpace",
     "Theta",
-    "ValidationReport",
-    "validate_assumptions",
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# the finite lattice of ``validate_assumptions``
-_POINTS_PER_AXIS = 32
-_TIME_POINTS = 32
-_TIME_MAX = 10.0
-_SIGMA2_CEILING = 1e6
-_GRADIENT_CEILING = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -450,25 +436,18 @@ class Theta:
         v = np.asarray(vector, dtype=float).reshape(-1)
         return cls(v[:p], v[p:])
 
-    def close_to(self, other: "Theta", atol: float = 0.0, rtol: float = 1e-12) -> bool:
-        return bool(
-            np.allclose(self.alpha, other.alpha, atol=atol, rtol=rtol)
-            and np.allclose(self.beta, other.beta, atol=atol, rtol=rtol)
-        )
-
 
 @dataclass(frozen=True)
 class ParameterSpace:
     """Axis-aligned open box of admissible (alpha, beta) values.
 
-    Each axis is an open interval (lo, hi).  ``interior_margin`` is the
-    clearance used when optimizers need closed bounds strictly inside the
-    box; it defaults to 1e-9 times the narrowest axis width.
+    Each axis is an open interval (lo, hi).  ``interior_bounds`` gives the
+    closed bounds that optimizers and start designs use: the box shrunk on
+    every side by 1e-9 times the narrowest axis width.
     """
 
     alpha_box: tuple[tuple[float, float], ...]
     beta_box: tuple[tuple[float, float], ...]
-    interior_margin: float | None = None
 
     def __post_init__(self):
         abox = tuple((float(lo), float(hi)) for lo, hi in self.alpha_box)
@@ -480,14 +459,6 @@ class ParameterSpace:
         for lo, hi in abox + bbox:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise DomainError(f"invalid axis ({lo!r}, {hi!r})")
-        min_width = min(hi - lo for lo, hi in abox + bbox)
-        if self.interior_margin is None:
-            object.__setattr__(self, "interior_margin", 1e-9 * min_width)
-        margin = self.interior_margin
-        if not (0.0 < margin < 0.5 * min_width):
-            raise DomainError(
-                f"interior_margin {margin!r} must lie in (0, half the narrowest width)"
-            )
 
     @property
     def p(self) -> int:
@@ -518,98 +489,15 @@ class ParameterSpace:
         mid = 0.5 * (self.lower + self.upper)
         return Theta.from_vector(mid, self.p)
 
-    def contains(self, theta: Theta, margin: float = 0.0) -> bool:
-        """Whether theta lies in the open box shrunk by ``margin`` per side."""
+    @property
+    def interior_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed bounds strictly inside the box, 1e-9 × the narrowest width in."""
+        margin = 1e-9 * min(hi - lo for lo, hi in self.alpha_box + self.beta_box)
+        return self.lower + margin, self.upper - margin
+
+    def contains(self, theta: Theta) -> bool:
+        """Whether theta lies in the open box."""
         v = theta.vector
         if v.size != self.d:
             raise DomainError(f"dimension mismatch: {v.size} vs {self.d}")
-        return bool(np.all(v > self.lower + margin) and np.all(v < self.upper - margin))
-
-
-# ---------------------------------------------------------------------------
-# regularity screen
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    sigma2_min: float
-    sigma2_max: float
-    grad_signal_max: float
-    grad_noise_max: float
-    failures: tuple[str, ...]
-
-    def raise_if_failed(self) -> None:
-        if not self.passed:
-            raise ValidationFailure("; ".join(self.failures))
-
-
-def validate_assumptions(
-    model: ModelSpec,
-    space: ParameterSpace,
-    times: np.ndarray | None = None,
-) -> ValidationReport:
-    """Screen a model/box pair on a finite lattice of parameters and times.
-
-    Checks that the variance rate stays inside (floor, ceiling), that drift
-    and variance gradients stay bounded, and that every probed evaluation is
-    finite.  A pass is evidence, not proof: the lattice is finite, and
-    callers with models varying faster than the lattice resolves should
-    supply denser ``times``.
-    """
-    if model.p != space.p or model.q != space.q:
-        raise DomainError(
-            f"model dims (p={model.p}, q={model.q}) do not match the box "
-            f"(p={space.p}, q={space.q})"
-        )
-    if times is None:
-        times = np.linspace(0.0, _TIME_MAX, _TIME_POINTS)
-    times = np.asarray(times, dtype=float)
-
-    # probe the closed box: the regularity bounds concern the closure, and
-    # every evaluator accepts boundary parameters
-    lattice = [
-        np.linspace(lo, hi, _POINTS_PER_AXIS) for lo, hi in space.alpha_box + space.beta_box
-    ]
-    center = space.center
-    probes = [Theta(center.alpha, b) for b in _axis_sweep(lattice[space.p :], center.beta)]
-    probes += [Theta(a, center.beta) for a in _axis_sweep(lattice[: space.p], center.alpha)]
-
-    failures: list[str] = []
-    s2_min, s2_max = np.inf, -np.inf
-    gs_max, gn_max = 0.0, 0.0
-    try:
-        for th in probes:
-            drift, noise = model.rates(th, times)
-            s2_min = min(s2_min, float(noise[:, 0].min(initial=np.inf)))
-            s2_max = max(s2_max, float(noise[:, 0].max(initial=-np.inf)))
-            gs_max = max(gs_max, float(np.abs(drift[:, 1:]).max(initial=0.0)))
-            gn_max = max(gn_max, float(np.abs(noise[:, 1:]).max(initial=0.0)))
-    except EvaluationError as exc:
-        failures.append(f"evaluation failed on the lattice: {exc}")
-        return ValidationReport(False, s2_min, s2_max, gs_max, gn_max, tuple(failures))
-
-    if s2_max > _SIGMA2_CEILING:
-        failures.append(
-            f"variance rate max {s2_max!r} exceeds the ceiling {_SIGMA2_CEILING!r}"
-        )
-    if gs_max > _GRADIENT_CEILING:
-        failures.append(f"drift gradient max {gs_max!r} exceeds the ceiling")
-    if gn_max > _GRADIENT_CEILING:
-        failures.append(f"variance gradient max {gn_max!r} exceeds the ceiling")
-
-    return ValidationReport(not failures, s2_min, s2_max, gs_max, gn_max, tuple(failures))
-
-
-def _axis_sweep(axes: list[np.ndarray], center: np.ndarray) -> list[np.ndarray]:
-    """Probe points varying one axis at a time around a central point."""
-    if not axes:
-        return [np.asarray(center, dtype=float)]
-    probes = [np.asarray(center, dtype=float)]
-    for j, axis in enumerate(axes):
-        for x in axis:
-            v = np.array(center, dtype=float)
-            v[j] = x
-            probes.append(v)
-    return probes
+        return bool(np.all(v > self.lower) and np.all(v < self.upper))

@@ -36,6 +36,7 @@ __all__ = [
     "derive_seed",
     "simulate_increments",
     "simulate_batch",
+    "moments_for",
     "save_sample",
     "load_sample",
 ]

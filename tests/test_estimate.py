@@ -8,13 +8,17 @@ import signoise.increments
 from signoise import (
     ConstantFn,
     CosineFn,
+    DegeneratePosteriorError,
     DomainError,
+    EstimateResult,
+    GeneralNoise,
     IncrementSample,
     KnownNoise,
     LinearSignal,
     MleOptions,
     ModelSpec,
     MomentCache,
+    OptimizationError,
     ParameterSpace,
     Prior,
     ScaledNoise,
@@ -212,9 +216,68 @@ def test_boundary_pull_keeps_estimate_interior():
     y = m.mean + 1e-4 * rng.standard_normal(grid.n)
     sample = IncrementSample(y, 0, 0, grid.digest())
     fit = mle_numeric(model, space, grid, sample, cache=cache)
-    lo = space.lower[2] + space.interior_margin
+    lo = space.interior_bounds[0][2]
     assert fit.theta.beta[0] >= lo - 1e-15
     assert space.contains(fit.theta)
+
+
+def _rate_noise_problem(beta_box):
+    """Variance rate beta, with exact integrals, on a box whose beta axis may go negative."""
+    noise = GeneralNoise(
+        q=1,
+        value_fn=lambda b, t: b[0],
+        grad_fn=lambda b, t: np.array([1.0]),
+        integral_fn=lambda b, lo, hi: b[0] * (hi - lo),
+        grad_integral_fn=lambda b, lo, hi: np.array([hi - lo]),
+    )
+    model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
+    grid = uniform_grid(200, 0.5)
+    sample = simulate_increments(model, Theta((1.0,), (1.0,)), grid, seed=7)
+    return model, ParameterSpace(((0.0, 2.0),), (beta_box,)), grid, sample
+
+
+def test_numeric_mle_drops_starts_below_the_noise_floor():
+    # starts with beta <= 0 give negative increment variances; the others
+    # still reach the closed-form mean and variance MLE
+    model, space, grid, sample = _rate_noise_problem((-1.0, 3.0))
+    fit = mle_numeric(model, space, grid, sample)
+    scaled = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)))
+    exact = closed_form_mle(scaled, space, grid, sample)
+    assert np.allclose(fit.theta.vector, exact.theta.vector, rtol=1e-6, atol=0.0)
+
+
+def test_numeric_mle_names_every_failed_start():
+    model, space, grid, sample = _rate_noise_problem((-3.0, -1.0))
+    with pytest.raises(OptimizationError) as info:
+        mle_numeric(model, space, grid, sample)
+    diagnostics = info.value.diagnostics
+    assert len(diagnostics) == MleOptions().multistarts == 8
+    for k, line in enumerate(diagnostics):
+        assert line.startswith(f"start {k}: NoiseFloorViolation: increment variance -")
+    assert "start 7: NoiseFloorViolation" in str(info.value)
+
+
+def test_importance_sampling_with_no_draw_in_the_box_is_degenerate():
+    model, space, _ = mean_model()
+    grid = uniform_grid(10, 1.0)
+    sample = simulate_increments(model, Theta((1.0,), ()), grid, seed=1)
+    anchor = EstimateResult(
+        Theta((50.0,), ()), 0.0, True, 0, "mle", stderr=np.array([1e-3])
+    )
+    with pytest.raises(DegeneratePosteriorError, match="every proposal draw fell outside"):
+        posterior_mean_importance(model, space, grid, sample, anchor=anchor)
+
+
+def test_cubature_with_underflowing_normalizer_is_degenerate():
+    model, space, theta = mean_model()
+    grid = uniform_grid(10, 1.0)
+    sample = simulate_increments(model, theta, grid, seed=1)
+    fit = closed_form_mle(model, space, grid, sample)
+    # an anchor log-likelihood far above every attainable value scales all
+    # cubature weights to exp(-1e6) = 0
+    anchor = EstimateResult(fit.theta, 1e6, True, 0, "closed-form", stderr=fit.stderr)
+    with pytest.raises(DegeneratePosteriorError, match=r"normalizer came out 0\.0;"):
+        posterior_mean_quadrature(model, space, grid, sample, anchor=anchor)
 
 
 def test_posterior_mean_matches_truncated_normal():

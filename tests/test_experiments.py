@@ -323,6 +323,9 @@ def test_study_schema_defaults_and_number_coercion():
 def test_unknown_config_key_is_named():
     with pytest.raises(ConfigError, match="bogus"):
         study_from_dict(_study(bogus=1))
+    # a space takes only its two boxes
+    with pytest.raises(ConfigError, match="unknown key in space.*'margin'"):
+        study_from_dict(_study(space={**MEAN_SPACE, "margin": 0.01}))
 
 
 def test_config_guards():
