@@ -68,7 +68,7 @@ class SingularDesignError(SignoiseError):
 
 
 class OptimizationError(SignoiseError):
-    """Every optimizer start failed; details carry per-start diagnostics."""
+    """Every start of the numeric MLE failed; details carry per-start diagnostics."""
 
     def __init__(self, message: str, diagnostics: list[str] | None = None):
         self.diagnostics = list(diagnostics or [])

@@ -1,8 +1,8 @@
 """Point estimation: box-constrained MLE, exact closed forms, Bayes means.
 
-The numeric MLE runs a quasi-Newton ascent with the analytic score from a
-deterministic low-discrepancy set of interior starts, so repeated calls
-with the same inputs return bit-identical results.  For drifts linear in
+The numeric MLE screens deterministic Halton starts and takes projected
+Fisher-scoring steps from the best one, so repeated calls with the same
+inputs return bit-identical results.  For drifts linear in
 their parameters, with known variances or one unknown variance scale, the
 MLE is exact and ``increments.LinearDesign`` is its one owner: it gives
 ``closed_form_mle``'s fit and covariance, the block fits of Monte-Carlo
@@ -21,6 +21,7 @@ routes share no quadrature machinery on purpose.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
     QuadratureError,
     SingularInformationError,
 )
-from .increments import MomentCache, has_closed_form
+from .increments import IncrementMoments, MomentCache, has_closed_form
 from .information import empirical_fisher
 from .likelihood import log_likelihood, score
 from .quadrature import tensor_rule
@@ -69,20 +70,17 @@ _PROPOSAL_SCALE = 1.5
 
 @dataclass(frozen=True)
 class MleOptions:
-    """Tuning for the numeric MLE; defaults suit every built-in family."""
+    """Tuning for the numeric MLE; the default suits every built-in family."""
 
     multistarts: int = 8
-    grad_tol: float = 1e-8
-    max_iter: int = 500
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     """A point estimate with optimization provenance.
 
-    ``multistart_spread`` is the largest sup-norm distance between the
-    winning optimizer endpoint and any other finished endpoint; a large
-    spread flags a multimodal or flat likelihood surface.
+    ``iterations`` counts the accepted Fisher-scoring steps of the numeric
+    MLE, and is 0 for the closed form.
     """
 
     theta: Theta
@@ -90,7 +88,6 @@ class EstimateResult:
     converged: bool
     iterations: int
     method: str
-    multistart_spread: float = 0.0
     stderr: np.ndarray | None = None
     covariance: np.ndarray | None = None
 
@@ -102,7 +99,6 @@ class EstimateResult:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "method": self.method,
-            "multistart_spread": float(self.multistart_spread),
         }
         if self.stderr is not None:
             out["stderr"] = [float(v) for v in self.stderr]
@@ -113,33 +109,28 @@ class EstimateResult:
         return out
 
 
+_POINT_ERRORS = (EvaluationError, QuadratureError, FloatingPointError, ValueError)
+_SCORING_STEPS = 50
+_STEP_TOL = 1e-12
+_GAIN_TOL = 1e-14  # a predicted gain below this times |log-likelihood| is rounding
+
+
 def _halton_starts(space: ParameterSpace, count: int) -> np.ndarray:
+    """Unscrambled Halton points 1..count (point 0 is the corner) mapped onto the box.
+
+    Per axis, the radical inverse of the index in the next prime base, summed
+    digit by digit as scipy's Halton sampler sums it, so the two are bit-equal.
+    """
     lo, hi = space.interior_bounds
-    from scipy.stats import qmc  # deferred: scipy.stats costs ~0.5 s at import
-
-    sampler = qmc.Halton(d=space.d, scramble=False)
-    sampler.fast_forward(1)  # skip the all-zero corner point
-    u = sampler.random(count)
+    primes = (k for k in itertools.count(2) if all(k % j for j in range(2, math.isqrt(k) + 1)))
+    u = np.zeros((count, space.d))
+    for axis, base in zip(range(space.d), primes):
+        index, weight = np.arange(1, count + 1), 1.0 / base
+        while index.any():
+            u[:, axis] += (index % base) * weight
+            weight /= base
+            index //= base
     return lo + u * (hi - lo)
-
-
-def _stderr_from_information(
-    cache: MomentCache, grid: TimeGrid, theta: Theta
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(stderr, covariance) from the inverse design information, or Nones."""
-    try:
-        bundle = empirical_fisher(cache.moments(theta), grid)
-        inv = bundle.joint_inverse
-    except (SingularInformationError, np.linalg.LinAlgError):
-        return None, None
-    denom = np.concatenate(
-        [np.full(bundle.p, grid.total_time), np.full(bundle.q, float(grid.n))]
-    )
-    cov = inv / np.sqrt(np.outer(denom, denom))
-    diag = np.diag(cov)
-    if np.any(diag < 0.0):
-        return None, None
-    return np.sqrt(diag), cov
 
 
 def mle_numeric(
@@ -152,11 +143,16 @@ def mle_numeric(
 ) -> EstimateResult:
     """Maximize the exact log-likelihood over the box's ``interior_bounds``.
 
-    Runs L-BFGS-B with the analytic gradient from ``multistarts``
-    deterministic Halton points and returns the best finisher.  A start
-    whose evaluation fails (say, a variance at or below the floor) is
-    dropped with a ``start k: ...`` diagnostic.  Raises OptimizationError,
-    naming every start, if every start fails.
+    Screens ``multistarts`` Halton points, dropping a start whose evaluation
+    fails with a ``start k: ...`` diagnostic (OptimizationError names them
+    all if every start fails).  From the best start, Fisher scoring with the
+    expected information, ``empirical_fisher``'s sums without 1/T and 1/2n:
+    a coordinate on a face whose score points outward is held, and a step is
+    clipped to the bounds and halved until the log-likelihood does not
+    fall.  Converged: a full step moves every coordinate by at most
+    1e-12 (1 + |x|), or no halving ascends a step whose predicted gain the
+    log-likelihood cannot resolve.  Unconverged: a singular information,
+    a resolvable step no halving ascends, or 50 steps.
     """
     if model.p != space.p or model.q != space.q:
         raise DomainError("model and space dimensions do not match")
@@ -164,57 +160,74 @@ def mle_numeric(
         cache = MomentCache(model, grid)
     y = sample.y
 
-    def negative(x):
-        th = Theta.from_vector(x, model.p)
-        m = cache.moments(th)
-        return -log_likelihood(m, y), -score(m, y)
+    def evaluate(x: np.ndarray) -> tuple[float, IncrementMoments, np.ndarray]:
+        m = cache.moments(Theta.from_vector(x, model.p))
+        return log_likelihood(m, y), m, x
 
-    from scipy.optimize import minimize  # deferred: only this route optimizes
-
-    bounds = list(zip(*space.interior_bounds))
-    starts = _halton_starts(space, options.multistarts)
-
-    finished = []
+    best = None
     diagnostics = []
-    for k, x0 in enumerate(starts):
+    for k, x0 in enumerate(_halton_starts(space, options.multistarts)):
         try:
-            res = minimize(
-                negative,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={
-                    "maxiter": options.max_iter,
-                    "ftol": 1e-13,
-                    "gtol": options.grad_tol,
-                },
-            )
-        except (EvaluationError, QuadratureError, FloatingPointError, ValueError) as exc:
+            point = evaluate(x0)
+        except _POINT_ERRORS as exc:
             diagnostics.append(f"start {k}: {type(exc).__name__}: {exc}")
             continue
-        if not np.isfinite(res.fun):
-            diagnostics.append(f"start {k}: non-finite objective {res.fun!r}")
-            continue
-        finished.append(res)
-    if not finished:
-        raise OptimizationError(
-            "no optimizer start finished: " + "; ".join(diagnostics), diagnostics
-        )
+        if not np.isfinite(point[0]):
+            diagnostics.append(f"start {k}: non-finite log-likelihood {point[0]!r}")
+        elif best is None or point[0] > best[0]:
+            best = point
+    if best is None:
+        raise OptimizationError("every start failed: " + "; ".join(diagnostics), diagnostics)
 
-    best = min(finished, key=lambda r: r.fun)
-    spread = max(float(np.abs(r.x - best.x).max()) for r in finished)
-    theta_hat = Theta.from_vector(best.x, model.p)
-    stderr, covariance = _stderr_from_information(cache, grid, theta_hat)
+    ll, m, x = best
+    lo, hi = space.interior_bounds
+    sizes = np.concatenate([np.full(model.p, grid.total_time), np.full(model.q, float(grid.n))])
+    scale = np.sqrt(np.outer(sizes, sizes))  # unscales empirical_fisher's blocks
+    steps, converged = 0, False
+    for _ in range(_SCORING_STEPS):
+        bundle = empirical_fisher(m, grid)
+        g = score(m, y)
+        free = ~(((x <= lo) & (g < 0.0)) | ((x >= hi) & (g > 0.0)))
+        step = np.zeros_like(x)
+        try:
+            step[free] = np.linalg.solve((bundle.joint * scale)[np.ix_(free, free)], g[free])
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        tol = _STEP_TOL * (1.0 + np.abs(x))
+        gain = 0.5 * float(g @ step)  # the quadratic model's rise over the full step
+        for halving in itertools.count():
+            trial = np.clip(x + 0.5**halving * step, lo, hi)
+            if np.all(np.abs(trial - x) <= tol):
+                converged = halving == 0 or gain <= _GAIN_TOL * (1.0 + abs(ll))
+                break
+            try:
+                point = evaluate(trial)
+            except _POINT_ERRORS:
+                continue
+            if point[0] >= ll:
+                break
+        if np.all(np.abs(trial - x) <= tol):
+            break
+        ll, m, x = point
+        steps += 1
+    else:
+        bundle = empirical_fisher(m, grid)
+
+    try:
+        covariance = bundle.joint_inverse / scale
+        stderr = np.sqrt(np.diag(covariance)) if np.all(np.diag(covariance) >= 0.0) else None
+    except (SingularInformationError, np.linalg.LinAlgError):
+        stderr = None
     return EstimateResult(
-        theta=theta_hat,
-        log_lik=float(-best.fun),
-        converged=bool(best.success),
-        iterations=int(best.nit),
+        theta=Theta.from_vector(x, model.p),
+        log_lik=float(ll),
+        converged=bool(converged),
+        iterations=steps,
         method="mle",
-        multistart_spread=spread,
         stderr=stderr,
-        covariance=covariance,
+        covariance=covariance if stderr is not None else None,
     )
 
 
@@ -385,12 +398,8 @@ def _tensor_points(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarr
 
 def _cell_integrals(eval_components, lo, hi) -> tuple[np.ndarray, np.ndarray, float]:
     """Low- and high-order integrals of all components over one cell."""
-    vals = []
-    for order in (5, 9):
-        pts, wts = _tensor_points(lo, hi, order)
-        comp = eval_components(pts)  # (N, m)
-        vals.append(wts @ comp)
-    low, high = vals
+    (x5, w5), (x9, w9) = _tensor_points(lo, hi, 5), _tensor_points(lo, hi, 9)
+    low, high = w5 @ eval_components(x5), w9 @ eval_components(x9)  # (m,) each
     return low, high, float(np.abs(high - low).max())
 
 
@@ -437,11 +446,9 @@ def posterior_mean_quadrature(
     # initial partition: isolate the anchor neighborhood on every axis
     stderr = est.stderr if est.stderr is not None else 0.05 * space.widths
     breakpoints = []
-    for k in range(d):
-        lo_k = space.lower[k]
-        hi_k = space.upper[k]
+    for lo_k, hi_k, a_k, se_k in zip(space.lower, space.upper, anchor_vec, stderr):
         cuts = {lo_k, hi_k}
-        for c in (anchor_vec[k] - 6.0 * stderr[k], anchor_vec[k] + 6.0 * stderr[k]):
+        for c in (a_k - 6.0 * se_k, a_k + 6.0 * se_k):
             if lo_k + 1e-3 * (hi_k - lo_k) < c < hi_k - 1e-3 * (hi_k - lo_k):
                 cuts.add(float(c))
         breakpoints.append(sorted(cuts))
@@ -459,15 +466,8 @@ def posterior_mean_quadrature(
         heapq.heappush(heap, (-err, seq, lo, hi, high, err))
         seq += 1
 
-    def cells_of(axis_cuts):
-        shapes = [len(c) - 1 for c in axis_cuts]
-        for idx in np.ndindex(*shapes):
-            lo = np.array([axis_cuts[k][idx[k]] for k in range(d)])
-            hi = np.array([axis_cuts[k][idx[k] + 1] for k in range(d)])
-            yield lo, hi
-
-    for lo, hi in cells_of(breakpoints):
-        push_cell(lo, hi)
+    for cell in itertools.product(*(zip(cuts[:-1], cuts[1:]) for cuts in breakpoints)):
+        push_cell(*np.array(cell, dtype=float).T)  # cell is ((lo, hi) per axis)
 
     cells = len(heap)
     while cells < _BAYES_MAX_CELLS:
@@ -479,11 +479,10 @@ def posterior_mean_quadrature(
         total_err -= err
         axis = int(np.argmax((hi - lo) / space.widths))
         mid = 0.5 * (lo[axis] + hi[axis])
-        for child_lo, child_hi in (
-            (lo, np.where(np.arange(d) == axis, mid, hi)),
-            (np.where(np.arange(d) == axis, mid, lo), hi),
-        ):
-            push_cell(np.asarray(child_lo, dtype=float), np.asarray(child_hi, dtype=float))
+        child_hi, child_lo = hi.copy(), lo.copy()
+        child_hi[axis] = child_lo[axis] = mid
+        push_cell(lo, child_hi)
+        push_cell(child_lo, hi)
         cells += 1
 
     normalizer = totals[0]

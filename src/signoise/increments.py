@@ -302,10 +302,11 @@ class MomentCache:
             )
         mean, grad_mean = self._signal_moments(theta.alpha)
         var, grad_var = self._noise_moments(theta.beta)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(grad_mean))):
-            raise EvaluationError("non-finite drift moment")
-        if not (np.all(np.isfinite(var)) and np.all(np.isfinite(grad_var))):
-            raise EvaluationError("non-finite variance moment")
+        for label, value, grad in (("drift", mean, grad_mean), ("variance", var, grad_var)):
+            if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+                i = int(np.argmin(np.isfinite(value) & np.all(np.isfinite(grad), axis=1)))
+                a, b = float(self.grid.starts[i]), float(self.grid.ends[i])
+                raise EvaluationError(f"non-finite {label} moment: interval {i} on [{a!r}, {b!r}]")
         floor = self.model.sigma2_floor * self.grid.delays
         if np.any(var <= floor):
             i = int(np.argmax(var <= floor))

@@ -389,19 +389,36 @@ def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
         assert "--seed" in capsys.readouterr().err
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is about half a second of import and scipy.optimize about
-    # a fifth; only the callers that need them (Halton starts, KS and slope
-    # checks, the numeric MLE) load them.
+def _scipy_stats_and_optimize_loaded(code):
+    """Run code in a fresh interpreter; whether scipy.stats and scipy.optimize got loaded."""
     src = str(Path(signoise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, signoise; "
+            f"import sys; {code}; "
             "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
         ],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        timeout=120,
     )
-    assert out.stdout.strip() == "False False"
+    return out.stdout.strip()
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is about half a second of import and scipy.optimize about
+    # a fifth; only the study checks that need them (KS and slope fits)
+    # load scipy.stats, and nothing in the package loads scipy.optimize.
+    assert _scipy_stats_and_optimize_loaded("import signoise") == "False False"
+
+
+def test_numeric_mle_leaves_scipy_stats_and_optimize_unloaded():
+    code = (
+        "import signoise as sn; from helpers import trig_scaled_model; "
+        "model, space, theta = trig_scaled_model(); grid = sn.uniform_grid(50, 0.25); "
+        "sample = sn.simulate_increments(model, theta, grid, seed=3); "
+        "assert sn.mle_numeric(model, space, grid, sample).converged"
+    )
+    assert _scipy_stats_and_optimize_loaded(code) == "False False"

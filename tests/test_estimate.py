@@ -30,14 +30,15 @@ from signoise import (
     periodic_pattern_grid,
     posterior_mean_importance,
     posterior_mean_quadrature,
+    score,
     simulate_batch,
     simulate_increments,
     uniform_grid,
 )
 
-from signoise.estimate import _make_batch_loglik, _tensor_points
+from signoise.estimate import _halton_starts, _make_batch_loglik, _tensor_points
 
-from helpers import mean_model, trig_known_model, trig_scaled_model
+from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
 
 
 def _scaled_fits(model, grid, draws):
@@ -219,6 +220,60 @@ def test_boundary_pull_keeps_estimate_interior():
     lo = space.interior_bounds[0][2]
     assert fit.theta.beta[0] >= lo - 1e-15
     assert space.contains(fit.theta)
+
+    # scoring holds the scale on the face, where its score points out of the
+    # box; the free drift scores vanish to rounding against their own scale
+    assert fit.converged and fit.theta.beta[0] == lo
+    at_fit = cache.moments(fit.theta)
+    g = score(at_fit, y)
+    assert g[2] < 0.0
+    info = np.sum(at_fit.grad_mean**2 / at_fit.var[:, None], axis=0)
+    assert np.all(np.abs(g[:2]) <= 1e-9 * np.sqrt(info))
+
+
+def test_scoring_matches_a_quasi_newton_ascent_from_the_best_start():
+    # oracle: L-BFGS-B from the same screened start, as the numeric MLE ran
+    # before it took Fisher-scoring steps
+    from scipy.optimize import minimize
+
+    model, space, theta = curved_model()
+    grid = uniform_grid(400, 0.25)
+    cache = MomentCache(model, grid)
+
+    def loglik(x):
+        return log_likelihood(cache.moments(Theta.from_vector(x, model.p)), sample.y)
+
+    def negative(x):
+        m = cache.moments(Theta.from_vector(x, model.p))
+        return -log_likelihood(m, sample.y), -score(m, sample.y)
+
+    # replicate 31 ends on a step no halving ascends, whose predicted gain is
+    # below the log-likelihood's rounding: that stall is the optimum
+    for r in (0, 1, 2, 31):
+        sample = simulate_increments(model, theta, grid, seed=61, replicate=r, cache=cache)
+        fit = mle_numeric(model, space, grid, sample, cache=cache)
+        start = max(_halton_starts(space, MleOptions().multistarts), key=loglik)
+        ref = minimize(
+            negative, start, jac=True, method="L-BFGS-B", bounds=list(zip(*space.interior_bounds)),
+            options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-8},
+        )
+        assert fit.converged
+        assert fit.log_lik >= -ref.fun - 1e-9 * abs(ref.fun)
+        np.testing.assert_allclose(fit.theta.vector, ref.x, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [2, 8, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_halton_starts_match_scipy_qmc(d, count):
+    from scipy.stats import qmc
+
+    space = ParameterSpace(tuple((-1.0 - k, 2.0 + k) for k in range(d)), ())
+    sampler = qmc.Halton(d=d, scramble=False)
+    sampler.fast_forward(1)
+    lo, hi = space.interior_bounds
+    np.testing.assert_array_equal(
+        _halton_starts(space, count), lo + sampler.random(count) * (hi - lo)
+    )
 
 
 def _rate_noise_problem(beta_box):

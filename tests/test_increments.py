@@ -222,6 +222,32 @@ def test_wrong_gradient_size_names_expected_size(block):
             cache.moments(theta)
 
 
+@pytest.mark.parametrize("block", ["drift", "variance"])
+def test_non_finite_moment_names_the_first_bad_interval(block):
+    # exact integrals that turn NaN from t = 1 on: intervals 0 and 1 are
+    # finite, interval 2 on [1.0, 1.5] is the first bad one
+    def integral(params, a, b):
+        return params[0] * (b - a) if a < 1.0 else float("nan")
+
+    def grad_integral(params, a, b):
+        return np.array([b - a])
+
+    if block == "drift":
+        family = GeneralSignal(1, lambda a, t: a[0], lambda a, t: np.ones(1),
+                               integral, grad_integral)
+        model = ModelSpec(family, KnownNoise(constant_profile(1.0)))
+        theta = Theta((1.0,), ())
+    else:
+        family = GeneralNoise(1, lambda b, t: b[0], lambda b, t: np.ones(1),
+                              integral, grad_integral)
+        model = ModelSpec(LinearSignal((ConstantFn(),)), family)
+        theta = Theta((0.0,), (1.0,))
+    cache = MomentCache(model, uniform_grid(10, 0.5))
+    message = rf"non-finite {block} moment: interval 2 on \[1\.0, 1\.5\]"
+    with pytest.raises(EvaluationError, match=message):
+        cache.moments(theta)
+
+
 def test_noise_floor_violation_raised():
     def var_fn(beta, t):
         return 0.0
