@@ -90,7 +90,6 @@ from .estimate import (
     ESTIMATORS,
     BayesResult,
     EstimateResult,
-    MleOptions,
     Prior,
     closed_form_mle,
     mle_numeric,

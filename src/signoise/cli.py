@@ -26,7 +26,7 @@ from . import config as _config
 from .errors import ConfigError, NoiseFloorViolation, SignoiseError
 from .estimate import resolve_estimator
 from .experiments import run_study, save_report, study_from_dict
-from .information import bundle_to_json, empirical_fisher, periodic_limit_fisher
+from .information import bundle_to_json, empirical_fisher
 from .increments import MomentCache
 from .sampling import save_grid_csv
 from .simulate import load_sample, save_sample, simulate_increments
@@ -69,8 +69,9 @@ def _cmd_simulate(args) -> int:
     model = _config.build_model(cfg["model"])
     theta = _config.build_theta(cfg["theta"], model.p, model.q)
     grid = _config.build_grid(cfg["grid"])
-    seed = int(cfg["seed"]) if args.seed is None else args.seed
-    replicate = int(cfg.get("replicate", 0))
+    seeds = cfg if args.seed is None else {"seed": args.seed}
+    seed = _config._seed(seeds, "seed", "simulate config")
+    replicate = _config._seed({"replicate": 0, **cfg}, "replicate", "simulate config")
     try:
         sample = simulate_increments(model, theta, grid, seed, replicate)
     except NoiseFloorViolation as exc:
@@ -97,7 +98,7 @@ def _cmd_estimate(args) -> int:
     cfg = _config.load_config(args.config)
     _config._check_keys(
         cfg,
-        {"model", "space", "estimator", "prior", "bayes_rel_tol", "bayes_draws", "seed"},
+        {"model", "space", "estimator", "prior", "seed"},
         {"model", "space"},
         "estimate config",
     )
@@ -107,7 +108,8 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("model and space dimensions do not match", key="space")
     estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space)
     prior = _config.build_prior(cfg["prior"], space.d) if cfg.get("prior") else None
-    seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
+    seeds = {"seed": 0, **cfg} if args.seed is None else {"seed": args.seed}
+    seed = _config._seed(seeds, "seed", "estimate config")
     cfg_digest = _config.digest(cfg)
 
     def run_one(sample_path: str) -> dict:
@@ -118,9 +120,7 @@ def _cmd_estimate(args) -> int:
                 meta_path = candidate
         sample, grid = load_sample(sample_path, meta_path)
         result = estimator(
-            model, space, grid, sample, cache=MomentCache(model, grid), prior=prior,
-            rel_tol=float(cfg.get("bayes_rel_tol", 1e-6)),
-            draws=int(cfg.get("bayes_draws", 8000)), seed=seed,
+            model, space, grid, sample, cache=MomentCache(model, grid), prior=prior, seed=seed
         ).to_dict()
         result["config_digest"] = cfg_digest
         result["sample"] = os.path.basename(sample_path)
@@ -181,19 +181,8 @@ def _cmd_fisher(args) -> int:
         grid = _config.build_grid(cfg["grid"])
         bundle = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     elif source == "limit":
-        if "period" not in cfg:
-            raise ConfigError("limit information needs a period", key="period")
-        regime = cfg.get("regime", "vanishing_step")
-        offsets = None
-        grid = None
-        if "grid" in cfg:
-            grid_cfg = cfg["grid"]
-            grid = _config.build_grid(grid_cfg)
-            if grid_cfg.get("kind") == "pattern":
-                offsets = grid_cfg["offsets"]
-        bundle = periodic_limit_fisher(
-            model, theta, float(cfg["period"]), regime=regime, offsets=offsets, grid=grid
-        )
+        grid = _config.build_grid(cfg["grid"]) if "grid" in cfg else None
+        bundle = _config.build_limit_fisher(cfg, "fisher config")(model, theta, grid=grid)
     else:
         raise ConfigError(f"source must be 'empirical' or 'limit', got {source!r}", key="source")
 

@@ -2,20 +2,23 @@
 
 Configs are plain JSON-compatible dicts.  Validation is strict: unknown
 keys are rejected by name, required keys are reported by name, and value
-errors name the key they sit under.  Builders are total functions of the
-dict, which is what lets worker processes reconstruct identical objects
-from a pickled config.
+errors name the key they sit under.  Every number is read by one of the
+checked readers below (``_number``, ``_integer``, ``_seed``, ``_list``),
+which the CLI and ``StudyConfig`` use too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .estimate import Prior
+from .information import periodic_limit_fisher
 from .model import (
     ConstantFn,
     CosineFn,
@@ -45,6 +48,7 @@ __all__ = [
     "build_grid",
     "build_grid_for",
     "build_prior",
+    "build_limit_fisher",
 ]
 
 
@@ -95,13 +99,24 @@ def _integer(cfg: dict, key: str, where: str) -> int:
     return v
 
 
-def _number_list(cfg: dict, key: str, where: str) -> list[float]:
+def _seed(cfg: dict, key: str, where: str) -> int:
+    """A seed or replicate index: an integer in [0, 2**64)."""
+    v = _integer(cfg, key, where)
+    if not 0 <= v < 2**64:
+        raise ConfigError(f"{where}.{key} must lie in [0, 2**64), got {v}", key=key)
+    return v
+
+
+def _list(cfg: dict, key: str, where: str, read) -> list:
+    """``read`` applied to each entry of the list ``cfg[key]``; an error names ``key[i]``."""
     v = cfg[key]
-    if not isinstance(v, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        raise ConfigError(f"{where}.{key} must be a list of numbers", key=key)
-    return [float(x) for x in v]
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{where}.{key} must be a list, got {v!r}", key=key)
+    return [read({f"{key}[{i}]": x}, f"{key}[{i}]", where) for i, x in enumerate(v)]
+
+
+def _number_list(cfg: dict, key: str, where: str) -> list[float]:
+    return _list(cfg, key, where, _number)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +132,8 @@ def build_atom(cfg: dict):
         return ConstantFn()
     if kind == "cos":
         _check_keys(cfg, {"kind", "freq", "phase"}, {"kind", "freq"}, "cos atom")
-        return CosineFn(_number(cfg, "freq", "cos atom"), float(cfg.get("phase", 0.0)))
+        phase = _number({"phase": 0, **cfg}, "phase", "cos atom")
+        return CosineFn(_number(cfg, "freq", "cos atom"), phase)
     if kind == "sin":
         _check_keys(cfg, {"kind", "freq"}, {"kind", "freq"}, "sin atom")
         return SineFn(_number(cfg, "freq", "sin atom"))
@@ -145,7 +161,8 @@ def build_profile(cfg: dict) -> Profile:
         for term in terms:
             _check_keys(term, {"amp", "freq", "phase"}, {"amp", "freq"}, "trig term")
             coefs.append(_number(term, "amp", "trig term"))
-            atoms.append(CosineFn(_number(term, "freq", "trig term"), float(term.get("phase", 0.0))))
+            phase = _number({"phase": 0, **term}, "phase", "trig term")
+            atoms.append(CosineFn(_number(term, "freq", "trig term"), phase))
         return Profile(
             offset=_number(cfg, "offset", "trig profile"),
             coefs=tuple(coefs),
@@ -192,7 +209,7 @@ def build_noise(cfg: dict):
 
 def build_model(cfg: dict) -> ModelSpec:
     _check_keys(cfg, {"signal", "noise", "sigma2_floor"}, {"signal", "noise"}, "model")
-    floor = float(cfg.get("sigma2_floor", 1e-12))
+    floor = _number({"sigma2_floor": 1e-12, **cfg}, "sigma2_floor", "model")
     return ModelSpec(build_signal(cfg["signal"]), build_noise(cfg["noise"]), floor)
 
 
@@ -200,12 +217,10 @@ def build_space(cfg: dict) -> ParameterSpace:
     _check_keys(cfg, {"alpha", "beta"}, {"alpha", "beta"}, "space")
 
     def box(key):
-        v = cfg[key]
-        if not isinstance(v, list) or not all(
-            isinstance(ax, list) and len(ax) == 2 for ax in v
-        ):
+        axes = _list(cfg, key, "space", _number_list)
+        if not all(len(ax) == 2 for ax in axes):
             raise ConfigError(f"space.{key} must be a list of [lo, hi] pairs", key=key)
-        return tuple((float(lo), float(hi)) for lo, hi in v)
+        return tuple(map(tuple, axes))
 
     return ParameterSpace(box("alpha"), box("beta"))
 
@@ -322,3 +337,29 @@ def build_prior(cfg: dict, d: int) -> Prior:
             raise ConfigError(str(exc), key="prior") from exc
         return prior
     raise ConfigError(f"unknown prior kind {kind!r}", key="kind")
+
+
+def build_limit_fisher(
+    cfg: dict, where: str, period_key: str = "period", regime_key: str = "regime"
+):
+    """``periodic_limit_fisher`` with the period, regime and offsets of cfg bound.
+
+    Everything is checked here and nothing is computed: the result takes
+    ``(model, theta, grid=None)``.  The ``pattern`` regime takes its
+    offsets from cfg's pattern grid.
+    """
+    period = _number({period_key: cfg.get(period_key)}, period_key, where)
+    if not (period > 0.0 and math.isfinite(period)):
+        raise ConfigError(f"{where}.{period_key} must be positive, got {period!r}", key=period_key)
+    regime = cfg.get(regime_key, "vanishing_step")
+    offsets = None
+    if regime == "pattern":
+        grid = cfg.get("grid")
+        if not (isinstance(grid, dict) and grid.get("kind") == "pattern"):
+            raise ConfigError("the pattern regime needs a pattern grid", key=regime_key)
+        offsets = _number_list(grid, "offsets", "pattern grid")
+    elif regime != "vanishing_step":
+        raise ConfigError(
+            f"unknown regime {regime!r} (only 'vanishing_step' or 'pattern')", key=regime_key
+        )
+    return partial(periodic_limit_fisher, period=period, regime=regime, offsets=offsets)

@@ -46,7 +46,6 @@ from .sampling import TimeGrid
 from .simulate import IncrementSample, derive_seed, normal_stream
 
 __all__ = [
-    "MleOptions",
     "EstimateResult",
     "mle_numeric",
     "closed_form_mle",
@@ -66,13 +65,6 @@ _PROPOSAL_SCALE = 1.5
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MleOptions:
-    """Tuning for the numeric MLE; the default suits every built-in family."""
-
-    multistarts: int = 8
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,7 @@ class EstimateResult:
 
 
 _POINT_ERRORS = (EvaluationError, QuadratureError, FloatingPointError, ValueError)
+_MULTISTARTS = 8  # Halton starts screened by the numeric MLE
 _SCORING_STEPS = 50
 _STEP_TOL = 1e-12
 _GAIN_TOL = 1e-14  # a predicted gain below this times |log-likelihood| is rounding
@@ -138,12 +131,11 @@ def mle_numeric(
     space: ParameterSpace,
     grid: TimeGrid,
     sample: IncrementSample,
-    options: MleOptions = MleOptions(),
     cache: MomentCache | None = None,
 ) -> EstimateResult:
     """Maximize the exact log-likelihood over the box's ``interior_bounds``.
 
-    Screens ``multistarts`` Halton points, dropping a start whose evaluation
+    Screens 8 Halton points, dropping a start whose evaluation
     fails with a ``start k: ...`` diagnostic (OptimizationError names them
     all if every start fails).  From the best start, Fisher scoring with the
     expected information, ``empirical_fisher``'s sums without 1/T and 1/2n:
@@ -166,7 +158,7 @@ def mle_numeric(
 
     best = None
     diagnostics = []
-    for k, x0 in enumerate(_halton_starts(space, options.multistarts)):
+    for k, x0 in enumerate(_halton_starts(space, _MULTISTARTS)):
         try:
             point = evaluate(x0)
         except _POINT_ERRORS as exc:
@@ -582,14 +574,12 @@ ESTIMATORS = {
     "mle": lambda model, space, grid, sample, cache, **_: mle_numeric(
         model, space, grid, sample, cache=cache
     ),
-    "bayes": lambda model, space, grid, sample, cache, prior, rel_tol, **_: (
-        posterior_mean_quadrature(
-            model, space, grid, sample, prior=prior, rel_tol=rel_tol, cache=cache
-        )
+    "bayes": lambda model, space, grid, sample, cache, prior, seed, **settings: (
+        posterior_mean_quadrature(model, space, grid, sample, prior=prior, cache=cache, **settings)
     ),
-    "bayes-is": lambda model, space, grid, sample, cache, prior, draws, seed, **_: (
+    "bayes-is": lambda model, space, grid, sample, cache, prior, seed, **settings: (
         posterior_mean_importance(
-            model, space, grid, sample, prior=prior, draws=draws, seed=seed, cache=cache
+            model, space, grid, sample, prior=prior, seed=seed, cache=cache, **settings
         )
     ),
 }
@@ -604,7 +594,7 @@ def resolve_estimator(name: str, model: ModelSpec, space: ParameterSpace):
     """
     if name == "auto":
         name = "mle-closed" if has_closed_form(model) else "mle"
-    if name not in ESTIMATORS:
+    if not isinstance(name, str) or name not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {name!r}", key="estimator")
     if name == "bayes" and space.d > _BAYES_MAX_DIM:
         raise ConfigError(

@@ -51,7 +51,7 @@ from . import config as _config
 from .errors import ConfigError, DomainError, SignoiseError
 from .estimate import ESTIMATORS, Prior, resolve_estimator
 from .increments import MomentCache
-from .information import InformationBundle, empirical_fisher, periodic_limit_fisher
+from .information import InformationBundle, empirical_fisher
 from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
 from .quadrature import tensor_rule
@@ -72,33 +72,41 @@ _CHUNKS = 64
 _REMAINDER_FLOOR = 1e-10
 _HERMITE_NODES = 24
 
+# the fixed check thresholds and settings of every study
+_BATCHES = 20  # contiguous batches behind each batch-means standard error
+_KS_LEVEL = 1e-3  # normality: least KS p-value
+_COV_REL_TOL = 0.10  # normality: covariance gap relative to the largest entry
+_SLOPE_TOL = 0.10  # rate: largest distance of a log-log slope from -1/2
+_DELTA_KS_MAX = 0.05  # lan: largest KS distance of the central sequence
+_RATIO_SE_FACTOR = 4.0  # lan: unit-mean ratio band in standard errors
+_RISK_EPSILON = 0.05  # risk: lattice step as a share of each box width
+_RISK_BAND = (0.9, 1.3)  # risk: band of sup-risk / bound
+_BAYES_SETTINGS = {"bayes": {"rel_tol": 1e-5}, "bayes-is": {"draws": 4000}}  # by estimator
+
 
 # ---------------------------------------------------------------------------
 # config and report containers
 # ---------------------------------------------------------------------------
 
 
-def _items(value) -> list:
-    """Elements of a list-valued config entry; strings and mappings are rejected."""
-    if isinstance(value, (str, bytes, dict)):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return list(value)
+def _loss(cfg: dict, key: str, where: str) -> tuple[str, float]:
+    """A ``[kind, a]`` loss, kind ``power`` or ``indicator``."""
+    v = cfg[key]
+    if not (isinstance(v, (list, tuple)) and len(v) == 2 and v[0] in ("power", "indicator")):
+        raise ConfigError(f"{where}.{key} must be a power or indicator loss, got {v!r}", key=key)
+    return v[0], _config._number({key: v[1]}, key, where)
 
 
-# StudyConfig field annotation -> normal form, so a config read from JSON
-# numbers and lists equals (and digests like) one built with exact types
-_CONVERTERS = {
-    "int": int,
-    "float": float,
-    "float | None": float,
-    "tuple[int, ...]": lambda v: tuple(int(n) for n in _items(v)),
-    "tuple[float, float]": lambda v: tuple(float(x) for x in _items(v)),
-    "tuple[tuple[float, ...], ...]": lambda v: tuple(
-        tuple(float(x) for x in _items(w)) for w in _items(v)
-    ),
-    "tuple[tuple[str, float], ...]": lambda v: tuple(
-        (str(k), float(a)) for k, a in map(_items, _items(v))
-    ),
+# StudyConfig field -> config reader giving its normal form, so a config
+# read from JSON numbers and lists equals (and digests like) one built with
+# exact types; a malformed value is a ConfigError naming its key
+_READERS = {
+    "n_values": lambda c, k, w: tuple(_config._list(c, k, w, _config._integer)),
+    "replicates": _config._integer,
+    "seed": _config._seed,
+    "limit_period": lambda c, k, w: None if c[k] is None else _config._number(c, k, w),
+    "directions": lambda c, k, w: tuple(map(tuple, _config._list(c, k, w, _config._number_list))),
+    "losses": lambda c, k, w: tuple(_config._list(c, k, w, _loss)),
 }
 
 
@@ -107,7 +115,7 @@ class StudyConfig:
     """Declarative study description; everything pickles and digests.
 
     ``model``/``space``/``theta``/``grid`` are plain config dicts (see the
-    config module) so worker processes can rebuild the objects themselves.
+    config module).  The check thresholds are module constants.
     """
 
     kind: str
@@ -119,44 +127,25 @@ class StudyConfig:
     replicates: int
     seed: int
     estimator: str = "auto"
-    batches: int = 20
     info_source: str = "empirical"
     limit_period: float | None = None
     limit_regime: str = "vanishing_step"
-    ks_level: float = 1e-3
-    cov_rel_tol: float = 0.10
-    slope_tol: float = 0.10
     directions: tuple[tuple[float, ...], ...] = ()
-    delta_ks_max: float = 0.05
-    ratio_se_factor: float = 4.0
     losses: tuple[tuple[str, float], ...] = (("power", 2.0),)
-    risk_epsilon: float = 0.05
-    risk_band: tuple[float, float] = (0.9, 1.3)
     prior: dict | None = None
-    bayes_rel_tol: float = 1e-5
-    bayes_draws: int = 4000
 
     def __post_init__(self):
         if self.kind not in ("normality", "rate", "lan", "risk"):
             raise ConfigError(f"unknown study kind {self.kind!r}", key="kind")
-        for f in fields(self):
-            convert = _CONVERTERS.get(f.type)
-            value = getattr(self, f.name)
-            if convert is not None and value is not None:
-                try:
-                    object.__setattr__(self, f.name, convert(value))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{f.name} is malformed: {exc}", key=f.name) from None
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n_values must be positive integers", key="n_values")
-        if list(self.n_values) != sorted(set(self.n_values)):
-            raise ConfigError("n_values must be strictly increasing", key="n_values")
+        for name, read in _READERS.items():
+            object.__setattr__(self, name, read(vars(self), name, "study"))
+        ladder = list(self.n_values)
+        if not ladder or ladder[0] < 1 or ladder != sorted(set(ladder)):
+            raise ConfigError("n_values must be strictly increasing and positive", key="n_values")
         if self.replicates < 100:
             raise ConfigError(
                 f"replicates must be >= 100, got {self.replicates}", key="replicates"
             )
-        if not (2 <= self.batches <= self.replicates):
-            raise ConfigError("batches must lie in [2, replicates]", key="batches")
         if self.kind == "rate":
             if len(self.n_values) < 2 or self.n_values[-1] < 10 * self.n_values[0]:
                 raise ConfigError(
@@ -169,13 +158,8 @@ class StudyConfig:
                 f"info_source must be 'empirical' or 'limit', got {self.info_source!r}",
                 key="info_source",
             )
-        if self.info_source == "limit" and self.limit_period is None:
-            raise ConfigError("info_source 'limit' needs limit_period", key="limit_period")
-        for kind, _a in self.losses:
-            if kind not in ("power", "indicator"):
-                raise ConfigError(f"unknown loss kind {kind!r}", key="losses")
-        if len(self.risk_band) != 2:
-            raise ConfigError("risk_band must be [lo, hi]", key="risk_band")
+        if self.info_source == "limit":
+            _config.build_limit_fisher(vars(self), "study", "limit_period", "limit_regime")
 
     def digest(self) -> str:
         return _config.digest(asdict(self))
@@ -236,10 +220,10 @@ def _row(n: int, metric: str, coord: str, value: float, se: float | None = None)
     }
 
 
-def _batch_se(values: np.ndarray, batches: int) -> float:
+def _batch_se(values: np.ndarray) -> float:
     """Standard error of the mean from contiguous batch means."""
     values = np.asarray(values, dtype=float)
-    b = min(batches, values.size)
+    b = min(_BATCHES, values.size)
     if b < 2:
         return float("nan")
     means = np.array([chunk.mean() for chunk in np.array_split(values, b)])
@@ -290,15 +274,8 @@ def _context(cfg: StudyConfig, n: int) -> _Context:
 
 def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
     if cfg.info_source == "limit":
-        offsets = cfg.grid.get("offsets") if cfg.grid.get("kind") == "pattern" else None
-        return periodic_limit_fisher(
-            ctx.model,
-            ctx.theta,
-            float(cfg.limit_period),
-            regime=cfg.limit_regime,
-            offsets=offsets,
-            grid=ctx.grid,
-        )
+        limit = _config.build_limit_fisher(vars(cfg), "study", "limit_period", "limit_regime")
+        return limit(ctx.model, ctx.theta, grid=ctx.grid)
     return empirical_fisher(ctx.cache.moments(ctx.theta), ctx.grid)
 
 
@@ -323,9 +300,8 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
                     sample,
                     cache=ctx.cache,
                     prior=ctx.prior,
-                    rel_tol=cfg.bayes_rel_tol,
-                    draws=cfg.bayes_draws,
                     seed=derive_seed(seed, "is", r),
+                    **_BAYES_SETTINGS.get(cfg.estimator, {}),
                 ).theta.vector
             )
         except (SignoiseError, np.linalg.LinAlgError) as exc:
@@ -417,7 +393,7 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         u = (estimates - ctx.theta.vector) * scale
         for k, name in enumerate(names):
             bias = float(u[:, k].mean())
-            report.rows.append(_row(n, "bias", name, bias, _batch_se(u[:, k], cfg.batches)))
+            report.rows.append(_row(n, "bias", name, bias, _batch_se(u[:, k])))
             var = float(u[:, k].var(ddof=1))
             centered = u[:, k] - u[:, k].mean()
             m4 = float(np.mean(centered**4))
@@ -430,10 +406,10 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             report.checks.append(
                 _check(
                     f"normal[n={n}, {name}]",
-                    ks.pvalue >= cfg.ks_level,
-                    f"KS p-value {ks.pvalue:.3g} at level {cfg.ks_level:g}",
+                    ks.pvalue >= _KS_LEVEL,
+                    f"KS p-value {ks.pvalue:.3g} at level {_KS_LEVEL:g}",
                     float(ks.pvalue),
-                    cfg.ks_level,
+                    _KS_LEVEL,
                 )
             )
             report.checks.append(
@@ -457,10 +433,10 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             report.checks.append(
                 _check(
                     f"covariance[n={n}]",
-                    gap <= cfg.cov_rel_tol * ref_norm,
-                    f"max entry gap {gap:.4g} vs {cfg.cov_rel_tol:g} * {ref_norm:.4g}",
+                    gap <= _COV_REL_TOL * ref_norm,
+                    f"max entry gap {gap:.4g} vs {_COV_REL_TOL:g} * {ref_norm:.4g}",
                     gap,
-                    cfg.cov_rel_tol * ref_norm,
+                    _COV_REL_TOL * ref_norm,
                 )
             )
 
@@ -489,7 +465,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             sq = np.sum(err[:, :p] ** 2, axis=1)
             rmse = math.sqrt(float(sq.mean()))
             report.rows.append(
-                _row(n, "rmse_drift", "", rmse, _batch_se(sq, cfg.batches) / (2.0 * rmse))
+                _row(n, "rmse_drift", "", rmse, _batch_se(sq) / (2.0 * rmse))
             )
             log_T.append(math.log(ctx.grid.total_time))
             log_rmse_drift.append(math.log(rmse))
@@ -497,7 +473,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             sq = np.sum(err[:, p:] ** 2, axis=1)
             rmse = math.sqrt(float(sq.mean()))
             report.rows.append(
-                _row(n, "rmse_var", "", rmse, _batch_se(sq, cfg.batches) / (2.0 * rmse))
+                _row(n, "rmse_var", "", rmse, _batch_se(sq) / (2.0 * rmse))
             )
             log_n.append(math.log(n))
             log_rmse_var.append(math.log(rmse))
@@ -516,10 +492,10 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         report.checks.append(
             _check(
                 f"slope-{label}",
-                abs(fit.slope + 0.5) <= cfg.slope_tol,
-                f"slope {fit.slope:.4f} within {cfg.slope_tol:g} of -0.5",
+                abs(fit.slope + 0.5) <= _SLOPE_TOL,
+                f"slope {fit.slope:.4f} within {_SLOPE_TOL:g} of -0.5",
                 float(abs(fit.slope + 0.5)),
-                cfg.slope_tol,
+                _SLOPE_TOL,
             )
         )
     report.meta["rate_points"] = rate_points
@@ -563,10 +539,10 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
                 report.checks.append(
                     _check(
                         f"central-normal[n={n}, {name}]",
-                        ks.statistic < cfg.delta_ks_max,
-                        f"KS distance {ks.statistic:.4f} vs {cfg.delta_ks_max:g}",
+                        ks.statistic < _DELTA_KS_MAX,
+                        f"KS distance {ks.statistic:.4f} vs {_DELTA_KS_MAX:g}",
                         float(ks.statistic),
-                        cfg.delta_ks_max,
+                        _DELTA_KS_MAX,
                     )
                 )
         for j in range(len(directions)):
@@ -575,18 +551,18 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             m_rem = float(abs_rem.mean())
             mean_abs_remainder.setdefault(j, []).append(m_rem)
             report.rows.append(
-                _row(n, "mean_abs_remainder", wname, m_rem, _batch_se(abs_rem, cfg.batches))
+                _row(n, "mean_abs_remainder", wname, m_rem, _batch_se(abs_rem))
             )
             ratios = np.exp(log_ratios[:, j])
             m_ratio = float(ratios.mean())
-            se_ratio = _batch_se(ratios, cfg.batches)
+            se_ratio = _batch_se(ratios)
             report.rows.append(_row(n, "mean_ratio", wname, m_ratio, se_ratio))
-            slack = cfg.ratio_se_factor * se_ratio + 1e-12
+            slack = _RATIO_SE_FACTOR * se_ratio + 1e-12
             report.checks.append(
                 _check(
                     f"unit-mean-ratio[n={n}, {wname}]",
                     abs(m_ratio - 1.0) <= slack,
-                    f"|{m_ratio:.5f} - 1| vs {cfg.ratio_se_factor:g}*SE = {slack:.5f}",
+                    f"|{m_ratio:.5f} - 1| vs {_RATIO_SE_FACTOR:g}*SE = {slack:.5f}",
                     float(abs(m_ratio - 1.0)),
                     slack,
                 )
@@ -654,7 +630,7 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         center = ctx.theta.vector
         shifts = [np.zeros(d)]
         for k in range(d):
-            eps = cfg.risk_epsilon * ctx.space.widths[k]
+            eps = _RISK_EPSILON * ctx.space.widths[k]
             for sgn in (+1.0, -1.0):
                 e = np.zeros(d)
                 e[k] = sgn * eps
@@ -663,9 +639,9 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         for j, theta in enumerate(lattice):
             if not ctx.space.contains(theta):
                 raise ConfigError(
-                    f"risk lattice point {j} leaves the parameter box; shrink "
-                    "risk_epsilon or move the truth inward",
-                    key="risk_epsilon",
+                    f"risk lattice point {j} leaves the parameter box; move the "
+                    f"truth at least {_RISK_EPSILON:g} of each box width inward",
+                    key="theta",
                 )
         bundle = _reference_bundle(cfg, ctx)
         cov_ref = bundle.joint_inverse
@@ -688,7 +664,7 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             for i, loss in enumerate(cfg.losses):
                 vals = _loss_values(r, loss)
                 mean_loss = float(vals.mean())
-                se = _batch_se(vals, cfg.batches)
+                se = _batch_se(vals)
                 loss_records[i].append((mean_loss, se))
                 report.rows.append(
                     _row(n, f"risk[{_loss_name(loss)}]", f"point{j}", mean_loss, se)
@@ -703,7 +679,7 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             report.rows.append(_row(n, f"bound[{_loss_name(loss)}]", "", bound))
             if loss[0] == "power" and bound > 0.0:
                 ratio = sup_risk / bound
-                lo, hi = cfg.risk_band
+                lo, hi = _RISK_BAND
                 slack = 3.0 * sup_se / bound
                 passed = (ratio - slack) <= hi and (ratio + slack) >= lo
                 report.rows.append(_row(n, f"risk_ratio[{_loss_name(loss)}]", "", ratio))
@@ -734,7 +710,6 @@ def _meta(cfg: StudyConfig) -> dict:
         "estimator": cfg.estimator,
         "info_source": cfg.info_source,
         "replicates": cfg.replicates,
-        "batches": cfg.batches,
         "n_values": list(cfg.n_values),
         "theta": cfg.theta,
         "failures": {},

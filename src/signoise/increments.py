@@ -207,14 +207,21 @@ class MomentCache:
                 self._basis_integrals = model.signal.basis_integral_matrix(
                     grid.starts, grid.ends
                 )
-                if not np.all(np.isfinite(self._basis_integrals)):
-                    raise EvaluationError("non-finite basis integral on the grid")
+                self._check_finite("basis integral", self._basis_integrals)
             if isinstance(model.noise, (KnownNoise, ScaledNoise)):
                 self._profile_integrals = np.asarray(
                     model.noise.profile.integral(grid.starts, grid.ends), dtype=float
                 )
-                if not np.all(np.isfinite(self._profile_integrals)):
-                    raise EvaluationError("non-finite variance profile integral on the grid")
+                self._check_finite("variance profile integral", self._profile_integrals)
+
+    def _check_finite(self, what: str, *arrays: np.ndarray) -> None:
+        """EvaluationError naming the first interval where a row of ``arrays`` is non-finite."""
+        if all(np.all(np.isfinite(x)) for x in arrays):
+            return  # the cheap test: the row mask is built only on failure
+        rows = [np.isfinite(x).all(axis=tuple(range(1, x.ndim))) for x in arrays]
+        i = int(np.argmin(np.logical_and.reduce(rows)))
+        a, b = float(self.grid.starts[i]), float(self.grid.ends[i])
+        raise EvaluationError(f"non-finite {what}: interval {i} on [{a!r}, {b!r}]")
 
     def _block(self, label: str, family, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closure or quadrature route: integrals (n,) of the rate and (n, k) of its gradient."""
@@ -302,11 +309,8 @@ class MomentCache:
             )
         mean, grad_mean = self._signal_moments(theta.alpha)
         var, grad_var = self._noise_moments(theta.beta)
-        for label, value, grad in (("drift", mean, grad_mean), ("variance", var, grad_var)):
-            if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
-                i = int(np.argmin(np.isfinite(value) & np.all(np.isfinite(grad), axis=1)))
-                a, b = float(self.grid.starts[i]), float(self.grid.ends[i])
-                raise EvaluationError(f"non-finite {label} moment: interval {i} on [{a!r}, {b!r}]")
+        self._check_finite("drift moment", mean, grad_mean)
+        self._check_finite("variance moment", var, grad_var)
         floor = self.model.sigma2_floor * self.grid.delays
         if np.any(var <= floor):
             i = int(np.argmax(var <= floor))

@@ -330,6 +330,26 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
     assert main(["simulate", "--config", cfg2, "--out", str(tmp_path / "x")]) == 2
     assert "theta" in capsys.readouterr().err
 
+    estimate = {"model": TRIG_SCALED_CONFIG, "space": SCALED_SPACE}
+    fisher = {"model": TRIG_SCALED_CONFIG, "theta": {"alpha": [1.0, 0.5], "beta": [1.0]},
+              "source": "limit", "period": 1.0}
+    malformed = [
+        ("simulate", _simulate_cfg() | {"seed": "x"}, "seed"),
+        ("simulate", _simulate_cfg() | {"seed": -1}, "seed"),
+        ("simulate", _simulate_cfg() | {"replicate": 1.5}, "replicate"),
+        ("estimate", estimate | {"seed": "x"}, "seed"),
+        ("estimate", estimate | {"estimator": ["mle"]}, "estimator"),
+        ("fisher", fisher | {"period": "one"}, "period"),
+        ("fisher", fisher | {"regime": "bogus"}, "regime"),
+    ]
+    for k, (command, payload, key) in enumerate(malformed):
+        argv = [command, "--config", _write(tmp_path / f"bad{k}.json", payload)]
+        if command == "estimate":
+            argv += ["--sample", str(tmp_path / "absent.csv")]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2, payload
+        err = capsys.readouterr().err
+        assert f"(key: '{key}')" in err and "Traceback" not in err, err
+
 
 def test_grid_outputs_carry_provenance(tmp_path):
     cfg = _write(
@@ -365,7 +385,6 @@ def test_estimate_seed_flag_reseeds_importance_sampling(tmp_path):
             "model": TRIG_SCALED_CONFIG,
             "space": SCALED_SPACE,
             "estimator": "bayes-is",
-            "bayes_draws": 500,
             "seed": 1,
         },
     )

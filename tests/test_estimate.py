@@ -15,7 +15,6 @@ from signoise import (
     IncrementSample,
     KnownNoise,
     LinearSignal,
-    MleOptions,
     ModelSpec,
     MomentCache,
     OptimizationError,
@@ -36,7 +35,7 @@ from signoise import (
     uniform_grid,
 )
 
-from signoise.estimate import _halton_starts, _make_batch_loglik, _tensor_points
+from signoise.estimate import _MULTISTARTS, _halton_starts, _make_batch_loglik, _tensor_points
 
 from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
 
@@ -140,11 +139,10 @@ def test_numeric_mle_concentrates():
     grid = uniform_grid(n, 0.25)
     cache = MomentCache(model, grid)
     draws = simulate_batch(model, theta, grid, seed=271, replicates=500, cache=cache)
-    opts = MleOptions(multistarts=2)
     hits = 0
     for r in range(draws.shape[0]):
         sample = IncrementSample(draws[r], 271, r, grid.digest())
-        fit = mle_numeric(model, space, grid, sample, options=opts, cache=cache)
+        fit = mle_numeric(model, space, grid, sample, cache=cache)
         ok = np.all(np.abs(fit.theta.vector - theta.vector) < 5.0 * fit.stderr)
         hits += bool(ok)
     assert hits / draws.shape[0] >= 0.99
@@ -252,7 +250,7 @@ def test_scoring_matches_a_quasi_newton_ascent_from_the_best_start():
     for r in (0, 1, 2, 31):
         sample = simulate_increments(model, theta, grid, seed=61, replicate=r, cache=cache)
         fit = mle_numeric(model, space, grid, sample, cache=cache)
-        start = max(_halton_starts(space, MleOptions().multistarts), key=loglik)
+        start = max(_halton_starts(space, _MULTISTARTS), key=loglik)
         ref = minimize(
             negative, start, jac=True, method="L-BFGS-B", bounds=list(zip(*space.interior_bounds)),
             options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-8},
@@ -306,7 +304,7 @@ def test_numeric_mle_names_every_failed_start():
     with pytest.raises(OptimizationError) as info:
         mle_numeric(model, space, grid, sample)
     diagnostics = info.value.diagnostics
-    assert len(diagnostics) == MleOptions().multistarts == 8
+    assert len(diagnostics) == _MULTISTARTS == 8
     for k, line in enumerate(diagnostics):
         assert line.startswith(f"start {k}: NoiseFloorViolation: increment variance -")
     assert "start 7: NoiseFloorViolation" in str(info.value)

@@ -11,6 +11,7 @@ from signoise import (
     SingularDesignError,
     StudyConfig,
     closed_form_mle,
+    config,
     estimate,
     experiments,
     gaussian_expected_loss,
@@ -312,29 +313,51 @@ def test_failures_are_bucketed_by_error_class(monkeypatch, workers):
 def test_study_schema_defaults_and_number_coercion():
     required = {k: v for k, v in _study().items() if k != "estimator"}
     assert study_from_dict(required) == StudyConfig(**required)
-    loose = _study(ks_level=1, batches=20.0, risk_epsilon=0, bayes_draws=4000.0)
-    exact = _study(ks_level=1.0, batches=20, risk_epsilon=0.0, bayes_draws=4000)
+    loose = _study(limit_period=1, directions=[[1]], losses=[["power", 2]])
+    exact = _study(limit_period=1.0, directions=[[1.0]], losses=[["power", 2.0]])
     assert study_from_dict(loose).digest() == study_from_dict(exact).digest()
     assert StudyConfig(**loose).digest() == StudyConfig(**exact).digest()
-    with pytest.raises(ConfigError, match="risk_band"):
-        study_from_dict(_study(risk_band="ab"))
+    for key, value in [("replicates", 100.7), ("replicates", "2000"), ("seed", -1),
+                       ("n_values", [100, 200.0]), ("limit_period", "one")]:
+        with pytest.raises(ConfigError, match=key):
+            study_from_dict(_study(**{key: value}))
 
 
 def test_unknown_config_key_is_named():
     with pytest.raises(ConfigError, match="bogus"):
         study_from_dict(_study(bogus=1))
+    # the check thresholds are constants, not keys
+    for key in ["batches", "ks_level", "cov_rel_tol", "slope_tol", "delta_ks_max",
+                "ratio_se_factor", "risk_epsilon", "risk_band", "bayes_rel_tol", "bayes_draws"]:
+        with pytest.raises(ConfigError, match=f"unknown key in study.*'{key}'"):
+            study_from_dict(_study(**{key: 1}))
     # a space takes only its two boxes
     with pytest.raises(ConfigError, match="unknown key in space.*'margin'"):
         study_from_dict(_study(space={**MEAN_SPACE, "margin": 0.01}))
 
 
-def test_config_guards():
+def test_config_guards(monkeypatch):
     with pytest.raises(ConfigError, match="replicates"):
         study_from_dict(_study(replicates=50))
     with pytest.raises(ConfigError, match="ladder too short"):
         study_from_dict(_study(kind="rate", n_values=[100, 200]))
     with pytest.raises(ConfigError, match="theta"):
         study_from_dict(_study(theta={"alpha": [5.0], "beta": []}))
+
+    # limit-information settings are checked before any information is computed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("information computed")
+
+    monkeypatch.setattr(config, "periodic_limit_fisher", unreachable)
+    limit = _study(info_source="limit", limit_period=1.0)
+    for overrides, key in [
+        ({"limit_regime": "bogus"}, "limit_regime"),
+        ({"limit_period": -1}, "limit_period"),
+        ({"limit_period": None}, "limit_period"),
+        ({"limit_regime": "pattern"}, "limit_regime"),  # on a uniform grid
+    ]:
+        with pytest.raises(ConfigError, match=f"key: '{key}'"):
+            study_from_dict(limit | overrides)
 
 
 def test_gaussian_expected_loss_oracles():

@@ -12,6 +12,7 @@ from signoise import (
     ModelSpec,
     MomentCache,
     NoiseFloorViolation,
+    Profile,
     QuadratureError,
     ScaledNoise,
     Theta,
@@ -222,7 +223,14 @@ def test_wrong_gradient_size_names_expected_size(block):
             cache.moments(theta)
 
 
-@pytest.mark.parametrize("block", ["drift", "variance"])
+class _NanFromOne(ConstantFn):
+    """The constant atom with an integral that is NaN on intervals starting at t >= 1."""
+
+    def integral(self, a, b):
+        return np.where(np.asarray(a) < 1.0, super().integral(a, b), np.nan)
+
+
+@pytest.mark.parametrize("block", ["drift", "variance", "basis", "profile"])
 def test_non_finite_moment_names_the_first_bad_interval(block):
     # exact integrals that turn NaN from t = 1 on: intervals 0 and 1 are
     # finite, interval 2 on [1.0, 1.5] is the first bad one
@@ -232,20 +240,27 @@ def test_non_finite_moment_names_the_first_bad_interval(block):
     def grad_integral(params, a, b):
         return np.array([b - a])
 
+    theta = Theta((0.0,), ())
     if block == "drift":
         family = GeneralSignal(1, lambda a, t: a[0], lambda a, t: np.ones(1),
                                integral, grad_integral)
         model = ModelSpec(family, KnownNoise(constant_profile(1.0)))
         theta = Theta((1.0,), ())
-    else:
+    elif block == "variance":
         family = GeneralNoise(1, lambda b, t: b[0], lambda b, t: np.ones(1),
                               integral, grad_integral)
         model = ModelSpec(LinearSignal((ConstantFn(),)), family)
         theta = Theta((0.0,), (1.0,))
-    cache = MomentCache(model, uniform_grid(10, 0.5))
-    message = rf"non-finite {block} moment: interval 2 on \[1\.0, 1\.5\]"
+    elif block == "basis":
+        model = ModelSpec(LinearSignal((_NanFromOne(),)), KnownNoise(constant_profile(1.0)))
+    else:
+        profile = Profile(offset=0.0, coefs=(1.0,), atoms=(_NanFromOne(),))
+        model = ModelSpec(LinearSignal((ConstantFn(),)), KnownNoise(profile))
+    what = {"drift": "drift moment", "variance": "variance moment",
+            "basis": "basis integral", "profile": "variance profile integral"}[block]
+    message = rf"non-finite {what}: interval 2 on \[1\.0, 1\.5\]"
     with pytest.raises(EvaluationError, match=message):
-        cache.moments(theta)
+        MomentCache(model, uniform_grid(10, 0.5)).moments(theta)
 
 
 def test_noise_floor_violation_raised():
