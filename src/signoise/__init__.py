@@ -69,18 +69,14 @@ from .simulate import (
     simulate_increments,
 )
 from .likelihood import (
-    LanDecomposition,
     LocalExpansion,
     expected_power_identity,
     local_expansion,
     log_likelihood,
-    normalized_log_ratio,
     score,
 )
 from .information import (
     InformationBundle,
-    bundle_from_json,
-    bundle_to_json,
     empirical_fisher,
     periodic_limit_fisher,
     periodic_limit_separation,

@@ -26,7 +26,7 @@ from . import config as _config
 from .errors import ConfigError, NoiseFloorViolation, SignoiseError
 from .estimate import resolve_estimator
 from .experiments import run_study, save_report, study_from_dict
-from .information import bundle_to_json, empirical_fisher
+from .information import empirical_fisher
 from .increments import MomentCache
 from .sampling import save_grid_csv
 from .simulate import load_sample, save_sample, simulate_increments
@@ -106,7 +106,7 @@ def _cmd_estimate(args) -> int:
     space = _config.build_space(cfg["space"])
     if model.p != space.p or model.q != space.q:
         raise ConfigError("model and space dimensions do not match", key="space")
-    estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space)
+    estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space, cfg.get("prior"))
     prior = _config.build_prior(cfg["prior"], space.d) if cfg.get("prior") else None
     seeds = {"seed": 0, **cfg} if args.seed is None else {"seed": args.seed}
     seed = _config._seed(seeds, "seed", "estimate config")
@@ -186,8 +186,7 @@ def _cmd_fisher(args) -> int:
     else:
         raise ConfigError(f"source must be 'empirical' or 'limit', got {source!r}", key="source")
 
-    payload = json.loads(bundle_to_json(bundle))
-    payload["config_digest"] = _config.digest(cfg)
+    payload = {**bundle.to_dict(), "config_digest": _config.digest(cfg)}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fisher.json")
     _write_json(path, payload)

@@ -33,6 +33,7 @@ from .model import (
     Theta,
 )
 from .sampling import TimeGrid, periodic_pattern_grid, quantile_grid, uniform_grid
+from .simulate import _seed_problem
 
 __all__ = [
     "canonical_json",
@@ -100,11 +101,11 @@ def _integer(cfg: dict, key: str, where: str) -> int:
 
 
 def _seed(cfg: dict, key: str, where: str) -> int:
-    """A seed or replicate index: an integer in [0, 2**64)."""
-    v = _integer(cfg, key, where)
-    if not 0 <= v < 2**64:
-        raise ConfigError(f"{where}.{key} must lie in [0, 2**64), got {v}", key=key)
-    return v
+    """A seed or replicate index, by simulate's rule."""
+    problem = _seed_problem(cfg[key])
+    if problem is not None:
+        raise ConfigError(f"{where}.{key} {problem}", key=key)
+    return cfg[key]
 
 
 def _list(cfg: dict, key: str, where: str, read) -> list:

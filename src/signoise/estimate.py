@@ -585,12 +585,13 @@ ESTIMATORS = {
 }
 
 
-def resolve_estimator(name: str, model: ModelSpec, space: ParameterSpace):
+def resolve_estimator(name: str, model: ModelSpec, space: ParameterSpace, prior=None):
     """The ESTIMATORS entry for a configured name.
 
     ``auto`` picks the closed form where the family has one and the numeric
     MLE otherwise.  Unknown names and ``bayes`` above d = 4 raise
-    ConfigError naming the ``estimator`` key.
+    ConfigError naming the ``estimator`` key; a configured ``prior`` for an
+    estimator other than the two Bayes routes, one naming the ``prior`` key.
     """
     if name == "auto":
         name = "mle-closed" if has_closed_form(model) else "mle"
@@ -602,4 +603,6 @@ def resolve_estimator(name: str, model: ModelSpec, space: ParameterSpace):
             f"to d <= {_BAYES_MAX_DIM}, got d = {space.d}",
             key="estimator",
         )
+    if prior is not None and name not in ("bayes", "bayes-is"):
+        raise ConfigError(f"estimator {name!r} never reads this key", key="prior")
     return ESTIMATORS[name]

@@ -110,6 +110,17 @@ _READERS = {
 }
 
 
+# keys a study reads only for some kinds or info sources (a prior: see resolve_estimator)
+_READ_ONLY_WHEN = {
+    "directions": lambda s: s.kind == "lan",
+    "losses": lambda s: s.kind == "risk",
+    "estimator": lambda s: s.kind != "lan",
+    "info_source": lambda s: s.kind != "rate",
+    "limit_period": lambda s: s.info_source == "limit",
+    "limit_regime": lambda s: s.info_source == "limit",
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Declarative study description; everything pickles and digests.
@@ -743,8 +754,9 @@ def study_from_dict(cfg: dict) -> StudyConfig:
     """Validate a raw study config dict and build the StudyConfig.
 
     The allowed and required keys are the StudyConfig fields and the
-    fields without defaults.  Nested model/space/theta/grid dicts are
-    built once here so malformed entries surface as ConfigError before any
+    fields without defaults, less the keys the study's kind and
+    info_source never read.  Nested model/space/theta/grid dicts are built
+    once here so malformed entries surface as ConfigError before any
     replicate runs; estimator applicability and the Bayes dimension guard
     are checked here too.
     """
@@ -767,9 +779,13 @@ def study_from_dict(cfg: dict) -> StudyConfig:
     if not space.contains(theta):
         raise ConfigError("theta lies outside the parameter box", key="theta")
     study = StudyConfig(**cfg)
+    for key, read in _READ_ONLY_WHEN.items():
+        if key in cfg and not read(study):
+            where = f"{study.kind} study with info_source {study.info_source!r}"
+            raise ConfigError(f"a {where} never reads this key", key=key)
     for n in study.n_values:
         _config.build_grid_for(study.grid, n)
-    resolve_estimator(study.estimator, model, space)
+    resolve_estimator(study.estimator, model, space, study.prior)
     if any(len(w) != space.d for w in study.directions):
         raise ConfigError(f"each direction must be a length-{space.d} vector", key="directions")
     if study.prior is not None:

@@ -17,18 +17,19 @@ reduces to a fixed vector of profile integrals, both computed once per
 grid.  When both hold (``has_closed_form``) the MLE is exact and
 ``LinearDesign``, built once per grid by ``MomentCache.linear_design``,
 is its one owner: fit, covariance and O(p^2) log-likelihood, for known
-and scaled variances alike.  Families without exact
-antiderivatives fall back to adaptive quadrature over all intervals at
-once, split at the jumps a family declares; ``force_quadrature=True``
-forces the fallback on every family, which is how the two routes are
-checked against each other.
+and scaled variances alike.  A general family with exact antiderivatives
+supplies its stacked ``integrals`` (the closure route); families without
+them fall back to adaptive quadrature over all intervals at once, split
+at the jumps a family declares.  ``MomentCache`` picks each block's route
+once, when it is built; ``force_quadrature=True`` forces the fallback on
+every family, which is how the routes are checked against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, block_diag, cho_factor, cho_solve
@@ -202,17 +203,33 @@ class MomentCache:
         self._basis_integrals: np.ndarray | None = None
         self._profile_integrals: np.ndarray | None = None
         self._design: LinearDesign | None = None
-        if not force_quadrature:
-            if isinstance(model.signal, LinearSignal):
-                self._basis_integrals = model.signal.basis_integral_matrix(
-                    grid.starts, grid.ends
-                )
+        # each block's one route, params -> (integrals (n,), gradient integrals (n, k)): a
+        # module function, as a bound method would keep the cache alive in a reference cycle
+        self._drift = self._route("drift", model.signal)
+        self._variance = self._route("variance", model.noise)
+
+    def _route(self, label: str, family):
+        """Pick a block's route: closed, the family's exact integrals, or quadrature."""
+        grid = self.grid
+        if not self.force_quadrature:
+            if isinstance(family, LinearSignal):
+                self._basis_integrals = family.basis_integral_matrix(grid.starts, grid.ends)
                 self._check_finite("basis integral", self._basis_integrals)
-            if isinstance(model.noise, (KnownNoise, ScaledNoise)):
+                return partial(_linear_route, self._basis_integrals)
+            if isinstance(family, (KnownNoise, ScaledNoise)):
                 self._profile_integrals = np.asarray(
-                    model.noise.profile.integral(grid.starts, grid.ends), dtype=float
+                    family.profile.integral(grid.starts, grid.ends), dtype=float
                 )
                 self._check_finite("variance profile integral", self._profile_integrals)
+                return partial(_scaled_route if family.q else _known_route, self._profile_integrals)
+            integrals = getattr(family, "integrals", None)
+            if integrals is not None:
+                return partial(_closure_route, integrals, grid.starts, grid.ends)
+        knots = grid.instants
+        if hasattr(family, "jumps"):  # split at declared jumps, which the rule cannot see
+            knots = np.union1d(knots, family.jumps(knots[0], knots[-1]))
+        cuts = np.searchsorted(knots, grid.starts) if knots.size > grid.instants.size else None
+        return partial(_quadrature_route, label, family.rates, knots, cuts)
 
     def _check_finite(self, what: str, *arrays: np.ndarray) -> None:
         """EvaluationError naming the first interval where a row of ``arrays`` is non-finite."""
@@ -222,42 +239,6 @@ class MomentCache:
         i = int(np.argmin(np.logical_and.reduce(rows)))
         a, b = float(self.grid.starts[i]), float(self.grid.ends[i])
         raise EvaluationError(f"non-finite {what}: interval {i} on [{a!r}, {b!r}]")
-
-    def _block(self, label: str, family, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closure or quadrature route: integrals (n,) of the rate and (n, k) of its gradient."""
-        integral_fn = getattr(family, "integral_fn", None)
-        grad_integral_fn = getattr(family, "grad_integral_fn", None)
-        if self.force_quadrature or integral_fn is None or grad_integral_fn is None:
-            knots = self.grid.instants
-            if hasattr(family, "jumps"):  # split at declared jumps, which the rule cannot see
-                knots = np.union1d(knots, family.jumps(knots[0], knots[-1]))
-            try:
-                out = quadrature.integrate(
-                    lambda ts: family.rates(params, ts), knots[:-1], knots[1:]
-                )
-            except QuadratureError as exc:
-                raise QuadratureError(f"{label} moment: {exc}") from exc
-            if knots.size > self.grid.instants.size:
-                out = np.add.reduceat(out, np.searchsorted(knots, self.grid.starts), axis=0)
-        else:
-            rows = [
-                [float(integral_fn(params, a, b)), *np.ravel(grad_integral_fn(params, a, b))]
-                for a, b in zip(self.grid.starts, self.grid.ends)
-            ]
-            try:
-                out = np.array(rows, dtype=float).reshape(self.grid.n, 1 + params.size)
-            except ValueError:
-                for i, row in enumerate(rows):
-                    if len(row) != 1 + params.size:
-                        raise EvaluationError(
-                            f"{label} gradient has size {len(row) - 1}, expected "
-                            f"{params.size}: interval {i} on "
-                            f"[{float(self.grid.starts[i])!r}, {float(self.grid.ends[i])!r}]"
-                        ) from None
-                raise
-        return out[:, 0], out[:, 1:]
-
-    # -- drift block --------------------------------------------------------
 
     def signal_basis_integrals(self) -> np.ndarray:
         """Exact basis integrals (n, p); only linear drifts have them."""
@@ -283,32 +264,14 @@ class MomentCache:
             )
         return self._design
 
-    def _signal_moments(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._basis_integrals is not None:
-            grad = self._basis_integrals
-            return grad @ alpha, grad
-        return self._block("drift", self.model.signal, alpha)
-
-    # -- noise block --------------------------------------------------------
-
-    def _noise_moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._profile_integrals is not None:
-            g = self._profile_integrals
-            if isinstance(self.model.noise, KnownNoise):
-                return g.copy(), np.empty((self.grid.n, 0))
-            return float(beta[0]) * g, g[:, None].copy()
-        return self._block("variance", self.model.noise, beta)
-
-    # -- public entry -------------------------------------------------------
-
     def moments(self, theta: Theta) -> IncrementMoments:
         if theta.alpha.size != self.model.p or theta.beta.size != self.model.q:
             raise EvaluationError(
                 f"theta dims ({theta.alpha.size}, {theta.beta.size}) do not match the "
                 f"model ({self.model.p}, {self.model.q})"
             )
-        mean, grad_mean = self._signal_moments(theta.alpha)
-        var, grad_var = self._noise_moments(theta.beta)
+        mean, grad_mean = self._drift(theta.alpha)
+        var, grad_var = self._variance(theta.beta)
         self._check_finite("drift moment", mean, grad_mean)
         self._check_finite("variance moment", var, grad_var)
         floor = self.model.sigma2_floor * self.grid.delays
@@ -319,3 +282,32 @@ class MomentCache:
                 f"below floor*delay = {float(floor[i])!r}"
             )
         return IncrementMoments(mean, var, grad_mean, grad_var)
+
+
+def _linear_route(basis: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return basis @ alpha, basis
+
+
+def _known_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return g.copy(), np.empty((g.size, 0))
+
+
+def _scaled_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return float(beta[0]) * g, g[:, None].copy()
+
+
+def _closure_route(integrals, starts, ends, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closure route: a family's exact integrals (n, 1 + k), split into value and gradient."""
+    out = integrals(params, starts, ends)
+    return out[:, 0], out[:, 1:]
+
+
+def _quadrature_route(label: str, rates, knots, cuts, params: np.ndarray):
+    """Quadrature route over ``knots``; pieces are summed back to intervals at ``cuts``."""
+    try:
+        out = quadrature.integrate(lambda ts: rates(params, ts), knots[:-1], knots[1:])
+    except QuadratureError as exc:
+        raise QuadratureError(f"{label} moment: {exc}") from exc
+    if cuts is not None:
+        out = np.add.reduceat(out, cuts, axis=0)
+    return out[:, 0], out[:, 1:]

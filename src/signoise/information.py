@@ -13,7 +13,6 @@ empirical sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,8 +30,6 @@ __all__ = [
     "separation_gaps",
     "periodic_limit_fisher",
     "periodic_limit_separation",
-    "bundle_to_json",
-    "bundle_from_json",
 ]
 
 _PROBE_POINTS = 64
@@ -147,6 +144,15 @@ class InformationBundle:
         out[: self.p, : self.p] = self.drift_scaling
         out[self.p :, self.p :] = self.var_scaling
         return out
+
+    def to_dict(self) -> dict:
+        return {
+            "drift_info": self.drift_info.tolist(),
+            "var_info": self.var_info.tolist(),
+            "total_time": None if self.total_time is None else float(self.total_time),
+            "n": None if self.n is None else int(self.n),
+            "source": self.source,
+        }
 
     def with_design(self, grid: TimeGrid) -> "InformationBundle":
         return InformationBundle(
@@ -295,31 +301,3 @@ def _check_periodicity(model: ModelSpec, theta: Theta, period: float) -> None:
         raise PeriodicityError(
             f"variance rate is not periodic with period {period!r} on the probe lattice"
         )
-
-
-def bundle_to_json(bundle: InformationBundle) -> str:
-    payload = {
-        "drift_info": bundle.drift_info.tolist(),
-        "var_info": bundle.var_info.tolist(),
-        "total_time": bundle.total_time,
-        "n": bundle.n,
-        "source": bundle.source,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def bundle_from_json(text: str) -> InformationBundle:
-    payload = json.loads(text)
-
-    def block(rows):
-        if not rows:
-            return np.zeros((0, 0))
-        return np.asarray(rows, dtype=float)
-
-    return InformationBundle(
-        block(payload["drift_info"]),
-        block(payload["var_info"]),
-        payload["total_time"],
-        payload["n"],
-        payload["source"],
-    )

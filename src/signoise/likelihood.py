@@ -13,7 +13,8 @@ an explicit quadratic, and a remainder, the remainder being defined
 residually so the identity holds exactly at any sample size.  The moments
 at the base and shifted points do not depend on the sample, so a
 ``LocalExpansion`` holds them once and decomposes a whole (k, n) block of
-samples per call; ``normalized_log_ratio`` is its one-sample case.
+samples per call, its central sequence being ``score`` applied to each
+row and rescaled.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ from .errors import DomainError, OutOfSpaceError
 from .increments import IncrementMoments, MomentCache
 from .model import ModelSpec, ParameterSpace, Theta
 from .sampling import TimeGrid
-from .simulate import IncrementSample
 
 __all__ = [
     "log_likelihood",
     "score",
-    "LanDecomposition",
     "LocalExpansion",
     "local_expansion",
-    "normalized_log_ratio",
     "expected_power_identity",
 ]
 
@@ -73,35 +71,16 @@ def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     _check_lengths(moments, y)
-    resid = y - moments.mean
-    g_alpha = moments.grad_mean.T @ (resid / moments.var)
+    return _score_rows(moments, y)
+
+
+def _score_rows(moments: IncrementMoments, ys: np.ndarray) -> np.ndarray:
+    """The score of each row of ys (..., n), shape (..., p + q)."""
+    resid = ys - moments.mean
+    g_alpha = (resid / moments.var) @ moments.grad_mean
     w = (resid * resid / moments.var - 1.0) / (2.0 * moments.var)
-    g_beta = moments.grad_var.T @ w
-    return np.concatenate([g_alpha, g_beta])
-
-
-@dataclass(frozen=True)
-class LanDecomposition:
-    """Exact split of a normalized two-point log-ratio.
-
-    log_ratio = score_term . direction - |direction|^2 / 2 + remainder
-
-    ``score_term`` is the normalized central sequence evaluated at the base
-    point, and ``remainder`` is whatever is left so the identity is exact.
-    """
-
-    log_ratio: float
-    score_term: np.ndarray
-    direction: np.ndarray
-    remainder: float
-
-    @property
-    def linear_part(self) -> float:
-        return float(self.score_term @ self.direction)
-
-    @property
-    def quadratic_part(self) -> float:
-        return float(0.5 * self.direction @ self.direction)
+    g_beta = w @ moments.grad_var
+    return np.concatenate([g_alpha, g_beta], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -133,12 +112,7 @@ class LocalExpansion:
             [_log_likelihood_rows(m1, ys) - ll0 for m1 in self.shifted], axis=-1
         )
 
-        # normalized central sequence at the base point
-        sd0 = np.sqrt(m0.var)
-        resid = (ys - m0.mean) / sd0
-        raw_alpha = (resid / sd0) @ m0.grad_mean
-        raw_beta = ((resid * resid - 1.0) / 2.0) @ (m0.grad_var / m0.var[:, None])
-        score_terms = np.concatenate([raw_alpha, raw_beta], axis=1) @ self.scaling
+        score_terms = _score_rows(m0, ys) @ self.scaling  # the normalized central sequence
 
         linear = score_terms @ self.directions.T
         quad = 0.5 * np.sum(self.directions * self.directions, axis=1)
@@ -189,31 +163,6 @@ def local_expansion(
             )
         shifted.append(cache.moments(shifted_theta))
     return LocalExpansion(cache.moments(theta), tuple(shifted), directions, scaling)
-
-
-def normalized_log_ratio(
-    model: ModelSpec,
-    space: ParameterSpace,
-    theta: Theta,
-    direction: np.ndarray,
-    grid: TimeGrid,
-    sample: IncrementSample,
-    scaling: np.ndarray,
-    cache: MomentCache | None = None,
-) -> LanDecomposition:
-    """Decompose the log-ratio to the point theta + scaling @ direction.
-
-    The one-sample, one-direction case of ``local_expansion``, whose
-    parameters and errors it shares; ``direction`` has shape (d,).
-    """
-    if cache is None:
-        cache = MomentCache(model, grid)
-    w = np.asarray(direction, dtype=float).reshape(-1)
-    expansion = local_expansion(model, space, theta, w[None], scaling, cache)
-    log_ratios, score_terms, remainders = expansion.evaluate(sample.y[None])
-    return LanDecomposition(
-        float(log_ratios[0, 0]), score_terms[0], w, float(remainders[0, 0])
-    )
 
 
 def expected_power_identity(

@@ -15,14 +15,16 @@ splits intervals there, so the forced route stays exact for step families.
 
 Built-in families cover drifts that are linear in alpha over a fixed time
 basis, and variances that are a known profile or a profile scaled by a
-single positive parameter.  Arbitrary callables are admitted through the
-general families; those fall back to quadrature for interval moments.
+single positive parameter.  The general families admit arbitrary scalar
+callables and stack them here, for ``rates`` and, given antiderivatives,
+for exact interval ``integrals``; without those, moments use quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -247,15 +249,15 @@ class LinearSignal:
 
 @dataclass(frozen=True)
 class GeneralSignal:
-    """Drift given by arbitrary callables.
+    """Drift given by arbitrary scalar callables.
 
     value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required;
     they take one time point, and ``rates`` calls them once per point of its
     time array.  Exact interval integrals may be supplied through
-    integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b); when absent,
-    moments are computed by adaptive quadrature.  This family declares no
-    ``jumps``, so quadrature cannot see a jump inside an interval: a rate
-    with jumps must supply both integrals.
+    integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b); ``integrals``
+    stacks both, one call each per interval, in place of quadrature.  This
+    family declares no ``jumps``, so quadrature cannot see a jump inside an
+    interval: a rate with jumps must supply both integrals.
     """
 
     p: int
@@ -269,7 +271,12 @@ class GeneralSignal:
             raise DomainError(f"p must be >= 0, got {self.p}")
 
     def rates(self, alpha, ts):
-        return _pointwise(self.value_fn, self.grad_fn, alpha, ts, self.p, "drift")
+        return _time_rows(self.value_fn, self.grad_fn, alpha, ts, self.p, "drift")
+
+    @property
+    def integrals(self):
+        """``(alpha, starts, ends) -> (n, 1 + p)`` exact interval integrals, or None."""
+        return _exact_integrals(self, self.p, "drift")
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +321,13 @@ class ScaledNoise:
 
 @dataclass(frozen=True)
 class GeneralNoise:
-    """Variance rate given by arbitrary callables.
+    """Variance rate given by arbitrary scalar callables.
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required and
     take one time point, as for GeneralSignal; integral_fn /
-    grad_integral_fn enable closed-form moments, and a rate with jumps
-    inside an interval must supply both, since this family declares no
-    ``jumps`` either.
+    grad_integral_fn give exact moments, stacked by ``integrals`` here, and
+    a rate with jumps inside an interval must supply both, since this
+    family declares no ``jumps`` either.
     """
 
     q: int
@@ -334,18 +341,53 @@ class GeneralNoise:
             raise DomainError(f"q must be >= 0, got {self.q}")
 
     def rates(self, beta, ts):
-        return _pointwise(self.value_fn, self.grad_fn, beta, ts, self.q, "variance")
+        return _time_rows(self.value_fn, self.grad_fn, beta, ts, self.q, "variance")
+
+    @property
+    def integrals(self):
+        """``(beta, starts, ends) -> (n, 1 + q)`` exact interval integrals, or None."""
+        return _exact_integrals(self, self.q, "variance")
 
 
-def _pointwise(value_fn, grad_fn, params, ts, k: int, what: str) -> np.ndarray:
-    """Scalar user callables stacked into (m, 1 + k): the package's one per-point loop."""
-    out = np.empty((ts.size, 1 + k))
-    for row, t in zip(out, ts):
-        row[0] = float(value_fn(params, t))
-        g = np.asarray(grad_fn(params, t), dtype=float).reshape(-1)
-        if g.size != k:
-            raise EvaluationError(f"{what} gradient has size {g.size}, expected {k}")
-        row[1:] = g
+def _exact_integrals(family, k: int, what: str):
+    """The general family's antiderivatives stacked over intervals, or None without both."""
+    if family.integral_fn is None or family.grad_integral_fn is None:
+        return None
+    return partial(_interval_rows, family.integral_fn, family.grad_integral_fn, k, what)
+
+
+def _time_rows(value_fn, grad_fn, params, ts, k: int, what: str) -> np.ndarray:
+    rows = ((value_fn(params, t), grad_fn(params, t)) for t in ts)
+    return _stack(rows, k, what, "t={1!r}", ts)
+
+
+def _interval_rows(value_fn, grad_fn, k: int, what: str, params, starts, ends) -> np.ndarray:
+    rows = ((value_fn(params, a, b), grad_fn(params, a, b)) for a, b in zip(starts, ends))
+    return _stack(rows, k, what, "interval {0} on [{1!r}, {2!r}]", starts, ends)
+
+
+def _stack(rows, k: int, what: str, where: str, *points) -> np.ndarray:
+    """User callables' (value, gradient) pairs, one per entry of ``points``, as (m, 1 + k).
+
+    The one check of what user callables return: a value that is not a
+    scalar, or a gradient of the wrong size, raises EvaluationError naming
+    ``where`` formatted with the row index and the row's time or interval ends.
+    """
+
+    def at(i: int) -> str:
+        return where.format(i, *(float(x[i]) for x in points))
+
+    out = np.empty((points[0].size, 1 + k))
+    values, grads = out[:, 0], out[:, 1:]
+    for i, (value, grad) in enumerate(rows):
+        grad = np.asarray(grad, dtype=float).reshape(-1)
+        try:
+            values[i] = float(value)
+        except (TypeError, ValueError):
+            raise EvaluationError(f"{what} value is not a scalar: {at(i)}") from None
+        if grad.size != k:
+            raise EvaluationError(f"{what} gradient has size {grad.size}, expected {k}: {at(i)}")
+        grads[i] = grad
     return out
 
 

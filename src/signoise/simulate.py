@@ -44,10 +44,20 @@ __all__ = [
 _MAX_SEED = 2**64
 
 
+def _seed_problem(value) -> str | None:
+    """Why ``value`` is not a seed or replicate index, an integer in [0, 2**64); None if it is."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"must be an integer, got {value!r}"
+    if not 0 <= value < _MAX_SEED:
+        return f"must lie in [0, 2**64), got {value}"
+    return None
+
+
 def _check_seed(value: int, name: str) -> int:
     value = int(value)
-    if not (0 <= value < _MAX_SEED):
-        raise DomainError(f"{name} must lie in [0, 2**64), got {value!r}")
+    problem = _seed_problem(value)
+    if problem is not None:
+        raise DomainError(f"{name} {problem}")
     return value
 
 
@@ -272,13 +282,25 @@ def load_sample(csv_path, meta_path=None) -> tuple[IncrementSample, TimeGrid]:
     seed, replicate, theta = 0, 0, None
     if meta_path is not None:
         with open(meta_path) as fh:
-            meta = json.load(fh)
-        seed = int(meta.get("seed", 0))
-        replicate = int(meta.get("replicate", 0))
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise GridError(f"{meta_path}: sidecar is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise GridError(f"{meta_path}: sidecar must be a JSON object")
+        for key in ("seed", "replicate"):
+            problem = _seed_problem(meta.get(key, 0))
+            if problem is not None:
+                raise GridError(f"{meta_path}: {key} {problem} (key: {key!r})")
+        seed, replicate = meta.get("seed", 0), meta.get("replicate", 0)
         if meta.get("grid_digest") not in (None, grid.digest()):
             raise GridError(f"{meta_path}: grid digest does not match the CSV grid")
         tt = meta.get("theta_true")
         if tt is not None:
-            theta = Theta(np.asarray(tt["alpha"], dtype=float), np.asarray(tt["beta"], dtype=float))
+            try:
+                theta = Theta(tt["alpha"], tt["beta"])
+            except (KeyError, TypeError, ValueError, DomainError) as exc:
+                what = f"{type(exc).__name__}: {exc}"
+                raise GridError(f"{meta_path}: bad theta_true, {what} (key: 'theta_true')") from exc
     sample = IncrementSample(y, seed, replicate, grid.digest(), theta)
     return sample, grid

@@ -139,8 +139,9 @@ FIVE_DIM_CONFIG = {
             "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [0.0], "scale": [-1.0]},
             "gaussian prior scales must be positive", "prior",
         ),
+        ("mle-closed", MEAN_CONFIG, [1.0], {"kind": "uniform"}, "never reads this key", "prior"),
     ],
-    ids=["unknown-name", "dimension-guard", "prior-length", "prior-scale"],
+    ids=["unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-unread"],
 )
 def test_estimator_config_errors(
     tmp_path, capsys, command, estimator, model, alpha, prior, message, key
@@ -349,6 +350,29 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2, payload
         err = capsys.readouterr().err
         assert f"(key: '{key}')" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "sidecar, detail",
+    [
+        ('{"seed": "x"}', "seed must be an integer, got 'x' (key: 'seed')"),
+        ("[5, 0]", "sidecar must be a JSON object"),
+        ('{"theta_true": {"alpha": [1.0, 0.5]}}', "KeyError: 'beta' (key: 'theta_true')"),
+        ('{"seed": 5', "sidecar is not valid JSON"),
+    ],
+    ids=["seed-not-integer", "json-list", "theta-without-beta", "invalid-json"],
+)
+def test_estimate_names_a_bad_sample_sidecar(tmp_path, capsys, sidecar, detail):
+    sim = _write(tmp_path / "sim.json", _simulate_cfg())
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "run")]) == 0
+    meta = tmp_path / "run" / "sample_meta.json"
+    meta.write_text(sidecar)
+    est = _write(tmp_path / "est.json", {"model": TRIG_SCALED_CONFIG, "space": SCALED_SPACE})
+    sample = str(tmp_path / "run" / "sample.csv")
+    argv = ["estimate", "--config", est, "--sample", sample, "--out", str(tmp_path / "fit")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{meta}: " in err and detail in err and "Traceback" not in err, err
 
 
 def test_grid_outputs_carry_provenance(tmp_path):

@@ -42,6 +42,8 @@ def _study(**overrides):
         "estimator": "mle-closed",
     }
     base.update(overrides)
+    if base["kind"] == "lan":
+        del base["estimator"]  # a lan study never estimates, so it takes no estimator
     return base
 
 
@@ -313,10 +315,16 @@ def test_failures_are_bucketed_by_error_class(monkeypatch, workers):
 def test_study_schema_defaults_and_number_coercion():
     required = {k: v for k, v in _study().items() if k != "estimator"}
     assert study_from_dict(required) == StudyConfig(**required)
-    loose = _study(limit_period=1, directions=[[1]], losses=[["power", 2]])
-    exact = _study(limit_period=1.0, directions=[[1.0]], losses=[["power", 2.0]])
-    assert study_from_dict(loose).digest() == study_from_dict(exact).digest()
-    assert StudyConfig(**loose).digest() == StudyConfig(**exact).digest()
+    # each number-coerced key on a study that reads it
+    for kind, loose, exact in [
+        ("normality", {"info_source": "limit", "limit_period": 1},
+         {"info_source": "limit", "limit_period": 1.0}),
+        ("lan", {"directions": [[1]]}, {"directions": [[1.0]]}),
+        ("risk", {"losses": [["power", 2]]}, {"losses": [["power", 2.0]]}),
+    ]:
+        loose, exact = _study(kind=kind, **loose), _study(kind=kind, **exact)
+        assert study_from_dict(loose).digest() == study_from_dict(exact).digest()
+        assert StudyConfig(**loose).digest() == StudyConfig(**exact).digest()
     for key, value in [("replicates", 100.7), ("replicates", "2000"), ("seed", -1),
                        ("n_values", [100, 200.0]), ("limit_period", "one")]:
         with pytest.raises(ConfigError, match=key):
@@ -334,6 +342,23 @@ def test_unknown_config_key_is_named():
     # a space takes only its two boxes
     with pytest.raises(ConfigError, match="unknown key in space.*'margin'"):
         study_from_dict(_study(space={**MEAN_SPACE, "margin": 0.01}))
+    # a key the study's kind, estimator or info_source never reads
+    uniform_prior = {"kind": "uniform"}
+    for cfg, key in [
+        (_study(directions=[[1.0]]), "directions"),
+        (_study(losses=[["power", 2.0]]), "losses"),
+        (_study(kind="lan") | {"estimator": "mle-closed"}, "estimator"),
+        (_study(kind="rate", n_values=[100, 1000], info_source="empirical"), "info_source"),
+        (_study(limit_period=1.0), "limit_period"),
+        (_study(info_source="empirical", limit_regime="pattern"), "limit_regime"),
+        (_study(prior=uniform_prior), "prior"),
+        (_study(kind="lan", prior=uniform_prior), "prior"),
+    ]:
+        with pytest.raises(ConfigError, match=f"never reads this key \\(key: '{key}'\\)"):
+            study_from_dict(cfg)
+    # and the same keys where they are read
+    study_from_dict(_study(estimator="bayes", prior=uniform_prior))
+    study_from_dict(_study(kind="risk", n_values=[100], info_source="empirical"))
 
 
 def test_config_guards(monkeypatch):

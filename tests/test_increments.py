@@ -177,29 +177,48 @@ def test_quadrature_failure_names_block_and_interval(block, rate):
 
 @pytest.mark.parametrize("block", ["drift", "variance"])
 def test_wrong_gradient_size_names_expected_size(block):
+    def general(value, grad, integral=None, grad_integral=None):
+        if block == "drift":
+            family = GeneralSignal(1, value, grad, integral, grad_integral)
+            return ModelSpec(family, KnownNoise(constant_profile(1.0))), Theta((1.0,), ())
+        family = GeneralNoise(1, value, grad, integral, grad_integral)
+        return ModelSpec(LinearSignal((ConstantFn(),)), family), Theta((0.0,), (1.0,))
+
+    def value(params, t):
+        return params[0]
+
+    def pair_value(params, t):
+        return np.array([params[0], params[0]])  # not a scalar
+
+    def grad(params, t):
+        return np.ones(1)
+
     def bad_grad(params, t):
         return np.zeros(2)  # one parameter, two gradient entries
 
-    if block == "drift":
-        model = ModelSpec(
-            GeneralSignal(1, lambda a, t: a[0], bad_grad), KnownNoise(constant_profile(1.0))
-        )
-        theta = Theta((1.0,), ())
-    else:
-        noise = GeneralNoise(1, lambda b, t: b[0], bad_grad)
-        model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
-        theta = Theta((0.0,), (1.0,))
-    message = rf"{block} gradient has size 2, expected 1"
-    with pytest.raises(EvaluationError, match=message):
-        model.rates(theta, [0.5])
-    cache = MomentCache(model, uniform_grid(3, 0.5), force_quadrature=True)
-    with pytest.raises(EvaluationError, match=message):
-        cache.moments(theta)
+    # rates, and the quadrature route through them, name the time
+    for rate, rate_grad, detail in [
+        (value, bad_grad, "gradient has size 2, expected 1"),
+        (pair_value, grad, "value is not a scalar"),
+    ]:
+        model, theta = general(rate, rate_grad)
+        with pytest.raises(EvaluationError, match=rf"{block} {detail}: t=0\.5$"):
+            model.rates(theta, [0.5, 1.0])
+        for forced in (False, True):
+            cache = MomentCache(model, uniform_grid(3, 0.5), force_quadrature=forced)
+            with pytest.raises(EvaluationError, match=rf"{block} {detail}: t=\d"):
+                cache.moments(theta)
 
-    # closure route: exact integrals whose gradient has the wrong size on
-    # every interval, or only from interval 2 on
+    # closure route: exact integrals whose gradient has the wrong size, or
+    # whose value is not a scalar, on every interval or only from interval 2 on
     def integral(params, a, b):
         return params[0] * (b - a)
+
+    def pair_from_interval_2(params, a, b):
+        return integral(params, a, b) if a < 1.0 else np.array([1.0, 2.0])
+
+    def grad_integral(params, a, b):
+        return np.array([b - a])
 
     def grad_everywhere(params, a, b):
         return np.zeros(2)
@@ -207,19 +226,16 @@ def test_wrong_gradient_size_names_expected_size(block):
     def grad_from_interval_2(params, a, b):
         return np.zeros(1 if a < 1.0 else 3)
 
+    on_0, on_2 = r"interval 0 on \[0\.0, 0\.5\]", r"interval 2 on \[1\.0, 1\.5\]"
     cases = [
-        (grad_everywhere, r"size 2, expected 1: interval 0 on \[0\.0, 0\.5\]"),
-        (grad_from_interval_2, r"size 3, expected 1: interval 2 on \[1\.0, 1\.5\]"),
+        (integral, grad_everywhere, f"gradient has size 2, expected 1: {on_0}"),
+        (integral, grad_from_interval_2, f"gradient has size 3, expected 1: {on_2}"),
+        (pair_from_interval_2, grad_integral, f"value is not a scalar: {on_2}"),
     ]
-    for grad_integral, detail in cases:
-        if block == "drift":
-            family = GeneralSignal(1, lambda a, t: a[0], bad_grad, integral, grad_integral)
-            model = ModelSpec(family, KnownNoise(constant_profile(1.0)))
-        else:
-            family = GeneralNoise(1, lambda b, t: b[0], bad_grad, integral, grad_integral)
-            model = ModelSpec(LinearSignal((ConstantFn(),)), family)
+    for value_integral, gradient_integral, detail in cases:
+        model, theta = general(value, bad_grad, value_integral, gradient_integral)
         cache = MomentCache(model, uniform_grid(4, 0.5))
-        with pytest.raises(EvaluationError, match=rf"{block} gradient has {detail}"):
+        with pytest.raises(EvaluationError, match=rf"{block} {detail}"):
             cache.moments(theta)
 
 

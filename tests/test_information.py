@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from signoise import (
     ScaledNoise,
     SingularInformationError,
     Theta,
-    bundle_from_json,
-    bundle_to_json,
     constant_profile,
     empirical_fisher,
     grid_from_instants,
@@ -25,7 +25,15 @@ from signoise import (
     uniform_grid,
 )
 
-from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
+from signoise.cli import main
+
+from helpers import (
+    TRIG_SCALED_CONFIG,
+    curved_model,
+    mean_model,
+    trig_known_model,
+    trig_scaled_model,
+)
 
 
 def test_constant_drift_unit_noise_drift_block_is_one():
@@ -185,13 +193,25 @@ def test_singular_information_is_reported():
         b.drift_scaling
 
 
-def test_bundle_json_round_trip():
+def test_bundle_json_round_trip(tmp_path):
+    # the fisher.json blocks `signoise fisher` writes equal the bundle's exactly
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(64, 0.25)
     b = empirical_fisher(moments_for(model, theta, grid), grid)
-    back = bundle_from_json(bundle_to_json(b))
-    assert np.array_equal(back.drift_info, b.drift_info)
-    assert np.array_equal(back.var_info, b.var_info)
-    assert back.total_time == b.total_time
-    assert back.n == b.n
-    assert back.source == b.source
+    cfg = {
+        "model": TRIG_SCALED_CONFIG,
+        "theta": {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()},
+        "grid": {"kind": "uniform", "n": 64, "h": 0.25},
+        "source": "empirical",
+    }
+    path = tmp_path / "fisher_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["fisher", "--config", str(path), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fisher.json").read_text())
+    assert payload.pop("config_digest")
+    assert payload == b.to_dict()
+    assert np.array_equal(np.array(payload["drift_info"]), b.drift_info)
+    assert np.array_equal(np.array(payload["var_info"]), b.var_info)
+    assert payload["total_time"] == b.total_time
+    assert payload["n"] == b.n
+    assert payload["source"] == b.source

@@ -13,7 +13,6 @@ from signoise import (
     local_expansion,
     log_likelihood,
     moments_for,
-    normalized_log_ratio,
     score,
     simulate_batch,
     simulate_increments,
@@ -111,15 +110,17 @@ def test_zero_direction_decomposition_is_degenerate():
     grid = uniform_grid(50, 0.25)
     cache = MomentCache(model, grid)
     sample = simulate_increments(model, theta, grid, seed=17, cache=cache)
-    bundle = empirical_fisher(cache.moments(theta), grid)
-    lan = normalized_log_ratio(
-        model, space, theta, np.zeros(3), grid, sample, bundle.local_scaling, cache
-    )
-    assert lan.log_ratio == 0.0
-    assert lan.linear_part == 0.0
-    assert lan.quadratic_part == 0.0
-    assert lan.remainder == 0.0
-    assert np.all(np.isfinite(lan.score_term))
+    phi = empirical_fisher(cache.moments(theta), grid).local_scaling
+    w = np.zeros((1, 3))
+    expansion = local_expansion(model, space, theta, w, phi, cache)
+    log_ratios, score_terms, remainders = expansion.evaluate(sample.y[None])
+    assert log_ratios[0, 0] == 0.0
+    assert score_terms[0] @ w[0] == 0.0
+    assert remainders[0, 0] == 0.0
+    assert np.all(np.isfinite(score_terms))
+    # the central sequence is the score at the base point, rescaled
+    central = score(cache.moments(theta), sample.y) @ phi
+    assert np.all(np.abs(score_terms[0] - central) <= 1e-12 * (1.0 + np.abs(central)))
 
 
 def test_decomposition_identity_is_exact():
@@ -132,21 +133,24 @@ def test_decomposition_identity_is_exact():
     for rep in range(20):
         sample = simulate_increments(model, theta, grid, seed=400, replicate=rep, cache=cache)
         w = rng.uniform(-0.8, 0.8, 3)
-        lan = normalized_log_ratio(model, space, theta, w, grid, sample, phi, cache)
+        expansion = local_expansion(model, space, theta, w[None], phi, cache)
+        log_ratios, score_terms, remainders = expansion.evaluate(sample.y[None])
+        log_ratio = log_ratios[0, 0]
         shifted = Theta.from_vector(theta.vector + phi @ w, model.p)
         direct = log_likelihood(cache.moments(shifted), sample.y) - log_likelihood(
             cache.moments(theta), sample.y
         )
-        assert lan.log_ratio == pytest.approx(direct, abs=1e-12)
-        rebuilt = lan.linear_part - lan.quadratic_part + lan.remainder
-        assert lan.log_ratio == pytest.approx(rebuilt, abs=1e-12)
+        assert log_ratio == pytest.approx(direct, abs=1e-12)
+        rebuilt = score_terms[0] @ w - 0.5 * w @ w + remainders[0, 0]
+        assert log_ratio == pytest.approx(rebuilt, abs=1e-12)
 
 
-def test_local_expansion_block_rows_match_normalized_log_ratio():
+def test_local_expansion_block_rows_match_single_rows():
     model, space, theta = trig_scaled_model()
     grid = uniform_grid(300, 0.25)
     cache = MomentCache(model, grid)
-    phi = empirical_fisher(cache.moments(theta), grid).local_scaling
+    m0 = cache.moments(theta)
+    phi = empirical_fisher(m0, grid).local_scaling
     directions = np.array([[0.6, 0.3, 0.2], [0.0, 0.5, 0.7], [0.0, 0.0, 0.0]])
     ys = simulate_batch(model, theta, grid, seed=505, replicates=16, cache=cache)
     expansion = local_expansion(model, space, theta, directions, phi, cache)
@@ -157,15 +161,19 @@ def test_local_expansion_block_rows_match_normalized_log_ratio():
     def close(block_value, single_value):
         assert abs(block_value - single_value) <= 1e-12 * (1.0 + abs(single_value))
 
+    singles = [local_expansion(model, space, theta, w[None], phi, cache) for w in directions]
     for r, y in enumerate(ys):
         sample = simulate_increments(model, theta, grid, seed=505, replicate=r, cache=cache)
         assert np.array_equal(sample.y, y)
-        for j, w in enumerate(directions):
-            lan = normalized_log_ratio(model, space, theta, w, grid, sample, phi, cache)
-            close(log_ratios[r, j], lan.log_ratio)
-            close(remainders[r, j], lan.remainder)
+        central = score(m0, y) @ phi
+        for k in range(3):
+            close(score_terms[r, k], central[k])
+        for j, single in enumerate(singles):
+            log_ratio, score_term, remainder = single.evaluate(y[None])
+            close(log_ratios[r, j], log_ratio[0, 0])
+            close(remainders[r, j], remainder[0, 0])
             for k in range(3):
-                close(score_terms[r, k], lan.score_term[k])
+                close(score_terms[r, k], score_term[0, k])
     # the zero direction is exactly degenerate in the block too
     assert np.all(log_ratios[:, 2] == 0.0) and np.all(remainders[:, 2] == 0.0)
 
@@ -173,10 +181,10 @@ def test_local_expansion_block_rows_match_normalized_log_ratio():
 def test_shift_outside_box_is_rejected():
     model, space, theta = trig_scaled_model()
     grid = uniform_grid(10, 0.25)
-    sample = simulate_increments(model, theta, grid, seed=1)
     with pytest.raises(OutOfSpaceError):
-        normalized_log_ratio(
-            model, space, theta, np.array([0.0, 0.0, 1.0]), grid, sample, 100.0 * np.eye(3)
+        local_expansion(
+            model, space, theta, np.array([[0.0, 0.0, 1.0]]), 100.0 * np.eye(3),
+            MomentCache(model, grid),
         )
 
 
@@ -209,13 +217,10 @@ def test_remainder_shrinks_along_ladder():
         grid = uniform_grid(n, 0.25)
         cache = MomentCache(model, grid)
         bundle = empirical_fisher(cache.moments(theta), grid)
-        phi = bundle.local_scaling
-        acc = []
-        for rep in range(300):
-            sample = simulate_increments(model, theta, grid, seed=515, replicate=rep, cache=cache)
-            lan = normalized_log_ratio(model, space, theta, w, grid, sample, phi, cache)
-            acc.append(abs(lan.remainder))
-        means.append(np.mean(acc))
+        expansion = local_expansion(model, space, theta, w[None], bundle.local_scaling, cache)
+        ys = simulate_batch(model, theta, grid, seed=515, replicates=300, cache=cache)
+        _, _, remainders = expansion.evaluate(ys)
+        means.append(np.mean(np.abs(remainders[:, 0])))
     assert means[0] > means[1] > means[2]
 
 
