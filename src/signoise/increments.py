@@ -22,7 +22,7 @@ supplies its stacked ``integrals`` (the closure route); families without
 them fall back to adaptive quadrature over all intervals at once, split
 at the jumps a family declares.  ``MomentCache`` picks each block's route
 once, when it is built; ``force_quadrature=True`` forces the fallback on
-every family, which is how the routes are checked against each other.
+every family's moments alone, which is how the routes are checked.
 """
 
 from __future__ import annotations
@@ -211,20 +211,21 @@ class MomentCache:
     def _route(self, label: str, family):
         """Pick a block's route: closed, the family's exact integrals, or quadrature."""
         grid = self.grid
-        if not self.force_quadrature:
-            if isinstance(family, LinearSignal):
-                self._basis_integrals = family.basis_integral_matrix(grid.starts, grid.ends)
-                self._check_finite("basis integral", self._basis_integrals)
-                return partial(_linear_route, self._basis_integrals)
-            if isinstance(family, (KnownNoise, ScaledNoise)):
-                self._profile_integrals = np.asarray(
-                    family.profile.integral(grid.starts, grid.ends), dtype=float
-                )
-                self._check_finite("variance profile integral", self._profile_integrals)
-                return partial(_scaled_route if family.q else _known_route, self._profile_integrals)
-            integrals = getattr(family, "integrals", None)
-            if integrals is not None:
-                return partial(_closure_route, integrals, grid.starts, grid.ends)
+        exact = None
+        if isinstance(family, LinearSignal):
+            self._basis_integrals = family.basis_integral_matrix(grid.starts, grid.ends)
+            self._check_finite("basis integral", self._basis_integrals)
+            exact = partial(_linear_route, self._basis_integrals)
+        elif isinstance(family, (KnownNoise, ScaledNoise)):
+            self._profile_integrals = np.asarray(
+                family.profile.integral(grid.starts, grid.ends), dtype=float
+            )
+            self._check_finite("variance profile integral", self._profile_integrals)
+            exact = partial(_scaled_route if family.q else _known_route, self._profile_integrals)
+        elif (integrals := getattr(family, "integrals", None)) is not None:
+            exact = partial(_closure_route, integrals, grid.starts, grid.ends)
+        if exact is not None and not self.force_quadrature:
+            return exact
         knots = grid.instants
         if hasattr(family, "jumps"):  # split at declared jumps, which the rule cannot see
             knots = np.union1d(knots, family.jumps(knots[0], knots[-1]))

@@ -3,7 +3,10 @@
 A grid is the finite set of instants 0 = t_0 < t_1 < ... < t_n at which the
 process is read off.  Delays d_i = t_i - t_{i-1} are stored explicitly and
 are the authoritative interval lengths: for long horizons the subtraction
-t_i - t_{i-1} loses relative precision, the stored delays do not.
+t_i - t_{i-1} loses relative precision, the stored delays do not.  Each
+builder is a few array operations: instants are h*i rounded once, whole
+periods plus cycle offsets, total_time times the map's values on the
+lattice i/n, or the correctly rounded prefix sums of the delays.
 """
 
 from __future__ import annotations
@@ -28,21 +31,6 @@ __all__ = [
 ]
 
 
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums of ``values`` with a leading zero, Kahan-compensated."""
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values):
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i + 1] = total
-    return out
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing observation instants starting at zero.
@@ -52,8 +40,8 @@ class TimeGrid:
     instants : ndarray, shape (n+1,)
         t_0 = 0 through t_n, strictly increasing.
     delays : ndarray, shape (n,)
-        Positive interval lengths.  ``instants`` and ``delays`` are
-        consistent up to accumulated rounding; delays are primary.
+        Positive interval lengths, primary over the instants; a grid built
+        from delays holds their correctly rounded prefix sums as instants.
     """
 
     instants: np.ndarray
@@ -152,20 +140,27 @@ def periodic_pattern_grid(offsets, period: float, cycles: int) -> TimeGrid:
 def quantile_grid(inverse_cdf, n: int, total_time: float) -> TimeGrid:
     """Grid t_i = total_time * Q(i/n) for an inverse distribution function Q.
 
-    Q must map [0, 1] onto [0, 1] with Q(0) = 0, Q(1) = 1, strictly
-    increasing on the probed lattice.
+    Q is called once, on the lattice ``arange(n + 1) / n``, and must return
+    an array of its shape (wrap a scalar map in ``np.vectorize``), with
+    Q(0) = 0, Q(1) = 1, strictly increasing on the lattice.
     """
     if n < 1:
         raise GridError(f"n must be >= 1, got {n}")
     if not (total_time > 0.0 and np.isfinite(total_time)):
         raise GridError(f"total_time must be positive, got {total_time!r}")
     u = np.arange(n + 1, dtype=float) / n
-    q = np.asarray([float(inverse_cdf(x)) for x in u])
+    want = f"inverse cdf must map the lattice, shape {u.shape}, to the same shape"
+    try:
+        q = np.asarray(inverse_cdf(u), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GridError(f"{want}, but failed ({exc}); wrap a scalar map in np.vectorize") from exc
+    if q.shape != u.shape:
+        raise GridError(f"{want}, got shape {q.shape}; wrap a scalar map in np.vectorize")
     if abs(q[0]) > 1e-15 or abs(q[-1] - 1.0) > 1e-12:
         raise GridError("inverse cdf must satisfy Q(0)=0 and Q(1)=1")
-    q[0] = 0.0
-    q[-1] = 1.0
     instants = total_time * q
+    instants[0] = 0.0
+    instants[-1] = total_time
     if np.any(np.diff(instants) <= 0.0):
         raise GridError("inverse cdf is not strictly increasing on the lattice")
     return TimeGrid(instants, np.diff(instants), label=f"quantile(n={n})")
@@ -179,19 +174,30 @@ def grid_from_instants(instants, label: str = "") -> TimeGrid:
 
 
 def grid_from_delays(delays, label: str = "") -> TimeGrid:
-    """Rebuild a grid from its delays via compensated summation."""
+    """Rebuild a grid from its delays; each instant is their correctly rounded prefix sum.
+
+    cumsum(d) plus the running sum of each step's exact TwoSum error (Ogita, Rump & Oishi,
+    "Accurate sum and dot product", 2005); what is left matters only at a near-tie."""
     dl = np.asarray(delays, dtype=float)
     if dl.ndim != 1 or dl.size == 0:
         raise GridError("need at least one delay")
-    return TimeGrid(_compensated_cumsum(dl), dl, label=label)
+    instants = np.zeros(dl.size + 1)
+    s, prev = instants[1:], instants[:-1]
+    np.cumsum(dl, out=s)
+    t = s - dl  # error e = (prev - t) + (d - (s - t)), in place and in this order
+    e = prev - t
+    np.subtract(s, t, out=t)
+    np.subtract(dl, t, out=t)
+    e += t
+    s += np.cumsum(e, out=e)
+    return TimeGrid(instants, dl, label=label)
 
 
 def save_grid_csv(grid: TimeGrid, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t"])
-        for t in grid.instants:
-            w.writerow([repr(float(t))])
+        w.writerows([repr(t)] for t in grid.instants.tolist())
 
 
 def load_grid_csv(path) -> TimeGrid:

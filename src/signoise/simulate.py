@@ -45,20 +45,21 @@ _MAX_SEED = 2**64
 
 
 def _seed_problem(value) -> str | None:
-    """Why ``value`` is not a seed or replicate index, an integer in [0, 2**64); None if it is."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Why ``value`` is not a seed or replicate index, an integer in [0, 2**64); None if it is.
+
+    Numpy integers count as their value, bools not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         return f"must be an integer, got {value!r}"
-    if not 0 <= value < _MAX_SEED:
+    if not 0 <= int(value) < _MAX_SEED:
         return f"must lie in [0, 2**64), got {value}"
     return None
 
 
-def _check_seed(value: int, name: str) -> int:
-    value = int(value)
+def _check_seed(value, name: str) -> int:
     problem = _seed_problem(value)
     if problem is not None:
         raise DomainError(f"{name} {problem}")
-    return value
+    return int(value)
 
 
 _SLAB_WORDS = 65_536
@@ -128,16 +129,13 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit:
     the same stream, drawn by one generator re-keyed per replicate, then
     scaled and shifted in place.  Memory beyond the block is bounded by
-    the slab of ``_SLAB_WORDS`` raw words.  Requires 0 <= lo <= hi <= 2**64.
+    the slab of ``_SLAB_WORDS`` raw words.  ``seed``, ``lo`` and ``hi`` follow
+    the seed rule, and lo <= hi.
     """
     seed = _check_seed(seed, "seed")
-    lo, hi = int(lo), int(hi)
-    if lo < 0:
-        raise DomainError(f"lo must be >= 0, got {lo}")
+    lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
-    if hi > _MAX_SEED:
-        raise DomainError(f"hi must be <= 2**64 (replicates lie in [0, 2**64)), got {hi}")
     out = _standard_normals(seed, lo, hi, mean.size)
     out *= sd
     out += mean
@@ -188,12 +186,14 @@ def simulate_increments(
     cache: MomentCache | None = None,
 ) -> IncrementSample:
     """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i."""
-    replicate = _check_seed(replicate, "replicate")
+    seed, replicate = _check_seed(seed, "seed"), _check_seed(replicate, "replicate")
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    y = draw_block(m.mean, np.sqrt(m.var), seed, replicate, replicate + 1)[0]
-    return IncrementSample(y, int(seed), replicate, grid.digest(), theta)
+    y = normal_stream(seed, replicate, m.mean.size)  # = draw_block's row; reaches replicate 2**64-1
+    y *= np.sqrt(m.var)
+    y += m.mean
+    return IncrementSample(y, seed, replicate, grid.digest(), theta)
 
 
 def simulate_batch(
@@ -234,15 +234,8 @@ def save_sample(sample: IncrementSample, grid: TimeGrid, csv_path, meta_path=Non
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["i", "t_prev", "t_next", "y"])
-        for i in range(sample.n):
-            w.writerow(
-                [
-                    i + 1,
-                    repr(float(grid.instants[i])),
-                    repr(float(grid.instants[i + 1])),
-                    repr(float(sample.y[i])),
-                ]
-            )
+        rows = zip(grid.starts.tolist(), grid.ends.tolist(), sample.y.tolist())
+        w.writerows([i, repr(a), repr(b), repr(y)] for i, (a, b, y) in enumerate(rows, 1))
     if meta_path is not None:
         meta = {
             "seed": sample.seed,

@@ -376,16 +376,18 @@ def test_estimate_names_a_bad_sample_sidecar(tmp_path, capsys, sidecar, detail):
 
 
 def test_grid_outputs_carry_provenance(tmp_path):
-    cfg = _write(
-        tmp_path / "grid.json",
-        {"grid": {"kind": "pattern", "offsets": [0.3, 1.0], "period": 1.0, "cycles": 4}},
-    )
-    assert main(["grid", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
-    lines = (tmp_path / "g" / "grid.csv").read_text().splitlines()
-    assert len(lines) == 10  # header + 9 instants
-    meta = json.loads((tmp_path / "g" / "grid_meta.json").read_text())
-    assert meta["n"] == 8
-    assert "config_digest" in meta and "grid_digest" in meta
+    grids = {
+        "pattern": {"kind": "pattern", "offsets": [0.3, 1.0], "period": 1.0, "cycles": 4},
+        "quantile": {"kind": "quantile", "n": 8, "total_time": 2.0, "exponent": 1.5},
+    }
+    for name, grid in grids.items():
+        cfg = _write(tmp_path / f"{name}.json", {"grid": grid})
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "grid.csv").read_text().splitlines()
+        assert len(lines) == 10, name  # header + 9 instants
+        meta = json.loads((tmp_path / name / "grid_meta.json").read_text())
+        assert meta["n"] == 8
+        assert "config_digest" in meta and "grid_digest" in meta
 
 
 def test_seed_flag_overrides_config(tmp_path):

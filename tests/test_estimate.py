@@ -37,7 +37,7 @@ from signoise import (
 
 from signoise.estimate import _MULTISTARTS, _halton_starts, _make_batch_loglik, _tensor_points
 
-from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
+from helpers import curved_model, mean_model, steps_model, trig_known_model, trig_scaled_model
 
 
 def _scaled_fits(model, grid, draws):
@@ -192,6 +192,21 @@ def test_closed_form_covariance_matches_normal_equations(build, grid):
     assert fit.covariance.shape == want.shape == (model.d, model.d)
     np.testing.assert_allclose(fit.covariance, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(fit.stderr, np.sqrt(np.diag(want)), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [trig_known_model, trig_scaled_model, steps_model])
+def test_closed_form_estimators_run_on_a_forced_quadrature_cache(build):
+    # force_quadrature picks the moment route only; the precomputed basis and
+    # profile integrals the closed forms read are there either way
+    model, space, theta = build()
+    grid = uniform_grid(200, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=31)
+    forced = MomentCache(model, grid, force_quadrature=True)
+    fit = closed_form_mle(model, space, grid, sample, cache=forced)
+    default = closed_form_mle(model, space, grid, sample, cache=MomentCache(model, grid))
+    assert np.array_equal(fit.theta.vector, default.theta.vector)
+    post = posterior_mean_importance(model, space, grid, sample, draws=2000, seed=1, cache=forced)
+    assert np.all(np.isfinite(post.theta.vector))
 
 
 def test_numeric_matches_closed_form():

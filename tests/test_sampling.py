@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -69,18 +70,32 @@ def test_quantile_grid_examples():
 
 def test_quantile_grid_rejects_non_monotone_map():
     with pytest.raises(GridError):
-        quantile_grid(lambda u: math.sin(4.0 * math.pi * u), 10, 1.0)
+        quantile_grid(lambda u: np.sin(4.0 * np.pi * u), 10, 1.0)
+    # the map is called once on the whole lattice: a scalar-only map, or one
+    # that returns another shape, is refused with the way out in the message
+    for scalar_map in (math.sin, lambda u: 0.5):
+        with pytest.raises(GridError, match=r"shape \(11,\).*np\.vectorize"):
+            quantile_grid(scalar_map, 10, 1.0)
 
 
-def test_reconstruction_from_delays_within_one_ulp():
+def _exact_prefix_sums(delays: np.ndarray) -> np.ndarray:
+    """Correctly rounded running sums with a leading zero, from integer arithmetic."""
+    ratios = [float(d).as_integer_ratio() for d in delays]
+    denom = max(den for _, den in ratios)  # a power of two: every numerator stays exact
+    sums = itertools.accumulate(num * (denom // den) for num, den in ratios)
+    return np.array([0.0] + [s / denom for s in sums])  # int / int rounds correctly
+
+
+def test_reconstruction_from_delays_is_correctly_rounded():
     rng = np.random.default_rng(29)
-    for _ in range(25):
-        n = int(rng.integers(5, 400))
-        delays = rng.uniform(0.01, 2.0, n)
-        # correctly rounded running sums are the oracle
-        exact = np.array([0.0] + [math.fsum(delays[: i + 1]) for i in range(n)])
-        g = grid_from_delays(delays)
-        assert np.all(np.abs(g.instants - exact) <= np.spacing(np.abs(exact) + 1e-300))
+    # unit-scale delays; delays in [1e-9, 1e-6]; delays in [2e3, 8e3], so T reaches ~1e7
+    for low, high in ((0.01, 2.0), (1e-9, 1e-6), (2e3, 8e3)):
+        for _ in range(8):
+            n = int(rng.integers(5, 2000))
+            delays = rng.uniform(low, high, n)
+            g = grid_from_delays(delays)
+            assert np.array_equal(g.instants, _exact_prefix_sums(delays)), (low, high, n)
+            assert np.array_equal(g.delays, delays)
 
 
 def test_grid_invariants_rejected():

@@ -114,6 +114,49 @@ def test_draw_block_rejects_bad_range_before_drawing(monkeypatch, lo, hi, bound)
         draw_block(np.zeros(4), np.ones(4), 1, lo, hi)
 
 
+_SEEDED_CALLS = {
+    "derive_seed-seed": ("seed", lambda v: derive_seed(v, "a")),
+    "normal_stream-seed": ("seed", lambda v: normal_stream(v, 0, 8)),
+    "normal_stream-replicate": ("replicate", lambda v: normal_stream(5, v, 8)),
+    "draw_block-seed": ("seed", lambda v: draw_block(np.zeros(8), np.ones(8), v, 0, 2)),
+    "draw_block-lo": ("lo", lambda v: draw_block(np.zeros(8), np.ones(8), 5, v, 4)),
+    "draw_block-hi": ("hi", lambda v: draw_block(np.zeros(8), np.ones(8), 5, 0, v)),
+    "simulate_increments-seed": (
+        "seed", lambda v: simulate_increments(*_mean_setup(), seed=v, replicate=1)
+    ),
+    "simulate_increments-replicate": (
+        "replicate", lambda v: simulate_increments(*_mean_setup(), seed=5, replicate=v)
+    ),
+}
+
+
+def _mean_setup():
+    model, _, theta = mean_model()
+    return model, theta, uniform_grid(8, 0.5)
+
+
+def _bits(out):
+    """What a seeded call gives, in a form where equal means bit-identical."""
+    if isinstance(out, simulate.IncrementSample):
+        return out.y.tobytes(), type(out.seed), out.seed, type(out.replicate), out.replicate
+    return out.tobytes() if isinstance(out, np.ndarray) else (type(out), out)
+
+
+@pytest.mark.parametrize("name, call", _SEEDED_CALLS.values(), ids=list(_SEEDED_CALLS))
+def test_seed_arguments_follow_the_seed_rule(name, call):
+    for bad in (1.5, "x", True, -1, 2**64):
+        with pytest.raises(DomainError, match=rf"^{name} must"):
+            call(bad)
+    assert _bits(call(np.int64(3))) == _bits(call(3))  # numpy integers count as their value
+
+
+def test_simulate_increments_reaches_the_last_replicate():
+    model, theta, grid = _mean_setup()
+    sample = simulate_increments(model, theta, grid, seed=5, replicate=2**64 - 1)
+    m = moments_for(model, theta, grid)
+    assert np.array_equal(sample.y, m.mean + np.sqrt(m.var) * normal_stream(5, 2**64 - 1, 8))
+
+
 def test_distinct_replicates_differ():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(64, 0.25)
