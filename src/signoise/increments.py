@@ -22,14 +22,16 @@ supplies its stacked ``integrals`` (the closure route); families without
 them fall back to adaptive quadrature over all intervals at once, split
 at the jumps a family declares.  ``MomentCache`` picks each block's route
 once, when it is built; ``force_quadrature=True`` forces the fallback on
-every family's moments alone, which is how the routes are checked.
+every family's moments alone, which is how the routes are checked.  The
+closure route runs family code, so its block keeps the results of its last
+16 parameter vectors, within 32 MiB; the other routes keep none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, block_diag, cho_factor, cho_solve
@@ -57,6 +59,8 @@ __all__ = [
     "MomentCache",
     "has_closed_form",
 ]
+
+_MEMO_SIZE, _MEMO_BYTES = 16, 2**25  # per memoized block: 8 screen points, a fit's steps; 32 MiB
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,10 @@ class MomentCache:
 
     Precomputes whatever is parameter-independent for the bound grid (basis
     integrals for linear drifts, profile integrals for known or scaled
-    variances) so that ``moments(theta)`` costs a few matrix products.
+    variances) so that ``moments(theta)`` costs a few matrix products.  A
+    closure block reuses its last 16 parameter vectors' results (fewer if they
+    would pass 32 MiB), drift and variance apart, freed with the cache and not
+    pickled; a repeat shares arrays ``IncrementMoments`` made read-only.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, force_quadrature: bool = False):
@@ -205,10 +212,10 @@ class MomentCache:
         self._design: LinearDesign | None = None
         # each block's one route, params -> (integrals (n,), gradient integrals (n, k)): a
         # module function, as a bound method would keep the cache alive in a reference cycle
-        self._drift = self._route("drift", model.signal)
-        self._variance = self._route("variance", model.noise)
+        self._drift = self._route("drift", model.signal, model.p)
+        self._variance = self._route("variance", model.noise, model.q)
 
-    def _route(self, label: str, family):
+    def _route(self, label: str, family, k: int):
         """Pick a block's route: closed, the family's exact integrals, or quadrature."""
         grid = self.grid
         exact = None
@@ -223,7 +230,8 @@ class MomentCache:
             self._check_finite("variance profile integral", self._profile_integrals)
             exact = partial(_scaled_route if family.q else _known_route, self._profile_integrals)
         elif (integrals := getattr(family, "integrals", None)) is not None:
-            exact = partial(_closure_route, integrals, grid.starts, grid.ends)
+            size = min(_MEMO_SIZE, max(1, _MEMO_BYTES // (8 * grid.n * (1 + k))))
+            exact = _Memo(partial(_closure_route, integrals, grid.starts, grid.ends), size)
         if exact is not None and not self.force_quadrature:
             return exact
         knots = grid.instants
@@ -283,6 +291,20 @@ class MomentCache:
                 f"below floor*delay = {float(floor[i])!r}"
             )
         return IncrementMoments(mean, var, grad_mean, grad_var)
+
+
+class _Memo:
+    """A route that keeps its last ``size`` results by parameter bytes; a raise keeps none."""
+
+    def __init__(self, route, size: int):
+        self.route, self.size = route, size  # route gets a fresh copy of the parameter vector
+        self._results = lru_cache(size)(lambda key: route(np.frombuffer(key).copy()))
+
+    def __call__(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._results(np.asarray(params, dtype=float).tobytes())
+
+    def __reduce__(self):  # pickles as the route and its size, with no entries
+        return _Memo, (self.route, self.size)
 
 
 def _linear_route(basis: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -58,9 +58,12 @@ class TimeGrid:
         if inst[0] != 0.0:
             raise GridError(f"first instant must be 0.0, got {inst[0]!r}")
         if not np.all(np.isfinite(inst)) or not np.all(np.isfinite(dl)):
-            raise GridError("non-finite instants or delays")
+            i = int(np.argmin(np.isfinite(inst[1:]) & np.isfinite(dl)))  # only on failure
+            raise GridError(f"non-finite instant or delay: interval {i}")
         if np.any(dl <= 0.0) or np.any(np.diff(inst) <= 0.0):
-            raise GridError("instants must be strictly increasing")
+            i = int(np.argmax((dl <= 0.0) | (np.diff(inst) <= 0.0)))
+            raise GridError(f"instants must be strictly increasing: interval {i} has delay "
+                            f"{float(dl[i])!r} on [{float(inst[i])!r}, {float(inst[i + 1])!r}]")
         inst.flags.writeable = False
         dl.flags.writeable = False
         object.__setattr__(self, "instants", inst)

@@ -57,31 +57,48 @@ def trig_scaled_model():
     return model, space, theta
 
 
+def _curved_value(a, t):
+    return math.sin(a[0]) * math.cos(t)
+
+
+def _curved_grad(a, t):
+    return np.array([math.cos(a[0]) * math.cos(t)])
+
+
+def _curved_integral(a, lo, hi):
+    return math.sin(a[0]) * (math.sin(hi) - math.sin(lo))
+
+
+def _curved_grad_integral(a, lo, hi):
+    return np.array([math.cos(a[0]) * (math.sin(hi) - math.sin(lo))])
+
+
+def _curved_s2(b, t):
+    return math.exp(b[0]) * (2.0 + math.sin(t))
+
+
+def _curved_s2_grad(b, t):
+    return np.array([_curved_s2(b, t)])
+
+
+def _curved_s2_integral(b, lo, hi):
+    return math.exp(b[0]) * (2.0 * (hi - lo) + math.cos(lo) - math.cos(hi))
+
+
+def _curved_s2_grad_integral(b, lo, hi):
+    return np.array([_curved_s2_integral(b, lo, hi)])
+
+
 def curved_model():
     """General closures: f = sin(a) cos(t), sigma2 = exp(b) (2 + sin t).
 
     Both carry exact antiderivatives so the cache takes the closed-form
-    route; dropping them forces quadrature.
+    route; dropping them forces quadrature.  The callables are module
+    functions, so the model pickles.
     """
-    signal = GeneralSignal(
-        p=1,
-        value_fn=lambda a, t: math.sin(a[0]) * math.cos(t),
-        grad_fn=lambda a, t: np.array([math.cos(a[0]) * math.cos(t)]),
-        integral_fn=lambda a, lo, hi: math.sin(a[0]) * (math.sin(hi) - math.sin(lo)),
-        grad_integral_fn=lambda a, lo, hi: np.array(
-            [math.cos(a[0]) * (math.sin(hi) - math.sin(lo))]
-        ),
-    )
-
-    def s2_int(b, lo, hi):
-        return math.exp(b[0]) * (2.0 * (hi - lo) + math.cos(lo) - math.cos(hi))
-
+    signal = GeneralSignal(1, _curved_value, _curved_grad, _curved_integral, _curved_grad_integral)
     noise = GeneralNoise(
-        q=1,
-        value_fn=lambda b, t: math.exp(b[0]) * (2.0 + math.sin(t)),
-        grad_fn=lambda b, t: np.array([math.exp(b[0]) * (2.0 + math.sin(t))]),
-        integral_fn=s2_int,
-        grad_integral_fn=lambda b, lo, hi: np.array([s2_int(b, lo, hi)]),
+        1, _curved_s2, _curved_s2_grad, _curved_s2_integral, _curved_s2_grad_integral
     )
     model = ModelSpec(signal, noise)
     space = ParameterSpace(((-1.2, 1.2),), ((-1.0, 1.0),))

@@ -1,6 +1,11 @@
+import pickle
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from signoise import increments
 from signoise import (
     ConstantFn,
     CosineFn,
@@ -17,7 +22,10 @@ from signoise import (
     ScaledNoise,
     Theta,
     constant_profile,
+    expected_power_identity,
     grid_from_instants,
+    mle_numeric,
+    simulate_increments,
     uniform_grid,
 )
 
@@ -171,8 +179,12 @@ def test_quadrature_failure_names_block_and_interval(block, rate):
         model = ModelSpec(LinearSignal((ConstantFn(),)), noise)
         theta = Theta((0.0,), (1.0,))
     message = rf"{block} moment: interval 2: .* on \[2\.0, 3\.0\]"
-    with pytest.raises(QuadratureError, match=message):
-        MomentCache(model, grid).moments(theta)
+    cache = MomentCache(model, grid)
+    with pytest.raises(QuadratureError, match=message) as first:
+        cache.moments(theta)
+    with pytest.raises(QuadratureError) as again:  # a failed evaluation is not kept
+        cache.moments(theta)
+    assert str(again.value) == str(first.value)
 
 
 @pytest.mark.parametrize("block", ["drift", "variance"])
@@ -302,3 +314,117 @@ def test_basis_integrals_reused_across_theta():
     m2 = cache.moments(Theta((0.0, 1.0), ()))
     assert np.allclose(m1.mean, b[:, 0], atol=0.0)
     assert np.allclose(m2.mean, b[:, 1], atol=0.0)
+
+
+def _counted(model):
+    """``model`` with each general family's callables counted, by (block, callable)."""
+    calls = Counter()
+
+    def count(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    fields = ("value_fn", "grad_fn", "integral_fn", "grad_integral_fn")
+    families = {
+        block: replace(family, **{f: count((block, f), getattr(family, f)) for f in fields})
+        for block, family in (("drift", model.signal), ("variance", model.noise))
+    }
+    return replace(model, signal=families["drift"], noise=families["variance"]), calls
+
+
+def test_closure_blocks_reuse_their_last_16_parameter_vectors():
+    model, calls = _counted(curved_model()[0])
+    n = 8
+    cache = MomentCache(model, uniform_grid(n, 0.5))
+    theta = Theta((0.3,), (0.2,))
+
+    def block_calls(block):
+        return sum(v for (b, _), v in calls.items() if b == block)
+
+    first = cache.moments(theta)  # one call of each antiderivative per interval
+    assert calls == {(b, f): n for b in ("drift", "variance")
+                     for f in ("integral_fn", "grad_integral_fn")}
+    drift, variance = block_calls("drift"), block_calls("variance")
+    again = cache.moments(theta)
+    assert (block_calls("drift"), block_calls("variance")) == (drift, variance)
+    assert again.var is first.var and not again.var.flags.writeable  # shared, read-only
+
+    cache.moments(Theta((0.3,), (0.5,)))  # a step in beta alone reuses the drift block
+    assert block_calls("drift") == drift and block_calls("variance") == 2 * variance
+
+    others = [Theta((0.31 + 0.01 * k,), (0.2,)) for k in range(31)]
+    for other in others[:15]:
+        cache.moments(other)
+    before = block_calls("drift")
+    cache.moments(theta)  # 15 vectors later, still kept
+    assert block_calls("drift") == before
+    for other in others[15:]:
+        cache.moments(other)
+    before = block_calls("drift")
+    cache.moments(theta)  # 16 vectors later, computed again
+    assert block_calls("drift") == before + drift
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["byte-bound", "quadrature"])
+def test_memo_entries_fit_a_byte_budget_and_quadrature_keeps_none(forced, monkeypatch):
+    n = 8  # an entry holds n (1 + k) = 16 floats, 128 bytes, per block
+    monkeypatch.setattr(increments, "_MEMO_BYTES", 3 * 128 + 127)
+    model, calls = _counted(curved_model()[0])
+    cache = MomentCache(model, uniform_grid(n, 0.5), force_quadrature=forced)
+    theta = Theta((0.3,), (0.2,))
+    cache.moments(theta)
+    cache.moments(Theta((0.4,), (0.2,)))
+    cache.moments(Theta((0.5,), (0.2,)))
+    before = sum(calls.values())
+    cache.moments(theta)  # two vectors later, kept by the 3-entry memo, recomputed on quadrature
+    assert (sum(calls.values()) > before) == forced
+    cache.moments(Theta((0.6,), (0.2,)))
+    before = sum(calls.values())
+    cache.moments(Theta((0.4,), (0.2,)))  # the 3 entries now hold 0.3, 0.5 and 0.6
+    assert sum(calls.values()) > before
+
+
+def test_shared_cache_gives_the_results_of_fresh_caches():
+    model, space, theta = curved_model()
+    grid = uniform_grid(200, 0.25)
+    shared = MomentCache(model, grid)
+    for r in range(6):
+        sample = simulate_increments(model, theta, grid, seed=17, replicate=r)
+        got = mle_numeric(model, space, grid, sample, cache=shared)
+        want = mle_numeric(model, space, grid, sample, cache=MomentCache(model, grid))
+        assert np.array_equal(got.theta.vector, want.theta.vector)
+        assert np.array_equal(got.stderr, want.stderr)
+        assert (got.log_lik, got.iterations) == (want.log_lik, want.iterations)
+    shift = np.array([0.05, -0.05])
+    for z in (0.25, 0.5, 0.75):
+        got = expected_power_identity(model, theta, shift, z, grid, cache=shared)
+        assert got == expected_power_identity(model, theta, shift, z, grid)
+
+
+def test_used_caches_pickle_as_fresh_ones():
+    curved, curved_space, _ = curved_model()
+    bare = {"integral_fn": None, "grad_integral_fn": None}
+    quad = replace(curved, signal=replace(curved.signal, **bare),
+                   noise=replace(curved.noise, **bare))
+    scaled, scaled_space, _ = trig_scaled_model()
+    grid = uniform_grid(40, 0.25)
+    rng = np.random.default_rng(23)
+    for model, space, forced in [
+        (scaled, scaled_space, False), (scaled, scaled_space, True),
+        (quad, curved_space, False), (curved, curved_space, False),
+    ]:
+        cache = MomentCache(model, grid, force_quadrature=forced)
+        size = len(pickle.dumps(cache))
+        thetas = [sample_interior(space, rng) for _ in range(20)]
+        for theta in thetas:
+            cache.moments(theta)
+        data = pickle.dumps(cache)
+        assert len(data) == size, forced  # the memo's entries are not pickled
+        back = pickle.loads(data)
+        for theta in thetas:
+            want, got = cache.moments(theta), back.moments(theta)
+            for name in ("mean", "var", "grad_mean", "grad_var"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name

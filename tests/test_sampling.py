@@ -105,6 +105,12 @@ def test_grid_invariants_rejected():
         grid_from_instants([0.5, 1.0])  # must start at zero
     with pytest.raises(GridError):
         grid_from_instants([0.0])  # needs at least one increment
+    # 1e7 + 1e-10 rounds back to 1e7: the message names the interval, its delay and ends
+    message = r"interval 1 has delay 1e-10 on \[10000000\.0, 10000000\.0\]"
+    with pytest.raises(GridError, match=message):
+        grid_from_delays([1e7, 1e-10, 1.0])
+    with pytest.raises(GridError, match=r"non-finite instant or delay: interval 2$"):
+        grid_from_delays([1.0, 2.0, float("nan")])
 
 
 def test_max_delay_is_exact_maximum():
