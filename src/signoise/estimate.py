@@ -420,6 +420,8 @@ def posterior_mean_quadrature(
         raise DomainError(
             f"tensor cubature is limited to d <= {_BAYES_MAX_DIM}, got d = {space.d}"
         )
+    if not (np.isfinite(rel_tol) and rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     if prior is None:
         prior = Prior()
     prior.check_dimension(space.d)
@@ -514,8 +516,8 @@ def posterior_mean_importance(
     the delta-method standard error of the weighted mean, which is what
     makes this route a quantitative cross-check of the cubature route.
     """
-    if draws < 2:
-        raise DomainError(f"draws must be >= 2, got {draws}")
+    if not isinstance(draws, (int, np.integer)) or draws < 2:
+        raise DomainError(f"draws must be an integer >= 2, got {draws!r}")
     if prior is None:
         prior = Prior()
     prior.check_dimension(space.d)

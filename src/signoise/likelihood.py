@@ -10,11 +10,11 @@ Beyond the likelihood itself this module exposes the centered two-point
 decomposition used by the asymptotic studies: the log-ratio between a base
 point and a locally rescaled alternative splits into a linear score term,
 an explicit quadratic, and a remainder, the remainder being defined
-residually so the identity holds exactly at any sample size.  The moments
-at the base and shifted points do not depend on the sample, so a
-``LocalExpansion`` holds them once and decomposes a whole (k, n) block of
-samples per call, its central sequence being ``score`` applied to each
-row and rescaled.
+residually so the identity holds exactly at any sample size.  The
+log-ratio is a quadratic in the base residual whose weights do not depend
+on the sample, so a ``LocalExpansion`` holds them once and decomposes a
+whole (k, n) block of samples with two matrix products, its central
+sequence being ``score`` applied to each row and rescaled.
 """
 
 from __future__ import annotations
@@ -40,26 +40,20 @@ __all__ = [
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-def _check_lengths(moments: IncrementMoments, y: np.ndarray, ndim: int = 1) -> None:
+def _as_rows(moments: IncrementMoments, y: np.ndarray, ndim: int = 1) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     if y.ndim != ndim or y.shape[-1] != moments.n:
         raise DomainError(f"y has shape {y.shape}, moments have n={moments.n}")
+    return y
 
 
 def log_likelihood(moments: IncrementMoments, y: np.ndarray) -> float:
     """Exact Gaussian log-likelihood of the increment vector y."""
-    y = np.asarray(y, dtype=float)
-    _check_lengths(moments, y)
-    return float(_log_likelihood_rows(moments, y))
-
-
-def _log_likelihood_rows(moments: IncrementMoments, y: np.ndarray):
-    """Log-likelihood of each row of y (..., n); contiguous rows sum exactly
-    as a single vector does, so a block row equals its one-sample value."""
-    resid = y - moments.mean
-    return (
+    resid = _as_rows(moments, y) - moments.mean
+    return float(
         -0.5 * moments.n * _LN_2PI
         - 0.5 * np.sum(np.log(moments.var))
-        - 0.5 * np.sum(resid * resid / moments.var, axis=-1)
+        - 0.5 * np.sum(resid * resid / moments.var)
     )
 
 
@@ -69,9 +63,7 @@ def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
     Drift block:    sum_i resid_i * grad_mean_i / var_i
     Variance block: sum_i (resid_i^2 / var_i - 1) * grad_var_i / (2 var_i)
     """
-    y = np.asarray(y, dtype=float)
-    _check_lengths(moments, y)
-    return _score_rows(moments, y)
+    return _score_rows(moments, _as_rows(moments, y))
 
 
 def _score_rows(moments: IncrementMoments, ys: np.ndarray) -> np.ndarray:
@@ -85,15 +77,19 @@ def _score_rows(moments: IncrementMoments, ys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalExpansion:
-    """Moments at a base point and at its shifts theta + scaling @ w_j.
+    """Log-ratios from a base point to its shifts theta + scaling @ w_j.
 
-    ``directions`` is (J, d), one direction w_j per row, and ``shifted``
-    holds the moments at each shifted point in the same order.  Built by
-    ``local_expansion``; ``evaluate`` applies it to any block of samples.
+    ``directions`` is (J, d), one w_j per row.  With r = y - m0 and
+    u = r^2/v0 - 1 (centred, so the products cancel no digits), the
+    log-ratio along w_j is ``u @ h[:, j] + r @ b[:, j] + c[j]``: per interval
+    h = (1 - v0/v_j)/2 and b = (m_j - m0)/v_j, and c[j] sums
+    h - ln(v_j/v0)/2 - (m_j - m0)^2/(2 v_j).  Built by ``local_expansion``.
     """
 
     base: IncrementMoments
-    shifted: tuple[IncrementMoments, ...]
+    h: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     directions: np.ndarray
     scaling: np.ndarray
 
@@ -104,14 +100,10 @@ class LocalExpansion:
         row i, column j is the decomposition of sample i along direction j,
         with ``remainder = log_ratio - score_term . w_j + |w_j|^2 / 2``.
         """
-        ys = np.asarray(ys, dtype=float)
         m0 = self.base
-        _check_lengths(m0, ys, ndim=2)
-        ll0 = _log_likelihood_rows(m0, ys)
-        log_ratios = np.stack(
-            [_log_likelihood_rows(m1, ys) - ll0 for m1 in self.shifted], axis=-1
-        )
-
+        ys = _as_rows(m0, ys, ndim=2)
+        resid = ys - m0.mean
+        log_ratios = (resid * resid / m0.var - 1.0) @ self.h + resid @ self.b + self.c
         score_terms = _score_rows(m0, ys) @ self.scaling  # the normalized central sequence
 
         linear = score_terms @ self.directions.T
@@ -127,12 +119,12 @@ def local_expansion(
     scaling: np.ndarray,
     cache: MomentCache,
 ) -> LocalExpansion:
-    """Moments for the log-ratios from theta to theta + scaling @ w_j.
+    """The log-ratio quadratics from theta to theta + scaling @ w_j.
 
     Parameters
     ----------
     directions : ndarray, shape (J, d)
-        Local directions w_j, one per row.
+        Local directions w_j, one per row, J >= 1.
     scaling : ndarray, shape (d, d)
         The local rescaling matrix (symmetric PSD block-diagonal in
         practice); rows/columns ordered drift block then variance block.
@@ -145,14 +137,15 @@ def local_expansion(
     """
     d = model.d
     directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[1] != d:
-        raise DomainError(f"directions have shape {directions.shape}, expected (J, {d})")
+    if directions.ndim != 2 or directions.shape[1] != d or len(directions) == 0:
+        raise DomainError(f"directions have shape {directions.shape}, expected (J >= 1, {d})")
     scaling = np.asarray(scaling, dtype=float)
     if scaling.shape != (d, d):
         raise DomainError(f"scaling has shape {scaling.shape}, expected {(d, d)}")
     if not space.contains(theta):
         raise OutOfSpaceError("base point is outside the parameter box")
-    shifted = []
+    m0 = cache.moments(theta)
+    h, b, c = [], [], []
     for j, w in enumerate(directions):
         point = theta.vector + scaling @ w
         shifted_theta = Theta.from_vector(point, model.p)
@@ -161,8 +154,12 @@ def local_expansion(
                 f"direction {j} at n={cache.grid.n}: shifted point {point!r} "
                 "leaves the parameter box"
             )
-        shifted.append(cache.moments(shifted_theta))
-    return LocalExpansion(cache.moments(theta), tuple(shifted), directions, scaling)
+        m1 = cache.moments(shifted_theta)
+        dvar, dmean = m1.var - m0.var, m1.mean - m0.mean  # differences first: no cancellation
+        h.append(0.5 * dvar / m1.var)
+        b.append(dmean / m1.var)
+        c.append(np.sum(h[-1] - 0.5 * np.log1p(dvar / m0.var) - 0.5 * dmean * b[-1]))
+    return LocalExpansion(m0, np.stack(h, 1), np.stack(b, 1), np.array(c), directions, scaling)
 
 
 def expected_power_identity(

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -478,6 +480,26 @@ def test_tensor_cubature_dimension_guard():
     sample = simulate_increments(model, Theta((1.0, 0.0, 0.0, 0.0, 0.0), ()), grid, seed=2)
     with pytest.raises(DomainError):
         posterior_mean_quadrature(model, space, grid, sample)
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_cubature_rel_tol_must_be_finite_and_positive(rel_tol):
+    # non-positive or NaN tolerances would refine to the 4096-cell cap, and
+    # an infinite one would stop after the first partition
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(50, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=5)
+    with pytest.raises(DomainError, match=rf"rel_tol must be finite and > 0, got {rel_tol!r}"):
+        posterior_mean_quadrature(model, space, grid, sample, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("draws", [2.5, 1, True, np.float64(100.0)])
+def test_importance_draws_must_be_an_integer_of_at_least_two(draws):
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(50, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=5)
+    with pytest.raises(DomainError, match=re.escape(f"draws must be an integer >= 2, got {draws!r}")):
+        posterior_mean_importance(model, space, grid, sample, draws=draws)
 
 
 def _trig_model(noise: str, level: float):

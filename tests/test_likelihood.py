@@ -1,9 +1,12 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 from signoise import (
+    DomainError,
     MomentCache,
     OutOfSpaceError,
     Theta,
@@ -176,6 +179,44 @@ def test_local_expansion_block_rows_match_single_rows():
                 close(score_terms[r, k], score_term[0, k])
     # the zero direction is exactly degenerate in the block too
     assert np.all(log_ratios[:, 2] == 0.0) and np.all(remainders[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 2)])
+def test_local_expansion_rejects_directions_of_wrong_shape(shape):
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(10, 0.25)
+    with pytest.raises(DomainError, match=rf"directions have shape {re.escape(str(shape))}"):
+        local_expansion(model, space, theta, np.zeros(shape), np.eye(3), MomentCache(model, grid))
+
+
+def test_local_expansion_log_ratios_match_mpmath_oracle():
+    # lan-505's directions at its top rung: the quadratic in the centred
+    # base residual keeps the log-ratios within 1e-13 of a 40-digit sum
+    # over the same float moments; subtracting two log-likelihood totals
+    # misses it by ~5e-13
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(1600, 0.25)
+    cache = MomentCache(model, grid)
+    m0 = cache.moments(theta)
+    phi = empirical_fisher(m0, grid).local_scaling
+    directions = np.array([[0.6, 0.3, 0.2], [0.0, 0.5, 0.7], [0.4, 0.4, 0.4]])
+    ys = simulate_batch(model, theta, grid, seed=505, replicates=4, cache=cache)
+    log_ratios, _, _ = local_expansion(model, space, theta, directions, phi, cache).evaluate(ys)
+
+    def mp(xs):
+        return [mpmath.mpf(float(x)) for x in xs]
+
+    with mpmath.workdps(40):
+        mean0, var0 = mp(m0.mean), mp(m0.var)
+        for j, w in enumerate(directions):
+            m1 = cache.moments(Theta.from_vector(theta.vector + phi @ w, model.p))
+            mean1, var1 = mp(m1.mean), mp(m1.var)
+            for i, y in enumerate(ys):
+                oracle = mpmath.fsum(
+                    (y0 - a0) ** 2 / (2 * v0) - (y0 - a1) ** 2 / (2 * v1) - mpmath.log(v1 / v0) / 2
+                    for y0, a0, v0, a1, v1 in zip(mp(y), mean0, var0, mean1, var1)
+                )
+                assert abs(log_ratios[i, j] - float(oracle)) <= 1e-13, (i, j)
 
 
 def test_shift_outside_box_is_rejected():
