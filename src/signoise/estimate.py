@@ -20,7 +20,6 @@ routes share no quadrature machinery on purpose.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ __all__ = [
 
 _BAYES_MAX_DIM = 4
 _BAYES_MAX_CELLS = 4096
+_BLOCK_NODES = 2**13  # cubature nodes per log-likelihood call
 _PROPOSAL_SCALE = 1.5
 
 
@@ -382,17 +382,22 @@ _UNIT_RULES = {
 }
 
 
-def _tensor_points(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes and weights on the box [lo, hi]."""
-    nodes, weights = _UNIT_RULES[order, lo.size]
-    return lo + (hi - lo) * nodes, weights * float(np.prod(hi - lo))
-
-
-def _cell_integrals(eval_components, lo, hi) -> tuple[np.ndarray, np.ndarray, float]:
-    """Low- and high-order integrals of all components over one cell."""
-    (x5, w5), (x9, w9) = _tensor_points(lo, hi, 5), _tensor_points(lo, hi, 9)
-    low, high = w5 @ eval_components(x5), w9 @ eval_components(x9)  # (m,) each
-    return low, high, float(np.abs(high - low).max())
+def _integrate_cells(eval_components, lo: np.ndarray, hi: np.ndarray):
+    """Integrals (cells, m) of the components over the cells [lo, hi] (cells, d) and their
+    embedded errors (cells,), evaluating whole cells' nodes in blocks of about 2**13."""
+    d = lo.shape[1]
+    (x5, w5), (x9, w9) = _UNIT_RULES[5, d], _UNIT_RULES[9, d]
+    unit = np.concatenate([x5, x9])
+    step = max(1, _BLOCK_NODES // len(unit))  # whole cells per block
+    cuts = range(step, len(lo), step)
+    high, err = [], []
+    for a, b in zip(np.split(lo, cuts), np.split(hi, cuts)):
+        pts = a[:, None, :] + (b - a)[:, None, :] * unit  # (cells, nodes, d)
+        f = eval_components(pts.reshape(-1, d)).reshape(len(a), len(unit), -1)
+        vol = np.prod(b - a, axis=1)[:, None]
+        high.append(vol * (w9 @ f[:, len(x5) :]))
+        err.append(np.abs(high[-1] - vol * (w5 @ f[:, : len(x5)])).max(axis=1))
+    return np.concatenate(high), np.concatenate(err)
 
 
 def posterior_mean_quadrature(
@@ -409,10 +414,10 @@ def posterior_mean_quadrature(
 
     The box is first partitioned so that a neighborhood of the anchor (the
     MLE) gets its own cells, because nearly all posterior mass sits there
-    at moderate sample sizes; cells are then bisected greedily where the
-    embedded low/high-order error indicator is largest, until the indicator
-    is below ``rel_tol`` relative to the running normalizer or 4096 cells
-    exist.
+    at moderate sample sizes.  Each round then bisects the fewest worst
+    cells, by embedded low/high-order error, whose errors exceed the excess
+    over ``rel_tol`` times the normalizer, until there is none or 4096
+    cells exist (the multi-region scheme of Berntsen, Espelid & Genz, 1991).
 
     Guarded to d <= 4: tensor rules beyond that are not worth their cost.
     """
@@ -431,7 +436,6 @@ def posterior_mean_quadrature(
     anchor_vec = est.theta.vector
     anchor_ll = est.log_lik
     batch_ll = _make_batch_loglik(cache, sample.y)
-    d = space.d
 
     def eval_components(pts: np.ndarray) -> np.ndarray:
         weight = np.exp(batch_ll(pts) - anchor_ll + prior.log_density(pts))
@@ -447,37 +451,31 @@ def posterior_mean_quadrature(
                 cuts.add(float(c))
         breakpoints.append(sorted(cuts))
 
-    heap: list = []
-    seq = 0
-    totals = np.zeros(1 + d)
-    total_err = 0.0
-
-    def push_cell(lo, hi):
-        nonlocal seq, totals, total_err
-        _low, high, err = _cell_integrals(eval_components, lo, hi)
-        totals += high
-        total_err += err
-        heapq.heappush(heap, (-err, seq, lo, hi, high, err))
-        seq += 1
-
-    for cell in itertools.product(*(zip(cuts[:-1], cuts[1:]) for cuts in breakpoints)):
-        push_cell(*np.array(cell, dtype=float).T)  # cell is ((lo, hi) per axis)
-
-    cells = len(heap)
-    while cells < _BAYES_MAX_CELLS:
-        norm = abs(totals[0])
-        if norm > 0.0 and total_err <= rel_tol * norm:
+    corners = np.array(list(itertools.product(*(zip(c[:-1], c[1:]) for c in breakpoints))), float)
+    lo, hi = corners[..., 0], corners[..., 1]  # corners is (cells, d, 2): (lo, hi) per axis
+    high, err = _integrate_cells(eval_components, lo, hi)
+    while True:
+        totals, total_err = high.sum(axis=0), err.sum()
+        excess = total_err - rel_tol * abs(totals[0])
+        if (abs(totals[0]) > 0.0 and excess <= 0.0) or len(err) >= _BAYES_MAX_CELLS:
             break
-        neg_err, _, lo, hi, high, err = heapq.heappop(heap)
-        totals -= high
-        total_err -= err
-        axis = int(np.argmax((hi - lo) / space.widths))
-        mid = 0.5 * (lo[axis] + hi[axis])
-        child_hi, child_lo = hi.copy(), lo.copy()
-        child_hi[axis] = child_lo[axis] = mid
-        push_cell(lo, child_hi)
-        push_cell(child_lo, hi)
-        cells += 1
+        # bisect the fewest worst cells whose errors exceed the excess (all
+        # of them if none do, as when every weight underflows)
+        worst = np.argsort(-err, kind="stable")
+        count = int(np.searchsorted(np.cumsum(err[worst]), excess, side="right")) + 1
+        count = min(count, _BAYES_MAX_CELLS - len(err))
+        split, kept = worst[:count], worst[count:]
+        rows = np.arange(split.size)
+        axis = np.argmax((hi[split] - lo[split]) / space.widths, axis=1)
+        child_hi, child_lo = hi[split], lo[split]
+        child_hi[rows, axis] = child_lo[rows, axis] = 0.5 * (lo[split, axis] + hi[split, axis])
+        new_lo = np.concatenate([lo[split], child_lo])
+        new_hi = np.concatenate([child_hi, hi[split]])
+        children = (new_lo, new_hi, *_integrate_cells(eval_components, new_lo, new_hi))
+        lo, hi, high, err = (
+            np.concatenate([old[kept], new])
+            for old, new in zip((lo, hi, high, err), children)
+        )
 
     normalizer = totals[0]
     if not (np.isfinite(normalizer) and normalizer > 0.0):
@@ -492,7 +490,7 @@ def posterior_mean_quadrature(
     return BayesResult(
         theta=theta,
         method="bayes-quadrature",
-        cells=cells,
+        cells=len(err),
         error_estimate=float(total_err / normalizer),
     )
 

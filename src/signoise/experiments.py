@@ -369,6 +369,22 @@ def _failure_check(report: StudyReport, n: int, failures: Counter, replicates: i
     )
 
 
+def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None):
+    """Yield (n, ctx, stacked results) for each rung of the ladder.
+
+    ``task(ctx)`` gives the rung's chunk task, by default the configured
+    estimator's; each rung reads the ``(seed, kind, rung)`` stream, and its
+    failure check is recorded before the rung is yielded.
+    """
+    for rung, n in enumerate(cfg.n_values):
+        ctx = _context(cfg, n)
+        chunk = partial(_estimate_chunk, cfg) if task is None else task(ctx)
+        seed = derive_seed(cfg.seed, cfg.kind, rung)
+        results, failures = _replicates(map_fn, chunk, ctx, seed, cfg.replicates)
+        _failure_check(report, n, failures, cfg.replicates)
+        yield n, ctx, np.stack(results)
+
+
 def _norm_scale(grid: TimeGrid, p: int, q: int) -> np.ndarray:
     """Per-coordinate error normalizers: sqrt(T) drift, sqrt(n) variance."""
     return np.concatenate(
@@ -389,17 +405,9 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Normalized-error normality and covariance agreement along the ladder."""
     from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
 
-    for rung, n in enumerate(cfg.n_values):
-        ctx = _context(cfg, n)
+    for n, ctx, estimates in _rungs(cfg, report, map_fn):
         cov_ref = _reference_bundle(cfg, ctx).joint_inverse
         names = _coord_names(ctx.model.p, ctx.model.q)
-        seed = derive_seed(cfg.seed, "normality", rung)
-        results, failures = _replicates(
-            map_fn, partial(_estimate_chunk, cfg), ctx, seed, cfg.replicates
-        )
-        _failure_check(report, n, failures, cfg.replicates)
-        estimates = np.stack(results)
-
         scale = _norm_scale(ctx.grid, ctx.model.p, ctx.model.q)
         u = (estimates - ctx.theta.vector) * scale
         for k, name in enumerate(names):
@@ -432,7 +440,7 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
                     3.0 * var_se,
                 )
             )
-        if rung == len(cfg.n_values) - 1 and u.shape[1] > 0:
+        if n == cfg.n_values[-1] and u.shape[1] > 0:
             cov_emp = np.cov(u, rowvar=False).reshape(u.shape[1], u.shape[1])
             gap = float(np.abs(cov_emp - cov_ref).max())
             ref_norm = float(np.abs(cov_ref).max())
@@ -461,43 +469,22 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """RMSE decay slopes against total time (drift) and count (variance)."""
     from scipy.stats import linregress  # deferred: scipy.stats costs ~0.5 s at import
 
-    log_T, log_n = [], []
-    log_rmse_drift, log_rmse_var = [], []
-    for rung, n in enumerate(cfg.n_values):
-        ctx = _context(cfg, n)
-        p, q = ctx.model.p, ctx.model.q
-        seed = derive_seed(cfg.seed, "rate", rung)
-        results, failures = _replicates(
-            map_fn, partial(_estimate_chunk, cfg), ctx, seed, cfg.replicates
-        )
-        _failure_check(report, n, failures, cfg.replicates)
-        err = np.stack(results) - ctx.theta.vector
-        if p:
-            sq = np.sum(err[:, :p] ** 2, axis=1)
-            rmse = math.sqrt(float(sq.mean()))
-            report.rows.append(
-                _row(n, "rmse_drift", "", rmse, _batch_se(sq) / (2.0 * rmse))
-            )
-            log_T.append(math.log(ctx.grid.total_time))
-            log_rmse_drift.append(math.log(rmse))
-        if q:
-            sq = np.sum(err[:, p:] ** 2, axis=1)
-            rmse = math.sqrt(float(sq.mean()))
-            report.rows.append(
-                _row(n, "rmse_var", "", rmse, _batch_se(sq) / (2.0 * rmse))
-            )
-            log_n.append(math.log(n))
-            log_rmse_var.append(math.log(rmse))
+    points: dict[str, list[list[float]]] = {"drift": [], "var": []}
+    for n, ctx, estimates in _rungs(cfg, report, map_fn):
+        err = estimates - ctx.theta.vector
+        p = ctx.model.p
+        blocks = (("drift", err[:, :p], ctx.grid.total_time), ("var", err[:, p:], n))
+        for label, block, size in blocks:
+            if block.shape[1]:
+                sq = np.sum(block**2, axis=1)
+                rmse = math.sqrt(float(sq.mean()))
+                se = _batch_se(sq) / (2.0 * rmse)
+                report.rows.append(_row(n, f"rmse_{label}", "", rmse, se))
+                points[label].append([math.log(size), math.log(rmse)])
 
-    rate_points: dict[str, list[list[float]]] = {}
-    for label, xs, ys in (
-        ("drift", log_T, log_rmse_drift),
-        ("var", log_n, log_rmse_var),
-    ):
-        if len(xs) < 2:
-            continue
-        rate_points[label] = [[float(x), float(y)] for x, y in zip(xs, ys)]
-        fit = linregress(xs, ys)
+    rate_points = {label: xy for label, xy in points.items() if len(xy) >= 2}
+    for label, xy in rate_points.items():
+        fit = linregress(*zip(*xy))
         slope_se = float(fit.stderr) if np.isfinite(fit.stderr) else float("nan")
         report.rows.append(_row(0, f"slope_{label}", "", float(fit.slope), slope_se))
         report.checks.append(
@@ -521,32 +508,25 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """Central-sequence normality, remainder decay, unit-mean ratio identity."""
     from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
 
-    mean_abs_remainder: dict[int, list[float]] = {}
-    last_rung = len(cfg.n_values) - 1
-    for rung, n in enumerate(cfg.n_values):
-        ctx = _context(cfg, n)
+    def task(ctx: _Context):
         # no directions configured: probe w = 0 so the remainder table still
         # appears, with every entry exactly zero
         directions = np.array(cfg.directions or ((0.0,) * ctx.model.d,))
         scaling = _reference_bundle(cfg, ctx).local_scaling
-        expansion = local_expansion(
-            ctx.model, ctx.space, ctx.theta, directions, scaling, ctx.cache
-        )
+        expansion = local_expansion(ctx.model, ctx.space, ctx.theta, directions, scaling, ctx.cache)
+        return partial(_lan_chunk, expansion)
+
+    mean_abs_remainder: dict[int, list[float]] = {}
+    n_dir = len(cfg.directions) or 1  # the w = 0 probe is one direction
+    for n, ctx, good in _rungs(cfg, report, map_fn, task):
         names = _coord_names(ctx.model.p, ctx.model.q)
-        seed = derive_seed(cfg.seed, "lan", rung)
-        good, failures = _replicates(
-            map_fn, partial(_lan_chunk, expansion), ctx, seed, cfg.replicates
-        )
-        _failure_check(report, n, failures, cfg.replicates)
-        log_ratios, central, remainders = np.split(
-            np.stack(good), [len(directions), len(directions) + ctx.model.d], axis=1
-        )
+        log_ratios, central, remainders = np.split(good, [n_dir, n_dir + ctx.model.d], axis=1)
 
         for k, name in enumerate(names):
             ks = kstest(central[:, k], "norm")
             report.rows.append(_row(n, "central_ks_stat", name, float(ks.statistic)))
             report.rows.append(_row(n, "central_ks_pvalue", name, float(ks.pvalue)))
-            if rung == last_rung:
+            if n == cfg.n_values[-1]:
                 report.checks.append(
                     _check(
                         f"central-normal[n={n}, {name}]",
@@ -556,7 +536,7 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
                         _DELTA_KS_MAX,
                     )
                 )
-        for j in range(len(directions)):
+        for j in range(n_dir):
             wname = f"w{j}"
             abs_rem = np.abs(remainders[:, j])
             m_rem = float(abs_rem.mean())

@@ -23,6 +23,7 @@ from signoise import (
     ParameterSpace,
     Prior,
     ScaledNoise,
+    SineFn,
     Theta,
     closed_form_mle,
     constant_profile,
@@ -37,7 +38,13 @@ from signoise import (
     uniform_grid,
 )
 
-from signoise.estimate import _MULTISTARTS, _halton_starts, _make_batch_loglik, _tensor_points
+from signoise.estimate import (
+    _BLOCK_NODES,
+    _MULTISTARTS,
+    _halton_starts,
+    _integrate_cells,
+    _make_batch_loglik,
+)
 
 from helpers import curved_model, mean_model, steps_model, trig_known_model, trig_scaled_model
 
@@ -364,6 +371,28 @@ def test_posterior_mean_matches_truncated_normal():
     assert got.theta.alpha[0] == pytest.approx(oracle, abs=1e-7)
 
 
+def test_posterior_mean_factorises_into_truncated_normals_at_d3():
+    model = ModelSpec(
+        LinearSignal((ConstantFn(), CosineFn(1.0), SineFn(1.0))),
+        KnownNoise(constant_profile(1.0)),
+    )
+    space = ParameterSpace(((0.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)), ())
+    # four instants per period: the weighted Gram matrix is diagonal up to
+    # rounding, so the flat-prior posterior is a product of truncated normals
+    grid = uniform_grid(16, 0.25)
+    cache = MomentCache(model, grid)
+    sample = simulate_increments(model, Theta((0.2, 0.6, -0.3), ()), grid, seed=7, cache=cache)
+    gram = cache.linear_design().gram
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-15 * np.abs(gram).max()
+    loc = closed_form_mle(model, space, grid, sample, cache=cache).theta.vector
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    lo, hi = space.lower, space.upper
+    oracle = stats.truncnorm.mean((lo - loc) / scale, (hi - loc) / scale, loc, scale)
+    assert np.abs(oracle - loc).max() > 0.1  # visibly truncated
+    got = posterior_mean_quadrature(model, space, grid, sample, rel_tol=1e-9, cache=cache)
+    assert got.theta.vector == pytest.approx(oracle, abs=1e-7)
+
+
 def test_symmetric_posterior_returns_box_center():
     model, space, _ = mean_model()
     grid = uniform_grid(20, 0.5)  # T = 10, box (0, 2)
@@ -603,21 +632,42 @@ def test_gram_is_factored_once_per_cache(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_tensor_rule_matches_meshgrid_construction(d):
+    per_cell = 5**d + 9**d
+    count = 2 * max(1, _BLOCK_NODES // per_cell) + 1  # cells filling three node blocks
     rng = np.random.default_rng(d)
-    lo = rng.uniform(-3.0, 0.0, d)
-    hi = lo + rng.uniform(0.01, 2.0, d)
-    for order in (5, 9):
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-        axes = [lo[k] + (hi[k] - lo[k]) * nodes for k in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        wts = weights
-        for _ in range(d - 1):
-            wts = np.multiply.outer(wts, weights)
-        got_pts, got_wts = _tensor_points(lo, hi, order)
-        assert np.array_equal(got_pts, pts)
-        assert np.array_equal(got_wts, wts.ravel() * float(np.prod(hi - lo)))
+    lo = rng.uniform(-3.0, 0.0, (count, d))
+    hi = lo + rng.uniform(0.01, 2.0, (count, d))
+    calls = []
+
+    def components(pts):
+        return np.column_stack([np.exp(np.sin(pts.sum(axis=1))), pts])
+
+    def recorded(pts):
+        calls.append(pts)
+        return components(pts)
+
+    high, err = _integrate_cells(recorded, lo, hi)
+    assert len(calls) == 3
+    assert all(len(pts) <= max(_BLOCK_NODES, per_cell) for pts in calls)
+    got = np.concatenate(calls).reshape(count, per_cell, d)  # each cell's 5^d, then 9^d nodes
+    rules = {order: np.polynomial.legendre.leggauss(order) for order in (5, 9)}
+    for i in range(count):
+        integrals, start = [], 0
+        for order, (x, w) in rules.items():
+            nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+            axes = [lo[i, k] + (hi[i, k] - lo[i, k]) * nodes for k in range(d)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            wts = weights
+            for _ in range(d - 1):
+                wts = np.multiply.outer(wts, weights)
+            assert np.array_equal(got[i, start : start + order**d], pts)
+            start += order**d
+            integrals.append((wts.ravel() * float(np.prod(hi[i] - lo[i]))) @ components(pts))
+        scale = np.abs(integrals[1]).max()
+        assert high[i] == pytest.approx(integrals[1], rel=1e-13, abs=1e-13 * scale)
+        oracle_err = np.abs(integrals[1] - integrals[0]).max()
+        assert err[i] == pytest.approx(oracle_err, rel=1e-6, abs=1e-13 * scale)
 
 
 @pytest.mark.parametrize("length", [1, 2])
