@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -252,12 +253,13 @@ class GeneralSignal:
     """Drift given by arbitrary scalar callables.
 
     value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required;
-    they take one time point, and ``rates`` calls them once per point of its
+    they take one time point, and ``rates`` calls each once per point of its
     time array.  Exact interval integrals may be supplied through
-    integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b); ``integrals``
-    stacks both, one call each per interval, in place of quadrature.  This
-    family declares no ``jumps``, so quadrature cannot see a jump inside an
-    interval: a rate with jumps must supply both integrals.
+    integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b), called once
+    per interval by ``integrals`` in place of quadrature.  ``_rows`` stacks
+    the results and names the types it accepts.  This family declares no
+    ``jumps``, so quadrature cannot see a jump inside an interval: a rate
+    with jumps must supply both integrals.
     """
 
     p: int
@@ -271,7 +273,7 @@ class GeneralSignal:
             raise DomainError(f"p must be >= 0, got {self.p}")
 
     def rates(self, alpha, ts):
-        return _time_rows(self.value_fn, self.grad_fn, alpha, ts, self.p, "drift")
+        return _rows(self.value_fn, self.grad_fn, self.p, "drift", "t={1!r}", alpha, ts)
 
     @property
     def integrals(self):
@@ -324,10 +326,10 @@ class GeneralNoise:
     """Variance rate given by arbitrary scalar callables.
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required and
-    take one time point, as for GeneralSignal; integral_fn /
-    grad_integral_fn give exact moments, stacked by ``integrals`` here, and
-    a rate with jumps inside an interval must supply both, since this
-    family declares no ``jumps`` either.
+    take one time point; integral_fn / grad_integral_fn give exact moments.
+    Each is called once per point or interval, as for GeneralSignal, and a
+    rate with jumps inside an interval must supply both integrals, since
+    this family declares no ``jumps`` either.
     """
 
     q: int
@@ -341,7 +343,7 @@ class GeneralNoise:
             raise DomainError(f"q must be >= 0, got {self.q}")
 
     def rates(self, beta, ts):
-        return _time_rows(self.value_fn, self.grad_fn, beta, ts, self.q, "variance")
+        return _rows(self.value_fn, self.grad_fn, self.q, "variance", "t={1!r}", beta, ts)
 
     @property
     def integrals(self):
@@ -353,41 +355,49 @@ def _exact_integrals(family, k: int, what: str):
     """The general family's antiderivatives stacked over intervals, or None without both."""
     if family.integral_fn is None or family.grad_integral_fn is None:
         return None
-    return partial(_interval_rows, family.integral_fn, family.grad_integral_fn, k, what)
+    where = "interval {0} on [{1!r}, {2!r}]"
+    return partial(_rows, family.integral_fn, family.grad_integral_fn, k, what, where)
 
 
-def _time_rows(value_fn, grad_fn, params, ts, k: int, what: str) -> np.ndarray:
-    rows = ((value_fn(params, t), grad_fn(params, t)) for t in ts)
-    return _stack(rows, k, what, "t={1!r}", ts)
+def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> np.ndarray:
+    """User callables at each entry of ``points`` (times, or interval ends), as (m, 1 + k).
 
-
-def _interval_rows(value_fn, grad_fn, k: int, what: str, params, starts, ends) -> np.ndarray:
-    rows = ((value_fn(params, a, b), grad_fn(params, a, b)) for a, b in zip(starts, ends))
-    return _stack(rows, k, what, "interval {0} on [{1!r}, {2!r}]", starts, ends)
-
-
-def _stack(rows, k: int, what: str, where: str, *points) -> np.ndarray:
-    """User callables' (value, gradient) pairs, one per entry of ``points``, as (m, 1 + k).
-
-    The one check of what user callables return: a value that is not a
-    scalar, or a gradient of the wrong size, raises EvaluationError naming
-    ``where`` formatted with the row index and the row's time or interval ends.
+    ``value_fn(params, *x)`` runs at every point x (numpy scalars), then
+    ``grad_fn`` does, so neither may return a buffer it later overwrites.  A
+    value may be a real scalar, a 0-d array or a numeric string; a gradient,
+    anything of k entries numpy makes floats.  Each list is stacked in one
+    conversion; only if that fails, or gives no real (m,) values or not k
+    gradient entries a row, are the rows checked one by one.  That check
+    raises EvaluationError naming ``where``, formatted with the row index
+    and time or interval ends, at the first non-scalar value or wrong-size
+    gradient.
     """
+    columns = [list(x) for x in points]
+    m = len(columns[0])
+    values = list(map(value_fn, repeat(params, m), *columns))
+    grads = list(map(grad_fn, repeat(params, m), *columns))
+    out = np.empty((m, 1 + k))
+    try:
+        value_col, grad_cols = np.asarray(values), np.asarray(grads, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if value_col.shape == (m,) and value_col.dtype.kind in "biuf" and grad_cols.size == m * k:
+            out[:, 0], out[:, 1:] = value_col, grad_cols.reshape(m, k)
+            return out
 
     def at(i: int) -> str:
         return where.format(i, *(float(x[i]) for x in points))
 
-    out = np.empty((points[0].size, 1 + k))
-    values, grads = out[:, 0], out[:, 1:]
-    for i, (value, grad) in enumerate(rows):
+    for i, (value, grad) in enumerate(zip(values, grads)):
         grad = np.asarray(grad, dtype=float).reshape(-1)
         try:
-            values[i] = float(value)
+            out[i, 0] = float(value)
         except (TypeError, ValueError):
             raise EvaluationError(f"{what} value is not a scalar: {at(i)}") from None
         if grad.size != k:
             raise EvaluationError(f"{what} gradient has size {grad.size}, expected {k}: {at(i)}")
-        grads[i] = grad
+        out[i, 1:] = grad
     return out
 
 

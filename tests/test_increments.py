@@ -1,6 +1,7 @@
 import pickle
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -251,6 +252,65 @@ def test_wrong_gradient_size_names_expected_size(block):
             cache.moments(theta)
 
 
+def _drift_rows(route, k, value, grad):
+    """Drift (values, gradients) whose callables return ``value(i)`` and ``grad(i)`` on row i.
+
+    Row i is the time t = i/2 on the ``rates`` route and the interval
+    [i/2, i/2 + 1/2] on the closure route, four rows each.
+    """
+    noise = KnownNoise(constant_profile(1.0))
+    theta = Theta(np.zeros(k), ())
+    if route == "rates":
+        family = GeneralSignal(k, lambda a, t: value(int(2 * t)), lambda a, t: grad(int(2 * t)))
+        drift, _ = ModelSpec(family, noise).rates(theta, [0.0, 0.5, 1.0, 1.5])
+        return drift[:, 0], drift[:, 1:]
+    family = GeneralSignal(k, lambda a, t: 0.0, lambda a, t: np.zeros(k),
+                           lambda a, lo, hi: value(int(2 * lo)),
+                           lambda a, lo, hi: grad(int(2 * lo)))
+    moments = MomentCache(ModelSpec(family, noise), uniform_grid(4, 0.5)).moments(theta)
+    return moments.mean, moments.grad_mean
+
+
+def _x(i):
+    return 0.25 * i - 0.3
+
+
+@pytest.mark.parametrize("route", ["rates", "closure"])
+@pytest.mark.parametrize("k, value, grad, error", [
+    # accepted, stacked in one conversion or, where that fails, row by row
+    (1, lambda i: np.float64(_x(i)), lambda i: [0.5 * i], None),
+    (1, lambda i: np.array(_x(i)), lambda i: [0.5 * i], None),
+    (1, lambda i: i % 2 == 0, lambda i: [0.5 * i], None),
+    (1, lambda i: str(_x(i)), lambda i: [0.5 * i], None),
+    (1, lambda i: str(_x(i)) if i % 2 else _x(i), lambda i: [0.5 * i], None),
+    (2, _x, lambda i: [0.5 * i, -i], None),
+    (1, _x, lambda i: 0.5 * i, None),
+    (2, _x, lambda i: np.array([[0.5 * i, -i]]), None),
+    (1, _x, lambda i: [0.5 * i] if i % 2 else 0.5 * i, None),
+    # rejected from row 2 on, named at row 2
+    (1, lambda i: _x(i) if i < 2 else None, lambda i: [0.5 * i], "value is not a scalar"),
+    (1, lambda i: _x(i) if i < 2 else _x(i) + 1j, lambda i: [0.5 * i], "value is not a scalar"),
+    (1, lambda i: _x(i) if i < 2 else np.array([_x(i)]), lambda i: [0.5 * i],
+     "value is not a scalar"),
+    (1, lambda i: _x(i) if i < 2 else np.array([_x(i), 0.0]), lambda i: [0.5 * i],
+     "value is not a scalar"),
+    (1, _x, lambda i: np.zeros(1 if i < 2 else i), "gradient has size 2, expected 1"),
+], ids=["float64", "0-d array", "bool", "str", "str and float", "grad list", "grad float",
+        "grad (1, k)", "grad list and float", "None", "complex", "1-element array",
+        "2-element array", "grad sizes"])
+def test_stacked_rows_accept_and_reject_what_the_row_check_does(route, k, value, grad, error):
+    if error is None:
+        values, grads = _drift_rows(route, k, value, grad)
+        rows = range(4)
+        np.testing.assert_array_equal(values, [float(value(i)) for i in rows])
+        np.testing.assert_array_equal(grads, [np.asarray(grad(i), dtype=float).ravel()
+                                              for i in rows])
+        return
+    where = r"t=1\.0" if route == "rates" else r"interval 2 on \[1\.0, 1\.5\]"
+    with pytest.raises(EvaluationError, match=rf"^drift {error}: {where}$"):
+        _drift_rows(route, k, value, grad)
+
+
 class _NanFromOne(ConstantFn):
     """The constant atom with an integral that is NaN on intervals starting at t >= 1."""
 
@@ -385,6 +445,38 @@ def test_memo_entries_fit_a_byte_budget_and_quadrature_keeps_none(forced, monkey
     before = sum(calls.values())
     cache.moments(Theta((0.4,), (0.2,)))  # the 3 entries now hold 0.3, 0.5 and 0.6
     assert sum(calls.values()) > before
+
+
+def _none_from_1(fn):
+    """``fn`` returning None, not a scalar, at times or interval starts from 1 on."""
+    return lambda params, x, *rest: None if x >= 1.0 else fn(params, x, *rest)
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["success", "failing row"])
+def test_each_callable_runs_once_per_point(failing):
+    model = curved_model()[0]
+    if failing:  # the variance block, evaluated after the drift, fails from row 2 on
+        noise = replace(model.noise, value_fn=_none_from_1(model.noise.value_fn),
+                        integral_fn=_none_from_1(model.noise.integral_fn))
+        model = replace(model, noise=noise)
+    model, calls = _counted(model)
+    theta = Theta((0.3,), (0.2,))
+    n = 6  # time points on the rates route, intervals on the closure route
+    routes = [
+        (("value_fn", "grad_fn"), partial(model.rates, theta, 0.5 * np.arange(n)), r"t=1\.0"),
+        (("integral_fn", "grad_integral_fn"),
+         partial(MomentCache(model, uniform_grid(n, 0.5)).moments, theta),
+         r"interval 2 on \[1\.0, 1\.5\]"),
+    ]
+    for names, evaluate, where in routes:
+        calls.clear()
+        if failing:
+            message = rf"^variance value is not a scalar: {where}$"
+            with pytest.raises(EvaluationError, match=message):
+                evaluate()
+        else:
+            evaluate()
+        assert calls == {(b, f): n for b in ("drift", "variance") for f in names}
 
 
 def test_shared_cache_gives_the_results_of_fresh_caches():
