@@ -45,7 +45,6 @@ from .sampling import (
     TimeGrid,
     grid_from_delays,
     grid_from_instants,
-    load_grid_csv,
     periodic_pattern_grid,
     quantile_grid,
     save_grid_csv,
@@ -79,8 +78,6 @@ from .information import (
     InformationBundle,
     empirical_fisher,
     periodic_limit_fisher,
-    periodic_limit_separation,
-    separation_gaps,
 )
 from .estimate import (
     ESTIMATORS,

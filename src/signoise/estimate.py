@@ -8,7 +8,7 @@ MLE is exact and ``increments.LinearDesign`` is its one owner: it gives
 ``closed_form_mle``'s fit and covariance, the block fits of Monte-Carlo
 studies, and the log-likelihood the Bayes routes integrate, at O(p^2) per
 parameter point once a sample is reduced to a few weighted sums
-(``LinearDesign.statistics`` says why that quadratic is centred at the
+(``LinearDesign.log_likelihood`` says why that quadratic is centred at the
 weighted least-squares point and not at zero).
 
 Bayes posterior means are computed two independent ways: an adaptive

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, block_diag, cho_factor, cho_solve
 
 from . import quadrature
 from .errors import (
@@ -103,11 +102,11 @@ def has_closed_form(model: ModelSpec) -> bool:
 class LinearDesign:
     """Exact MLE on basis integrals B (n, p) and variances g (n,), or beta * g if ``scaled``.
 
-    Holds the Gram matrix G = B'WB, W = diag(1/g), and its Cholesky factor:
-    the one place either is formed.  B and g are kept by reference, so no
-    n-long array is added.  Raises SingularDesignError when G is singular.
-    The drift MLE is the weighted least-squares solution, which the scale
-    cancels from; the scale MLE is the mean weighted squared residual.
+    Holds the Gram matrix G = B'WB, W = diag(1/g), and its inverse: the one
+    place either is formed.  B and g are kept by reference, so no n-long
+    array is added.  Raises SingularDesignError when G has no Cholesky
+    factor.  The drift MLE is the weighted least-squares solution, which the
+    scale cancels from; the scale MLE is the mean weighted squared residual.
     """
 
     def __init__(self, basis: np.ndarray, profile: np.ndarray, scaled: bool):
@@ -116,11 +115,12 @@ class LinearDesign:
         self.scaled = scaled
         self.gram = (basis.T * (1.0 / profile)) @ basis
         try:
-            self.factor = cho_factor(self.gram)
-        except LinAlgError as exc:
+            np.linalg.cholesky(self.gram)
+        except np.linalg.LinAlgError as exc:
             raise SingularDesignError(
                 f"weighted basis Gram matrix is singular: {exc}"
             ) from exc
+        self.gram_inverse = np.linalg.inv(self.gram)
 
     @cached_property
     def log_profile_sum(self) -> float:
@@ -130,32 +130,20 @@ class LinearDesign:
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
         w = 1.0 / self.profile
-        return cho_solve(self.factor, self.basis.T @ (w * y.T).T)
+        return self.gram_inverse @ (self.basis.T @ (w * y.T).T)
 
-    def statistics(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a0, q0, c) of y (n,), or of each column of y (n, k), in one pass.
-
-        a0 is the weighted least-squares solution, r0 = y - B a0 its
-        residual, q0 = r0'W r0 and c = B'W r0 (zero up to rounding).  For
-        every coefficient vector a,
-
-            (y - B a)'W(y - B a) = q0 - 2 (a - a0)'c + (a - a0)'G(a - a0),
-
-        which costs O(p^2) per a.  It is centred at a0 because expanded at
-        zero it subtracts terms of order y'Wy, which at a long horizon or a
-        large drift exceed the residual sum by many digits.
-        """
+    def _residual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a0, r0, q0) of y (n,), or of each column of y (n, k): the weighted
+        least-squares solution, its residual r0 = y - B a0 and q0 = r0'W r0."""
         alpha = self.solve(y)
         resid = y - self.basis @ alpha
-        q0 = np.sum((resid * resid).T / self.profile, axis=-1)
-        c = self.basis.T @ (resid.T / self.profile).T
-        return alpha, q0, c
+        return alpha, resid, np.sum((resid * resid).T / self.profile, axis=-1)
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""
         if not self.scaled:
             return self.solve(y).T
-        alpha, q0, _ = self.statistics(y)
+        alpha, _, q0 = self._residual(y)
         return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
 
     def covariance(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,19 +152,28 @@ class LinearDesign:
         G^{-1}; when scaled, G^{-1} times the scale beta, and 2 beta^2 / n for beta.
         """
         n, p = self.basis.shape
-        cov = cho_solve(self.factor, np.eye(p))
         if not self.scaled:
-            return np.sqrt(np.diag(cov)), cov
+            return np.sqrt(np.diag(self.gram_inverse)), self.gram_inverse.copy()
         scale = theta[p]
-        stderr = np.concatenate([np.sqrt(scale * np.diag(cov)), [scale * math.sqrt(2.0 / n)]])
-        return stderr, block_diag(scale * cov, 2.0 * scale * scale / n)
+        cov = np.zeros((p + 1, p + 1))
+        cov[:p, :p] = scale * self.gram_inverse
+        cov[p, p] = 2.0 * scale * scale / n
+        return np.concatenate([np.sqrt(np.diag(cov)[:p]), [scale * math.sqrt(2.0 / n)]]), cov
 
     def log_likelihood(self, y: np.ndarray):
-        """The log-likelihood of y as a function of a (k, d) batch of parameter vectors.
+        """The log-likelihood of y (n,) as a function of a (k, d) batch of parameter vectors.
 
-        Reduces y once to ``statistics``; each point then costs O(p^2).
+        With a0, r0 and q0 from ``_residual`` and c = B'W r0 (zero up to
+        rounding), for every coefficient vector a
+
+            (y - B a)'W(y - B a) = q0 - 2 (a - a0)'c + (a - a0)'G(a - a0),
+
+        so each point costs O(p^2).  It is centred at a0 because expanded at
+        zero it subtracts terms of order y'Wy, which at a long horizon or a
+        large drift exceed the residual sum by many digits.
         """
-        a0, q0, c = self.statistics(y)
+        a0, resid, q0 = self._residual(y)
+        c = self.basis.T @ (resid / self.profile)
         n, p = self.basis.shape
         const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * self.log_profile_sum
 

@@ -27,9 +27,7 @@ from .sampling import TimeGrid, periodic_pattern_grid
 __all__ = [
     "InformationBundle",
     "empirical_fisher",
-    "separation_gaps",
     "periodic_limit_fisher",
-    "periodic_limit_separation",
 ]
 
 _PROBE_POINTS = 64
@@ -175,29 +173,6 @@ def empirical_fisher(moments: IncrementMoments, grid: TimeGrid) -> InformationBu
     return InformationBundle(drift, var, grid.total_time, grid.n, "empirical")
 
 
-def separation_gaps(
-    moments_a: IncrementMoments, moments_b: IncrementMoments, grid: TimeGrid
-) -> tuple[float, float]:
-    """Normalized squared moment gaps between two parameter points.
-
-    Returns (drift_gap, var_gap):
-
-        drift_gap = (1/T) sum_i (mean_i - mean_i')^2 / delay_i
-        var_gap   = (1/n) sum_i (var_i  - var_i')^2  / delay_i^2
-
-    Both are zero iff the points are observationally identical on this
-    design; bounded-below gaps over separated points are what make the
-    parameters identifiable.
-    """
-    if moments_a.n != grid.n or moments_b.n != grid.n:
-        raise DomainError("moment lengths do not match the grid")
-    dmean = moments_a.mean - moments_b.mean
-    dvar = moments_a.var - moments_b.var
-    drift_gap = float(np.sum(dmean * dmean / grid.delays) / grid.total_time)
-    var_gap = float(np.sum(dvar * dvar / grid.delays**2) / grid.n)
-    return drift_gap, var_gap
-
-
 def periodic_limit_fisher(
     model: ModelSpec,
     theta: Theta,
@@ -251,31 +226,6 @@ def periodic_limit_fisher(
     if grid is not None:
         bundle = bundle.with_design(grid)
     return bundle
-
-
-def periodic_limit_separation(
-    model: ModelSpec,
-    theta_a: Theta,
-    theta_b: Theta,
-    period: float,
-) -> tuple[float, float]:
-    """Vanishing-step limits of the separation gaps for periodic models.
-
-        drift_gap = (1/P) int_0^P (f - f')^2 dt
-        var_gap   = (1/P) int_0^P (sigma2 - sigma2')^2 dt
-    """
-    if not (period > 0.0 and np.isfinite(period)):
-        raise DomainError(f"period must be positive, got {period!r}")
-    _check_periodicity(model, theta_a, period)
-    _check_periodicity(model, theta_b, period)
-
-    def gaps(ts):
-        (fa, sa), (fb, sb) = model.rates(theta_a, ts), model.rates(theta_b, ts)
-        return fa[:, :1] - fb[:, :1], sa[:, :1] - sb[:, :1]
-
-    drift_gap = _period_mean(lambda ts: gaps(ts)[0] ** 2, period)[0]
-    var_gap = _period_mean(lambda ts: gaps(ts)[1] ** 2, period)[0]
-    return float(drift_gap), float(var_gap)
 
 
 def _outer(g: np.ndarray) -> np.ndarray:

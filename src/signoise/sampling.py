@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "grid_from_instants",
     "grid_from_delays",
     "save_grid_csv",
-    "load_grid_csv",
 ]
 
 
@@ -201,15 +200,3 @@ def save_grid_csv(grid: TimeGrid, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["t"])
         w.writerows([repr(t)] for t in grid.instants.tolist())
-
-
-def load_grid_csv(path) -> TimeGrid:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["t"]:
-        raise GridError(f"{path}: expected a single-column CSV with header 't'")
-    try:
-        instants = np.array([float(r[0]) for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise GridError(f"{path}: malformed instant row") from exc
-    return grid_from_instants(instants, label=str(path))

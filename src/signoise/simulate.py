@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import DomainError, GridError
 from .increments import IncrementMoments, MomentCache
@@ -74,6 +73,8 @@ def _standard_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     mapped to normals in place into its stretch of the output; a row
     longer than the slab carries on with the same generator.
     """
+    from scipy.special import ndtri  # deferred: only a draw needs scipy
+
     out = np.empty((hi - lo, count))
     flat = out.reshape(-1)
     if flat.size == 0:

@@ -434,8 +434,8 @@ def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
         assert "--seed" in capsys.readouterr().err
 
 
-def _scipy_stats_and_optimize_loaded(code):
-    """Run code in a fresh interpreter; whether scipy.stats and scipy.optimize got loaded."""
+def _scipy_loaded(code):
+    """Run code in a fresh interpreter; whether scipy.stats, scipy.optimize and any scipy got loaded."""
     src = str(Path(signoise.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
@@ -444,19 +444,21 @@ def _scipy_stats_and_optimize_loaded(code):
             sys.executable,
             "-c",
             f"import sys; {code}; "
-            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules, "
+            "any(m.split('.')[0] == 'scipy' for m in sys.modules))",
         ],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
         timeout=120,
     )
-    return out.stdout.strip()
+    return out.stdout.splitlines()[-1]  # the code's own output comes first
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is about half a second of import and scipy.optimize about
-    # a fifth; only the study checks that need them (KS and slope fits)
-    # load scipy.stats, and nothing in the package loads scipy.optimize.
-    assert _scipy_stats_and_optimize_loaded("import signoise") == "False False"
+    # importing the package or its CLI loads no scipy module at all: a draw
+    # loads scipy.special, the KS checks of normality and lan studies load
+    # scipy.stats, and nothing in the package loads scipy.optimize
+    assert _scipy_loaded("import signoise") == "False False False"
+    assert _scipy_loaded("import signoise.cli") == "False False False"
 
 
 def test_numeric_mle_leaves_scipy_stats_and_optimize_unloaded():
@@ -466,4 +468,24 @@ def test_numeric_mle_leaves_scipy_stats_and_optimize_unloaded():
         "sample = sn.simulate_increments(model, theta, grid, seed=3); "
         "assert sn.mle_numeric(model, space, grid, sample).converged"
     )
-    assert _scipy_stats_and_optimize_loaded(code) == "False False"
+    assert _scipy_loaded(code) == "False False True"  # the draw loads scipy.special
+
+
+def test_verify_rate_study_leaves_scipy_stats_unloaded(tmp_path):
+    cfg = _write(
+        tmp_path / "study.json",
+        {
+            "kind": "rate",
+            "model": MEAN_CONFIG,
+            "space": MEAN_SPACE,
+            "theta": {"alpha": [1.0], "beta": []},
+            "grid": {"kind": "uniform", "step_rule": "inverse_sqrt", "c": 1.0},
+            "n_values": [100, 1000],
+            "replicates": 100,
+            "seed": 3,
+        },
+    )
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "rep"), "--workers", "1"]
+    code = f"from signoise.cli import main; assert main({args!r}) == 0"
+    assert _scipy_loaded(code) == "False False True"
+    assert json.loads((tmp_path / "rep" / "rate_report.json").read_text())["passed"]

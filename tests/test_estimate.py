@@ -24,6 +24,7 @@ from signoise import (
     Prior,
     ScaledNoise,
     SineFn,
+    SingularDesignError,
     Theta,
     closed_form_mle,
     constant_profile,
@@ -612,11 +613,9 @@ def test_linear_statistics_match_mpmath_oracle_at_long_horizon(noise):
 
 
 def test_gram_is_factored_once_per_cache(monkeypatch):
-    factor = signoise.increments.cho_factor
+    factor = np.linalg.cholesky
     calls = []
-    monkeypatch.setattr(
-        signoise.increments, "cho_factor", lambda gram: calls.append(1) or factor(gram)
-    )
+    monkeypatch.setattr(np.linalg, "cholesky", lambda gram: calls.append(1) or factor(gram))
     model, space, theta = trig_scaled_model()
     grid = uniform_grid(100, 0.25)
     cache = MomentCache(model, grid)
@@ -628,6 +627,35 @@ def test_gram_is_factored_once_per_cache(monkeypatch):
         posterior_mean_quadrature(model, space, grid, sample, rel_tol=1e-4, cache=cache)
         posterior_mean_importance(model, space, grid, sample, draws=500, cache=cache)
     assert len(calls) == 1
+
+
+def test_rank_deficient_basis_raises_singular_design():
+    # two identical atoms on h = 0.25, n = 16 with unit noise: every Gram
+    # entry is exactly 4.0, so the second Cholesky pivot is exactly 0
+    model = ModelSpec(LinearSignal((ConstantFn(), ConstantFn())), KnownNoise(constant_profile(1.0)))
+    space = ParameterSpace(((-2.0, 2.0), (-2.0, 2.0)), ())
+    grid = uniform_grid(16, 0.25)
+    cache = MomentCache(model, grid)
+    with pytest.raises(SingularDesignError, match="Gram matrix is singular"):
+        cache.linear_design()
+    sample = IncrementSample(np.full(16, 0.25), 0, 0, grid.digest())
+    with pytest.raises(SingularDesignError, match="Gram matrix is singular"):
+        closed_form_mle(model, space, grid, sample)
+
+
+@pytest.mark.parametrize("make", [trig_known_model, trig_scaled_model])
+def test_returned_covariance_does_not_alias_the_design(make):
+    model, space, theta = make()
+    grid = uniform_grid(40, 0.25)
+    cache = MomentCache(model, grid)
+    kept = cache.linear_design().gram_inverse.copy()
+    sample = simulate_increments(model, theta, grid, seed=5, cache=cache)
+    cov = closed_form_mle(model, space, grid, sample, cache=cache).covariance
+    expected = cov.copy()
+    cov[...] = 0.0
+    assert np.array_equal(cache.linear_design().gram_inverse, kept)
+    again = closed_form_mle(model, space, grid, sample, cache=cache).covariance
+    assert np.array_equal(again, expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -118,6 +118,21 @@ def test_rate_study_without_variance_block_has_no_var_table():
     assert "var" not in report.meta["rate_points"]
 
 
+@pytest.mark.parametrize("rungs", [2, 3])
+def test_slope_fit_matches_linregress_bit_for_bit(rungs):
+    from scipy.stats import linregress  # the oracle; the rate study does not load scipy.stats
+
+    rng = np.random.default_rng(rungs)
+    for _ in range(500):
+        sizes = np.sort(rng.choice(np.arange(10, 100_000), rungs, replace=False))
+        x = np.log(sizes).tolist()
+        y = (-0.5 * np.log(sizes) + rng.normal(0.0, 0.2, rungs)).tolist()
+        fit = linregress(x, y)
+        slope, stderr = experiments._slope_fit(x, y)
+        assert slope == fit.slope
+        assert stderr == fit.stderr
+
+
 def test_lan_zero_direction_probe_degenerates():
     cfg = _study(
         kind="lan",

@@ -9,9 +9,7 @@ from signoise import (
     KnownNoise,
     LinearSignal,
     ModelSpec,
-    MomentCache,
     PeriodicityError,
-    ScaledNoise,
     SingularInformationError,
     Theta,
     constant_profile,
@@ -19,9 +17,7 @@ from signoise import (
     grid_from_instants,
     moments_for,
     periodic_limit_fisher,
-    periodic_limit_separation,
     periodic_pattern_grid,
-    separation_gaps,
     uniform_grid,
 )
 
@@ -61,38 +57,6 @@ def test_trig_drift_block_approaches_half_identity():
     grid = uniform_grid(4000, 0.01)  # T = 40, h small
     b = empirical_fisher(moments_for(model, theta, grid), grid)
     assert np.allclose(b.drift_info, np.diag([1.0, 0.5]), atol=1e-3)
-
-
-def test_separation_gap_examples():
-    model, _, _ = trig_scaled_model()
-    t1 = Theta((1.0, 0.5), (1.0,))
-    grid = uniform_grid(64, 0.25)
-    cache = MomentCache(model, grid)
-    same = separation_gaps(cache.moments(t1), cache.moments(t1), grid)
-    assert same == (0.0, 0.0)
-
-    # constant drift, scaled flat noise: gaps are the squared coordinate gaps
-    flat = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)))
-    fc = MomentCache(flat, grid)
-    a = fc.moments(Theta((1.4,), (1.1,)))
-    b = fc.moments(Theta((0.9,), (0.6,)))
-    drift_gap, var_gap = separation_gaps(a, b, grid)
-    assert drift_gap == pytest.approx(0.25, rel=1e-12)
-    assert var_gap == pytest.approx(0.25, rel=1e-12)
-
-
-def test_cosine_coordinate_separation_approaches_half_square():
-    model, _, _ = trig_known_model()
-    c = 0.8
-    a = Theta((1.0, 0.5), ())
-    b = Theta((1.0, 0.5 - c), ())
-    grid = uniform_grid(8000, 0.005)  # h -> 0 proxy
-    cache = MomentCache(model, grid)
-    drift_gap, _ = separation_gaps(cache.moments(a), cache.moments(b), grid)
-    assert drift_gap == pytest.approx(c * c / 2.0, rel=1e-4)
-
-    limit_gap, _ = periodic_limit_separation(model, a, b, period=1.0)
-    assert limit_gap == pytest.approx(c * c / 2.0, rel=1e-10)
 
 
 def test_limit_blocks_closed_forms():

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -8,7 +9,6 @@ from signoise import (
     GridError,
     grid_from_delays,
     grid_from_instants,
-    load_grid_csv,
     periodic_pattern_grid,
     quantile_grid,
     save_grid_csv,
@@ -122,7 +122,10 @@ def test_grid_csv_round_trip_preserves_digest(tmp_path):
     g = periodic_pattern_grid([0.3, 1.0], 1.0, 5)
     path = tmp_path / "grid.csv"
     save_grid_csv(g, path)
-    back = load_grid_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t"]
+    back = grid_from_instants([float(t) for (t,) in rows])
     assert np.array_equal(back.instants, g.instants)
     assert back.digest() == g.digest()
 
