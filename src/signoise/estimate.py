@@ -287,6 +287,12 @@ class Prior:
         if self.kind == "gaussian":
             if len(self.center) != len(self.scale) or not self.center:
                 raise DomainError("gaussian prior needs matching center and scale")
+            for axis, (c, s) in enumerate(zip(self.center, self.scale)):
+                if not (math.isfinite(c) and math.isfinite(s)):
+                    raise DomainError(
+                        f"gaussian prior center and scale must be finite: axis {axis} has "
+                        f"center {c!r} and scale {s!r}"
+                    )
             if any(s <= 0.0 for s in self.scale):
                 raise DomainError("gaussian prior scales must be positive")
 
@@ -298,15 +304,15 @@ class Prior:
                 f"vector has d = {d}"
             )
 
-    def log_density(self, vectors: np.ndarray) -> np.ndarray:
-        """Unnormalized log density; vectors has shape (k, d)."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    def log_density(self, coords) -> np.ndarray | float:
+        """Unnormalized log density at the points of d coordinate arrays, one per axis.
+
+        The arrays broadcast together and the result has their broadcast
+        shape; a uniform prior returns the scalar 0.0.
+        """
         if self.kind == "uniform":
-            return np.zeros(vectors.shape[0])
-        c = np.asarray(self.center, dtype=float)
-        s = np.asarray(self.scale, dtype=float)
-        zs = (vectors - c) / s
-        return -0.5 * np.sum(zs * zs, axis=1)
+            return 0.0
+        return sum(-0.5 * ((x - c) / s) ** 2 for x, c, s in zip(coords, self.center, self.scale))
 
 
 @dataclass(frozen=True)
@@ -335,17 +341,19 @@ class BayesResult:
 
 
 def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
-    """Log-likelihood of a (k, d) batch: ``LinearDesign``'s if there is one, else point by point."""
+    """Log-likelihood at the points of d broadcastable coordinate arrays, one per axis:
+    ``LinearDesign``'s if there is one, else point by point."""
     model = cache.model
     if has_closed_form(model):
         return cache.linear_design().log_likelihood(y)
 
-    def batch(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        out = np.empty(thetas.shape[0])
-        for i, v in enumerate(thetas):
+    def batch(coords) -> np.ndarray:
+        axes = np.broadcast_arrays(*coords)
+        points = np.stack([x.ravel() for x in axes], axis=1)
+        out = np.empty(points.shape[0])
+        for i, v in enumerate(points):
             out[i] = log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y)
-        return out
+        return out.reshape(axes[0].shape)
 
     return batch
 
@@ -367,36 +375,50 @@ def _anchor_estimate(
     return mle_numeric(model, space, grid, sample, cache=cache)
 
 
-def _unit_tensor_rule(order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes (order**d, d) and weights on [0, 1]^d."""
+def _cell_rule(order: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u (order,) on [0, 1], the (d, d) node shapes of the d axes
+    (row i: ``order`` in place i, 1 elsewhere), and the (order**d, 1 + d) matrix
+    [W, W*U_1, ..., W*U_d] of their d-fold tensor rule: weights W, nodes U."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return tensor_rule(0.5 * (x + 1.0), 0.5 * w, d)
+    u = 0.5 * (x + 1.0)
+    nodes, weights = tensor_rule(u, 0.5 * w, d)
+    shapes = np.eye(d, dtype=int) * (order - 1) + 1
+    return u, shapes, np.column_stack([weights, weights[:, None] * nodes])
 
 
 # the embedded low/high-order pair of every cell, for each dimension the
 # cubature accepts
-_UNIT_RULES = {
-    (order, d): _unit_tensor_rule(order, d)
-    for order in (5, 9)
-    for d in range(1, _BAYES_MAX_DIM + 1)
+_CELL_RULES = {
+    (order, d): _cell_rule(order, d) for order in (5, 9) for d in range(1, _BAYES_MAX_DIM + 1)
 }
 
 
-def _integrate_cells(eval_components, lo: np.ndarray, hi: np.ndarray):
-    """Integrals (cells, m) of the components over the cells [lo, hi] (cells, d) and their
-    embedded errors (cells,), evaluating whole cells' nodes in blocks of about 2**13."""
+def _integrate_cells(log_weight, lo: np.ndarray, hi: np.ndarray):
+    """Integrals (cells, 1 + d) of w and w*theta over the cells [lo, hi] (cells, d), with
+    w = exp(log_weight), and their embedded errors (cells,).
+
+    Whole cells go in blocks of about 2**13 nodes.  Per block and rule,
+    ``log_weight`` gets d coordinate arrays, axis i of shape (cells, 1, ...,
+    order, ..., 1) with the order in place 1 + i, and returns the values on
+    the cells' tensor grids (cells, order, ..., order).  The rule's node
+    moments S0 and T_i give the mean integrals lo_i S0 + width_i T_i.
+    """
     d = lo.shape[1]
-    (x5, w5), (x9, w9) = _UNIT_RULES[5, d], _UNIT_RULES[9, d]
-    unit = np.concatenate([x5, x9])
-    step = max(1, _BLOCK_NODES // len(unit))  # whole cells per block
-    cuts = range(step, len(lo), step)
+    step = max(1, _BLOCK_NODES // (5**d + 9**d))  # whole cells per block
     high, err = [], []
-    for a, b in zip(np.split(lo, cuts), np.split(hi, cuts)):
-        pts = a[:, None, :] + (b - a)[:, None, :] * unit  # (cells, nodes, d)
-        f = eval_components(pts.reshape(-1, d)).reshape(len(a), len(unit), -1)
-        vol = np.prod(b - a, axis=1)[:, None]
-        high.append(vol * (w9 @ f[:, len(x5) :]))
-        err.append(np.abs(high[-1] - vol * (w5 @ f[:, : len(x5)])).max(axis=1))
+    for first in range(0, len(lo), step):
+        a = lo[first : first + step]
+        width = hi[first : first + step] - a
+        sums = []
+        for order in (5, 9):
+            u, shapes, rule = _CELL_RULES[order, d]
+            nodes = a[:, :, None] + width[:, :, None] * u  # (cells, d, order)
+            axes = [nodes[:, i].reshape(-1, *shapes[i]) for i in range(d)]
+            sums.append(np.exp(log_weight(axes)).reshape(len(a), -1) @ rule)
+        moments = np.stack(sums) * np.prod(width, axis=1)[:, None]  # (rule, cells, 1 + d)
+        moments[..., 1:] = a * moments[..., :1] + width * moments[..., 1:]
+        high.append(moments[1])
+        err.append(np.abs(moments[1] - moments[0]).max(axis=1))
     return np.concatenate(high), np.concatenate(err)
 
 
@@ -437,9 +459,8 @@ def posterior_mean_quadrature(
     anchor_ll = est.log_lik
     batch_ll = _make_batch_loglik(cache, sample.y)
 
-    def eval_components(pts: np.ndarray) -> np.ndarray:
-        weight = np.exp(batch_ll(pts) - anchor_ll + prior.log_density(pts))
-        return np.concatenate([weight[:, None], weight[:, None] * pts], axis=1)
+    def log_weight(coords) -> np.ndarray:  # a flat prior leaves one full-grid addition
+        return batch_ll(coords) + (prior.log_density(coords) - anchor_ll)
 
     # initial partition: isolate the anchor neighborhood on every axis
     stderr = est.stderr if est.stderr is not None else 0.05 * space.widths
@@ -453,7 +474,7 @@ def posterior_mean_quadrature(
 
     corners = np.array(list(itertools.product(*(zip(c[:-1], c[1:]) for c in breakpoints))), float)
     lo, hi = corners[..., 0], corners[..., 1]  # corners is (cells, d, 2): (lo, hi) per axis
-    high, err = _integrate_cells(eval_components, lo, hi)
+    high, err = _integrate_cells(log_weight, lo, hi)
     while True:
         totals, total_err = high.sum(axis=0), err.sum()
         excess = total_err - rel_tol * abs(totals[0])
@@ -471,7 +492,7 @@ def posterior_mean_quadrature(
         child_hi[rows, axis] = child_lo[rows, axis] = 0.5 * (lo[split, axis] + hi[split, axis])
         new_lo = np.concatenate([lo[split], child_lo])
         new_hi = np.concatenate([child_hi, hi[split]])
-        children = (new_lo, new_hi, *_integrate_cells(eval_components, new_lo, new_hi))
+        children = (new_lo, new_hi, *_integrate_cells(log_weight, new_lo, new_hi))
         lo, hi, high, err = (
             np.concatenate([old[kept], new])
             for old, new in zip((lo, hi, high, err), children)
@@ -536,9 +557,8 @@ def posterior_mean_importance(
     batch_ll = _make_batch_loglik(cache, sample.y)
     log_w = np.full(draws, -np.inf)
     log_q = -0.5 * np.sum(z * z, axis=1)  # proposal log density up to constants
-    log_w[inside] = (
-        batch_ll(pts[inside]) - est.log_lik + prior.log_density(pts[inside]) - log_q[inside]
-    )
+    coords = tuple(pts[inside].T)
+    log_w[inside] = batch_ll(coords) - est.log_lik + prior.log_density(coords) - log_q[inside]
     log_w -= log_w.max()
     w = np.exp(log_w)
     w_sum = float(w.sum())

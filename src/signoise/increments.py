@@ -161,28 +161,37 @@ class LinearDesign:
         return np.concatenate([np.sqrt(np.diag(cov)[:p]), [scale * math.sqrt(2.0 / n)]]), cov
 
     def log_likelihood(self, y: np.ndarray):
-        """The log-likelihood of y (n,) as a function of a (k, d) batch of parameter vectors.
+        """The log-likelihood of y (n,) as a function of parameter points.
 
-        With a0, r0 and q0 from ``_residual`` and c = B'W r0 (zero up to
-        rounding), for every coefficient vector a
+        The points are given as d coordinate arrays, one per parameter, that
+        broadcast together (per-axis nodes of a tensor grid, or k flat
+        coordinates); the result has their broadcast shape.  With a0, r0 and
+        q0 from ``_residual`` and c = B'W r0 (zero up to rounding), for every
+        coefficient vector a and delta = a - a0
 
-            (y - B a)'W(y - B a) = q0 - 2 (a - a0)'c + (a - a0)'G(a - a0),
+            (y - B a)'W(y - B a) = q0 - 2 delta'c + delta'G delta,
 
-        so each point costs O(p^2).  It is centred at a0 because expanded at
-        zero it subtracts terms of order y'Wy, which at a long horizon or a
-        large drift exceed the residual sum by many digits.
+        summed here as broadcast terms, so each point costs O(p^2) and a
+        tensor grid pays for each term only on the axes it involves.  It is
+        centred at a0 because expanded at zero it subtracts terms of order
+        y'Wy, which at a long horizon or a large drift exceed the residual
+        sum by many digits.
         """
         a0, resid, q0 = self._residual(y)
         c = self.basis.T @ (resid / self.profile)
         n, p = self.basis.shape
         const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * self.log_profile_sum
 
-        def batch(thetas: np.ndarray) -> np.ndarray:
-            thetas = np.atleast_2d(thetas)
-            delta = thetas[:, :p] - a0
-            quad_unit = q0 - 2.0 * (delta @ c) + np.sum((delta @ self.gram) * delta, axis=1)
+        def batch(coords) -> np.ndarray:
+            delta = [x - a for x, a in zip(coords[:p], a0)]
+            quad_unit = q0
+            for i, di in enumerate(delta):  # + delta_i (G_ii delta_i + 2 G_ij delta_j - 2 c_i), j > i
+                row = self.gram[i, i] * di - 2.0 * c[i]
+                for j in range(i + 1, p):
+                    row = row + 2.0 * self.gram[i, j] * delta[j]
+                quad_unit = quad_unit + di * row
             if self.scaled:
-                scale = thetas[:, p]
+                scale = coords[p]
                 return const - 0.5 * n * np.log(scale) - 0.5 * quad_unit / scale
             return const - 0.5 * quad_unit
 
@@ -232,8 +241,9 @@ class MomentCache:
         if exact is not None and not self.force_quadrature:
             return exact
         knots = grid.instants
-        if hasattr(family, "jumps"):  # split at declared jumps, which the rule cannot see
-            knots = np.union1d(knots, family.jumps(knots[0], knots[-1]))
+        jumps = family.jumps(knots[0], knots[-1]) if hasattr(family, "jumps") else ()
+        if len(jumps):  # split at declared jumps, which the rule cannot see
+            knots = np.union1d(knots, jumps)
         cuts = np.searchsorted(knots, grid.starts) if knots.size > grid.instants.size else None
         return partial(_quadrature_route, label, family.rates, knots, cuts)
 

@@ -257,9 +257,10 @@ class GeneralSignal:
     time array.  Exact interval integrals may be supplied through
     integral_fn(alpha, a, b) and grad_integral_fn(alpha, a, b), called once
     per interval by ``integrals`` in place of quadrature.  ``_rows`` stacks
-    the results and names the types it accepts.  This family declares no
-    ``jumps``, so quadrature cannot see a jump inside an interval: a rate
-    with jumps must supply both integrals.
+    the results and names the types it accepts.  A rate that jumps declares
+    its jump times through jumps_fn(lo, hi), which ``jumps`` sorts, so that
+    quadrature splits intervals there; without it the rule cannot see a
+    jump inside an interval.
     """
 
     p: int
@@ -267,6 +268,7 @@ class GeneralSignal:
     grad_fn: object
     integral_fn: object = None
     grad_integral_fn: object = None
+    jumps_fn: object = None
 
     def __post_init__(self):
         if self.p < 0:
@@ -279,6 +281,9 @@ class GeneralSignal:
     def integrals(self):
         """``(alpha, starts, ends) -> (n, 1 + p)`` exact interval integrals, or None."""
         return _exact_integrals(self, self.p, "drift")
+
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return _declared_jumps(self.jumps_fn, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +332,8 @@ class GeneralNoise:
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required and
     take one time point; integral_fn / grad_integral_fn give exact moments.
-    Each is called once per point or interval, as for GeneralSignal, and a
-    rate with jumps inside an interval must supply both integrals, since
-    this family declares no ``jumps`` either.
+    Each is called once per point or interval, as for GeneralSignal, and
+    jumps_fn(lo, hi) declares a rate's jump times as it does there.
     """
 
     q: int
@@ -337,6 +341,7 @@ class GeneralNoise:
     grad_fn: object
     integral_fn: object = None
     grad_integral_fn: object = None
+    jumps_fn: object = None
 
     def __post_init__(self):
         if self.q < 0:
@@ -349,6 +354,17 @@ class GeneralNoise:
     def integrals(self):
         """``(beta, starts, ends) -> (n, 1 + q)`` exact interval integrals, or None."""
         return _exact_integrals(self, self.q, "variance")
+
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        return _declared_jumps(self.jumps_fn, lo, hi)
+
+
+def _declared_jumps(jumps_fn, lo: float, hi: float) -> np.ndarray:
+    """The sorted times ``jumps_fn(lo, hi)`` returns strictly inside (lo, hi); none without it."""
+    if jumps_fn is None:
+        return np.empty(0)
+    times = np.sort(np.asarray(jumps_fn(lo, hi), dtype=float).ravel())
+    return times[(times > lo) & (times < hi)]
 
 
 def _exact_integrals(family, k: int, what: str):

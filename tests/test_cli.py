@@ -139,9 +139,17 @@ FIVE_DIM_CONFIG = {
             "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [0.0], "scale": [-1.0]},
             "gaussian prior scales must be positive", "prior",
         ),
+        (  # written as the JSON literal NaN, which the number reader accepts
+            "bayes", MEAN_CONFIG, [1.0],
+            {"kind": "gaussian", "center": [0.0], "scale": [float("nan")]},
+            "gaussian prior center and scale must be finite: axis 0", "prior",
+        ),
         ("mle-closed", MEAN_CONFIG, [1.0], {"kind": "uniform"}, "never reads this key", "prior"),
     ],
-    ids=["unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-unread"],
+    ids=[
+        "unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-nan",
+        "prior-unread",
+    ],
 )
 def test_estimator_config_errors(
     tmp_path, capsys, command, estimator, model, alpha, prior, message, key

@@ -491,6 +491,16 @@ def test_prior_validation():
         Prior("gaussian", (0.0,), (-1.0,))
 
 
+@pytest.mark.parametrize(
+    "center, scale, axis",
+    [((0.0, np.nan), (1.0, 1.0), 1), ((0.0, 0.0), (np.inf, 1.0), 0), ((0.0,), (np.nan,), 0)],
+)
+def test_gaussian_prior_rejects_non_finite_values(center, scale, axis):
+    # a NaN scale passes the positivity test; the posterior would then be NaN everywhere
+    with pytest.raises(DomainError, match=f"must be finite: axis {axis} "):
+        Prior("gaussian", center, scale)
+
+
 def test_importance_sampling_is_deterministic():
     model, space, theta = trig_scaled_model()
     grid = uniform_grid(100, 0.25)
@@ -571,11 +581,40 @@ def test_linear_statistics_match_log_likelihood(noise, grid, level):
         space.lower + space.widths * rng.uniform(size=(1000, space.d)),
         _points_near_fit(rng, model, space, grid, cache, y, 1000, 6.0),
     ])
-    got = _make_batch_loglik(cache, y)(points)
+    got = _make_batch_loglik(cache, y)(tuple(points.T))
     ref = np.array(
         [log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y) for v in points]
     )
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make", [trig_known_model, trig_scaled_model, curved_model], ids=["known", "scaled", "general"]
+)
+def test_batch_log_likelihood_takes_per_axis_coordinates(make):
+    # the contract of both Bayes routes: per-axis nodes of cells' tensor grids,
+    # axis i of shape (cells, 1, ..., order, ..., 1), or flat coordinates (k,)
+    model, space, theta = make()
+    grid = uniform_grid(60, 0.25)
+    cache = MomentCache(model, grid)
+    y = simulate_increments(model, theta, grid, seed=12, cache=cache).y
+    batch = _make_batch_loglik(cache, y)
+    rng = np.random.default_rng(12)
+    lo, hi = space.lower + 0.1 * space.widths, space.upper - 0.1 * space.widths
+    d, cells, order = space.d, 2, 3
+    shapes = np.eye(d, dtype=int) * (order - 1) + 1
+    axes = [rng.uniform(lo[i], hi[i], (cells, order)).reshape(-1, *shapes[i]) for i in range(d)]
+    tensor = batch(axes)
+    assert tensor.shape == (cells,) + (order,) * d
+    flat_points = rng.uniform(lo, hi, (20, d))
+    flat = batch(tuple(flat_points.T))
+    assert flat.shape == (20,)
+    tensor_points = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, d)
+    for got, points in ((tensor.ravel(), tensor_points), (flat, flat_points)):
+        ref = np.array(
+            [log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y) for v in points]
+        )
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 @pytest.mark.parametrize("noise", ["known", "scaled"])
@@ -590,7 +629,7 @@ def test_linear_statistics_match_mpmath_oracle_at_long_horizon(noise):
     points = _points_near_fit(np.random.default_rng(9), model, space, grid, cache, y, 20, 3.0)
     b = cache.signal_basis_integrals()
     g = cache.noise_profile_integrals()
-    statistics = _make_batch_loglik(cache, y)(points)
+    statistics = _make_batch_loglik(cache, y)(tuple(points.T))
     direct = np.array(
         [log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y) for v in points]
     )
@@ -668,19 +707,22 @@ def test_tensor_rule_matches_meshgrid_construction(d):
     calls = []
 
     def components(pts):
-        return np.column_stack([np.exp(np.sin(pts.sum(axis=1))), pts])
+        weight = np.exp(np.sin(pts.sum(axis=1)))
+        return np.column_stack([weight, weight[:, None] * pts])
 
-    def recorded(pts):
-        calls.append(pts)
-        return components(pts)
+    def recorded(coords):
+        grid = np.stack(np.broadcast_arrays(*coords), axis=-1)  # (cells, order, ..., order, d)
+        calls.append(grid.reshape(len(grid), -1, d))
+        return np.sin(sum(coords))
 
     high, err = _integrate_cells(recorded, lo, hi)
-    assert len(calls) == 3
-    assert all(len(pts) <= max(_BLOCK_NODES, per_cell) for pts in calls)
-    got = np.concatenate(calls).reshape(count, per_cell, d)  # each cell's 5^d, then 9^d nodes
+    assert len(calls) == 6  # one per rule, order 5 then order 9, in each of three blocks
+    blocks = list(zip(calls[0::2], calls[1::2]))
+    assert all(a.size + b.size <= d * max(_BLOCK_NODES, per_cell) for a, b in blocks)
+    got = {order: np.concatenate(calls[k::2]) for k, order in enumerate((5, 9))}
     rules = {order: np.polynomial.legendre.leggauss(order) for order in (5, 9)}
     for i in range(count):
-        integrals, start = [], 0
+        integrals = []
         for order, (x, w) in rules.items():
             nodes, weights = 0.5 * (x + 1.0), 0.5 * w
             axes = [lo[i, k] + (hi[i, k] - lo[i, k]) * nodes for k in range(d)]
@@ -689,8 +731,7 @@ def test_tensor_rule_matches_meshgrid_construction(d):
             wts = weights
             for _ in range(d - 1):
                 wts = np.multiply.outer(wts, weights)
-            assert np.array_equal(got[i, start : start + order**d], pts)
-            start += order**d
+            assert np.array_equal(got[order][i], pts)
             integrals.append((wts.ravel() * float(np.prod(hi[i] - lo[i]))) @ components(pts))
         scale = np.abs(integrals[1]).max()
         assert high[i] == pytest.approx(integrals[1], rel=1e-13, abs=1e-13 * scale)

@@ -145,6 +145,37 @@ def test_dual_route_property_over_families():
                 assert np.all(np.abs(x - y) < 1e-9 * (1.0 + np.abs(x))), (name, top)
 
 
+def test_general_step_rates_that_declare_jumps_match_their_closed_form():
+    # steps_model's rates as general families: quadrature sees their jumps
+    # only through jumps_fn, and without it misses by up to 6.3e-4 of 1 + |x| here
+    model, space, _ = steps_model()
+    step, weight = model.signal.basis[1], model.noise.profile
+    general = ModelSpec(
+        GeneralSignal(
+            2,
+            lambda a, t: a[0] + a[1] * step(t),
+            lambda a, t: np.array([1.0, step(t)]),
+            jumps_fn=step.jumps,
+        ),
+        GeneralNoise(
+            1,
+            lambda b, t: b[0] * weight(t),
+            lambda b, t: np.array([weight(t)]),
+            jumps_fn=weight.jumps,
+        ),
+    )
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        theta = sample_interior(space, rng)
+        delays = rng.uniform(0.05, 0.9, 50)
+        grid = grid_from_instants(np.concatenate(([0.0], np.cumsum(delays))))
+        closed = MomentCache(model, grid).moments(theta)
+        forced = MomentCache(general, grid, force_quadrature=True).moments(theta)
+        for name in ("mean", "var", "grad_mean", "grad_var"):
+            x, y = getattr(closed, name), getattr(forced, name)
+            assert np.all(np.abs(x - y) < 1e-9 * (1.0 + np.abs(x))), name
+
+
 def test_split_increment_additivity():
     model, space, theta = curved_model()
     whole = grid_from_instants([0.0, 1.3])
