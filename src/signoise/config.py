@@ -4,7 +4,9 @@ Configs are plain JSON-compatible dicts.  Validation is strict: unknown
 keys are rejected by name, required keys are reported by name, and value
 errors name the key they sit under.  Every number is read by one of the
 checked readers below (``_number``, ``_integer``, ``_seed``, ``_list``),
-which the CLI and ``StudyConfig`` use too.
+which the CLI and ``StudyConfig`` use too.  A value the model, parameter,
+grid or prior constructors refuse (a negative step, a NaN parameter) is a
+ConfigError naming the entry it sits under.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, GridError
 from .estimate import Prior
 from .information import periodic_limit_fisher
 from .model import (
@@ -73,6 +76,15 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return cfg
+
+
+@contextmanager
+def _naming(key: str):
+    """Re-raise a constructor's DomainError or GridError as a ConfigError naming ``key``."""
+    try:
+        yield
+    except (DomainError, GridError) as exc:
+        raise ConfigError(str(exc), key=key) from exc
 
 
 def _check_keys(cfg: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -208,12 +220,14 @@ def build_noise(cfg: dict):
     )
 
 
+@_naming("model")
 def build_model(cfg: dict) -> ModelSpec:
     _check_keys(cfg, {"signal", "noise", "sigma2_floor"}, {"signal", "noise"}, "model")
     floor = _number({"sigma2_floor": 1e-12, **cfg}, "sigma2_floor", "model")
     return ModelSpec(build_signal(cfg["signal"]), build_noise(cfg["noise"]), floor)
 
 
+@_naming("space")
 def build_space(cfg: dict) -> ParameterSpace:
     _check_keys(cfg, {"alpha", "beta"}, {"alpha", "beta"}, "space")
 
@@ -226,6 +240,7 @@ def build_space(cfg: dict) -> ParameterSpace:
     return ParameterSpace(box("alpha"), box("beta"))
 
 
+@_naming("theta")
 def build_theta(cfg: dict, p: int, q: int) -> Theta:
     _check_keys(cfg, {"alpha", "beta"}, {"alpha", "beta"}, "theta")
     alpha = _number_list(cfg, "alpha", "theta")
@@ -246,6 +261,7 @@ _GRID_KEYS = {"kind", "n", "h", "step_rule", "c", "offsets", "period", "cycles",
               "total_time", "exponent"}
 
 
+@_naming("grid")
 def build_grid(cfg: dict) -> TimeGrid:
     """Build a fixed-size grid (explicit n or cycles)."""
     _check_keys(cfg, _GRID_KEYS, {"kind"}, "grid")
@@ -279,6 +295,7 @@ def build_grid(cfg: dict) -> TimeGrid:
     raise ConfigError(f"unknown grid kind {kind!r}", key="kind")
 
 
+@_naming("grid")
 def build_grid_for(cfg: dict, n: int) -> TimeGrid:
     """Build the rung-n member of a grid family used by studies.
 
@@ -331,11 +348,9 @@ def build_prior(cfg: dict, d: int) -> Prior:
         _check_keys(cfg, {"kind", "center", "scale"}, {"kind", "center", "scale"}, "prior")
         center = tuple(_number_list(cfg, "center", "prior"))
         scale = tuple(_number_list(cfg, "scale", "prior"))
-        try:
+        with _naming("prior"):
             prior = Prior(kind="gaussian", center=center, scale=scale)
             prior.check_dimension(d)
-        except DomainError as exc:
-            raise ConfigError(str(exc), key="prior") from exc
         return prior
     raise ConfigError(f"unknown prior kind {kind!r}", key="kind")
 

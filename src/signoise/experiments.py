@@ -28,6 +28,9 @@ task draws its increments as one (k, n) block.  Closed-form MLEs solve
 the whole block with one Gram inverse, and the local expansion reuses
 moments computed once per rung; other estimators loop over the rows.
 
+The KS tests are ``_ks.ks_normal``, exact KS p-values equal to
+``scipy.stats.kstest``'s, so no study imports ``scipy.stats``.
+
 ``run_study`` owns all of a study's state: it builds each rung's context
 once and hands it to the chunk tasks (pickled to the workers, a few
 chunks per batch, when ``workers > 1``), and one process pool serves the
@@ -48,6 +51,7 @@ from functools import partial
 import numpy as np
 
 from . import config as _config
+from ._ks import ks_normal
 from .errors import ConfigError, DomainError, SignoiseError
 from .estimate import ESTIMATORS, Prior, resolve_estimator
 from .increments import MomentCache
@@ -402,9 +406,11 @@ def _coord_names(p: int, q: int) -> list[str]:
 
 
 def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
-    """Normalized-error normality and covariance agreement along the ladder."""
-    from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
+    """Normalized-error normality and covariance agreement along the ladder.
 
+    Each coordinate's errors are KS-tested against N(0, the inverse
+    information's diagonal entry) with ``ks_normal``.
+    """
     for n, ctx, estimates in _rungs(cfg, report, map_fn):
         cov_ref = _reference_bundle(cfg, ctx).joint_inverse
         names = _coord_names(ctx.model.p, ctx.model.q)
@@ -419,15 +425,15 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
             var_se = math.sqrt(max(m4 - var**2, 0.0) / u.shape[0])
             report.rows.append(_row(n, "variance", name, var, var_se))
             ref_sd = math.sqrt(cov_ref[k, k])
-            ks = kstest(u[:, k], "norm", args=(0.0, ref_sd))
-            report.rows.append(_row(n, "ks_stat", name, float(ks.statistic)))
-            report.rows.append(_row(n, "ks_pvalue", name, float(ks.pvalue)))
+            ks_stat, ks_pvalue = ks_normal(u[:, k], ref_sd)
+            report.rows.append(_row(n, "ks_stat", name, ks_stat))
+            report.rows.append(_row(n, "ks_pvalue", name, ks_pvalue))
             report.checks.append(
                 _check(
                     f"normal[n={n}, {name}]",
-                    ks.pvalue >= _KS_LEVEL,
-                    f"KS p-value {ks.pvalue:.3g} at level {_KS_LEVEL:g}",
-                    float(ks.pvalue),
+                    ks_pvalue >= _KS_LEVEL,
+                    f"KS p-value {ks_pvalue:.3g} at level {_KS_LEVEL:g}",
+                    ks_pvalue,
                     _KS_LEVEL,
                 )
             )
@@ -512,9 +518,11 @@ def _slope_fit(x, y) -> tuple[float, float]:
 
 
 def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
-    """Central-sequence normality, remainder decay, unit-mean ratio identity."""
-    from scipy.stats import kstest  # deferred: scipy.stats costs ~0.5 s at import
+    """Central-sequence normality, remainder decay, unit-mean ratio identity.
 
+    Each coordinate of the central sequence is KS-tested against N(0, 1)
+    with ``ks_normal``.
+    """
     def task(ctx: _Context):
         # no directions configured: probe w = 0 so the remainder table still
         # appears, with every entry exactly zero
@@ -530,16 +538,16 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
         log_ratios, central, remainders = np.split(good, [n_dir, n_dir + ctx.model.d], axis=1)
 
         for k, name in enumerate(names):
-            ks = kstest(central[:, k], "norm")
-            report.rows.append(_row(n, "central_ks_stat", name, float(ks.statistic)))
-            report.rows.append(_row(n, "central_ks_pvalue", name, float(ks.pvalue)))
+            ks_stat, ks_pvalue = ks_normal(central[:, k])
+            report.rows.append(_row(n, "central_ks_stat", name, ks_stat))
+            report.rows.append(_row(n, "central_ks_pvalue", name, ks_pvalue))
             if n == cfg.n_values[-1]:
                 report.checks.append(
                     _check(
                         f"central-normal[n={n}, {name}]",
-                        ks.statistic < _DELTA_KS_MAX,
-                        f"KS distance {ks.statistic:.4f} vs {_DELTA_KS_MAX:g}",
-                        float(ks.statistic),
+                        ks_stat < _DELTA_KS_MAX,
+                        f"KS distance {ks_stat:.4f} vs {_DELTA_KS_MAX:g}",
+                        ks_stat,
                         _DELTA_KS_MAX,
                     )
                 )

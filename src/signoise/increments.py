@@ -137,7 +137,9 @@ class LinearDesign:
         least-squares solution, its residual r0 = y - B a0 and q0 = r0'W r0."""
         alpha = self.solve(y)
         resid = y - self.basis @ alpha
-        return alpha, resid, np.sum((resid * resid).T / self.profile, axis=-1)
+        weighted = (resid * resid).T  # divided in place: same layout, so the same summation order
+        weighted /= self.profile
+        return alpha, resid, np.sum(weighted, axis=-1)
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""

@@ -63,16 +63,10 @@ def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
     Drift block:    sum_i resid_i * grad_mean_i / var_i
     Variance block: sum_i (resid_i^2 / var_i - 1) * grad_var_i / (2 var_i)
     """
-    return _score_rows(moments, _as_rows(moments, y))
-
-
-def _score_rows(moments: IncrementMoments, ys: np.ndarray) -> np.ndarray:
-    """The score of each row of ys (..., n), shape (..., p + q)."""
-    resid = ys - moments.mean
+    resid = _as_rows(moments, y) - moments.mean
     g_alpha = (resid / moments.var) @ moments.grad_mean
     w = (resid * resid / moments.var - 1.0) / (2.0 * moments.var)
-    g_beta = w @ moments.grad_var
-    return np.concatenate([g_alpha, g_beta], axis=-1)
+    return np.concatenate([g_alpha, w @ moments.grad_var])
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,15 @@ class LocalExpansion:
         with ``remainder = log_ratio - score_term . w_j + |w_j|^2 / 2``.
         """
         m0 = self.base
-        ys = _as_rows(m0, ys, ndim=2)
-        resid = ys - m0.mean
-        log_ratios = (resid * resid / m0.var - 1.0) @ self.h + resid @ self.b + self.c
-        score_terms = _score_rows(m0, ys) @ self.scaling  # the normalized central sequence
+        resid = _as_rows(m0, ys, ndim=2) - m0.mean
+        u = resid * resid  # each (k, n) buffer is formed once and reused in place
+        u /= m0.var
+        u -= 1.0
+        log_ratios = u @ self.h + resid @ self.b + self.c
+        u /= 2.0 * m0.var  # the variance score's weights, as in score
+        resid /= m0.var  # the drift score's
+        scores = np.concatenate([resid @ m0.grad_mean, u @ m0.grad_var], axis=-1)
+        score_terms = scores @ self.scaling  # the normalized central sequence
 
         linear = score_terms @ self.directions.T
         quad = 0.5 * np.sum(self.directions * self.directions, axis=1)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import signoise
+from signoise._ks import _branch
 from signoise.cli import main
 
 from helpers import MEAN_CONFIG, TRIG_KNOWN_CONFIG, TRIG_SCALED_CONFIG
@@ -360,6 +361,46 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         assert f"(key: '{key}')" in err and "Traceback" not in err, err
 
 
+def _bad_values():
+    nan = float("nan")
+    sim = _simulate_cfg()
+    grid = sim["grid"]
+    study = {
+        "kind": "normality", "model": MEAN_CONFIG, "space": MEAN_SPACE,
+        "theta": {"alpha": [1.0], "beta": []}, "grid": {"kind": "uniform", "h": 0.25},
+        "n_values": [100, 200], "replicates": 100, "seed": 1,
+    }
+    return [
+        ("simulate", sim | {"grid": grid | {"h": -1.0}}, "grid", "step must be positive"),
+        ("simulate", sim | {"grid": grid | {"h": nan}}, "grid", "step must be positive"),
+        ("simulate", sim | {"grid": grid | {"n": 0}}, "grid", "n must be >= 1"),
+        ("simulate", sim | {"theta": {"alpha": [nan, 0.5], "beta": [1.0]}}, "theta",
+         "parameters must be finite"),
+        ("estimate", {"model": TRIG_SCALED_CONFIG,
+                      "space": SCALED_SPACE | {"alpha": [[-3.0, nan], [-3.0, 3.0]]}},
+         "space", "invalid axis"),
+        ("verify", study | {"grid": {"kind": "uniform", "h": -1.0}}, "grid",
+         "step must be positive"),
+        ("simulate", sim | {"model": TRIG_SCALED_CONFIG | {"sigma2_floor": -1.0}}, "model",
+         "sigma2_floor must be positive"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, payload, key, detail",
+    _bad_values(),
+    ids=["h-negative", "h-nan", "n-zero", "theta-nan", "space-nan", "study-h-negative",
+         "floor-negative"],
+)
+def test_out_of_range_config_values_name_their_key(tmp_path, capsys, command, payload, key, detail):
+    argv = [command, "--config", _write(tmp_path / "bad.json", payload)]
+    if command == "estimate":
+        argv += ["--sample", str(tmp_path / "absent.csv")]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert detail in err and f"(key: '{key}')" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "sidecar, detail",
     [
@@ -463,8 +504,8 @@ def _scipy_loaded(code):
 
 def test_package_import_leaves_scipy_stats_unloaded():
     # importing the package or its CLI loads no scipy module at all: a draw
-    # loads scipy.special, the KS checks of normality and lan studies load
-    # scipy.stats, and nothing in the package loads scipy.optimize
+    # and a study's KS checks load scipy.special, and nothing in the package
+    # loads scipy.stats or scipy.optimize
     assert _scipy_loaded("import signoise") == "False False False"
     assert _scipy_loaded("import signoise.cli") == "False False False"
 
@@ -497,3 +538,33 @@ def test_verify_rate_study_leaves_scipy_stats_unloaded(tmp_path):
     code = f"from signoise.cli import main; assert main({args!r}) == 0"
     assert _scipy_loaded(code) == "False False True"
     assert json.loads((tmp_path / "rep" / "rate_report.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        {"kind": "normality", "model": MEAN_CONFIG, "space": MEAN_SPACE,
+         "theta": {"alpha": [1.0], "beta": []}, "estimator": "mle-closed"},
+        {"kind": "lan", "model": TRIG_SCALED_CONFIG, "space": SCALED_SPACE,
+         "theta": {"alpha": [1.0, 0.5], "beta": [1.0]},
+         "directions": [[0.6, 0.3, 0.2], [0.0, 0.5, 0.7]]},
+    ],
+    ids=["normality", "lan"],
+)
+def test_verify_ks_studies_leave_scipy_stats_unloaded(tmp_path, study):
+    # at 120 replicates the KS p-values take the small-sample branches
+    # (Durbin matrix, Pomeranz) end to end; so few replicates may fail the
+    # covariance or central-sequence checks, so either verdict is accepted
+    replicates = 120
+    cfg = _write(
+        tmp_path / "study.json",
+        study | {"grid": {"kind": "uniform", "h": 0.25}, "n_values": [100, 200],
+                 "replicates": replicates, "seed": 3},
+    )
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "rep"), "--workers", "1"]
+    code = f"from signoise.cli import main; assert main({args!r}) in (0, 1)"
+    assert _scipy_loaded(code) == "False False True"
+    report = json.loads((tmp_path / "rep" / f"{study['kind']}_report.json").read_text())
+    stats = [r["value"] for r in report["rows"] if r["metric"].endswith("ks_stat")]
+    assert len(stats) == 2 * len(study["theta"]["alpha"] + study["theta"]["beta"])
+    assert {_branch(replicates, d) for d in stats} <= {"dmtw", "pomeranz"}

@@ -176,6 +176,22 @@ def test_closed_form_block_rows_match_per_sample_fits(build, grid):
         np.testing.assert_allclose(block[r], single, rtol=1e-12, atol=0.0)
 
 
+def test_scaled_block_fit_is_bit_equal_to_its_unfused_expressions():
+    # the residual sum is formed in one buffer of the same layout, so a
+    # (n, k) block and a single column both sum in the same order as before
+    model, _, theta = trig_scaled_model()
+    grid = uniform_grid(400, 0.25)
+    cache = MomentCache(model, grid)
+    design = cache.linear_design()
+    ys = simulate_batch(model, theta, grid, seed=17, replicates=37, cache=cache)
+    for y in (ys.T, ys[5]):
+        alpha = design.solve(y)
+        resid = y - design.basis @ alpha
+        q0 = np.sum((resid * resid).T / design.profile, axis=-1)
+        expected = np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
+        assert np.array_equal(design.fit(y), expected)
+
+
 @pytest.mark.parametrize("build", [trig_known_model, trig_scaled_model])
 @pytest.mark.parametrize(
     "grid",

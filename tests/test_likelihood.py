@@ -181,6 +181,33 @@ def test_local_expansion_block_rows_match_single_rows():
     assert np.all(log_ratios[:, 2] == 0.0) and np.all(remainders[:, 2] == 0.0)
 
 
+def test_local_expansion_block_is_bit_equal_to_its_unfused_expressions():
+    # evaluate forms the residual and u = r^2/v0 - 1 once and rescales them
+    # in place for the score; the operations and their order are unchanged
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(300, 0.25)
+    cache = MomentCache(model, grid)
+    m0 = cache.moments(theta)
+    phi = empirical_fisher(m0, grid).local_scaling
+    directions = np.array([[0.6, 0.3, 0.2], [0.0, 0.5, 0.7], [0.4, 0.4, 0.4]])
+    ys = simulate_batch(model, theta, grid, seed=505, replicates=40, cache=cache)
+    kept = ys.copy()
+    expansion = local_expansion(model, space, theta, directions, phi, cache)
+    log_ratios, score_terms, remainders = expansion.evaluate(ys)
+    assert np.array_equal(ys, kept)
+
+    resid = ys - m0.mean
+    want_ratios = (resid * resid / m0.var - 1.0) @ expansion.h + resid @ expansion.b + expansion.c
+    g_alpha = (resid / m0.var) @ m0.grad_mean
+    w = (resid * resid / m0.var - 1.0) / (2.0 * m0.var)
+    want_scores = np.concatenate([g_alpha, w @ m0.grad_var], axis=-1) @ phi
+    linear = want_scores @ directions.T
+    quad = 0.5 * np.sum(directions * directions, axis=1)
+    assert np.array_equal(log_ratios, want_ratios)
+    assert np.array_equal(score_terms, want_scores)
+    assert np.array_equal(remainders, want_ratios - linear + quad)
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 2)])
 def test_local_expansion_rejects_directions_of_wrong_shape(shape):
     model, space, theta = trig_scaled_model()
