@@ -24,7 +24,11 @@ at the jumps a family declares.  ``MomentCache`` picks each block's route
 once, when it is built; ``force_quadrature=True`` forces the fallback on
 every family's moments alone, which is how the routes are checked.  The
 closure route runs family code, so its block keeps the results of its last
-16 parameter vectors, within 32 MiB; the other routes keep none.
+16 parameter vectors, within 32 MiB; the other routes keep none.  The
+closed routes return the cache's own arrays where the moments equal them
+(the basis as the drift gradient, the profile integrals as a known
+variance or, as a view, the scale's gradient), and ``IncrementMoments``
+makes them read-only, so a long record keeps one copy of each.
 """
 
 from __future__ import annotations
@@ -236,6 +240,7 @@ class MomentCache:
                 family.profile.integral(grid.starts, grid.ends), dtype=float
             )
             self._check_finite("variance profile integral", self._profile_integrals)
+            self._profile_integrals.flags.writeable = False  # the scaled route shares a view
             exact = partial(_scaled_route if family.q else _known_route, self._profile_integrals)
         elif (integrals := getattr(family, "integrals", None)) is not None:
             size = min(_MEMO_SIZE, max(1, _MEMO_BYTES // (8 * grid.n * (1 + k))))
@@ -321,11 +326,11 @@ def _linear_route(basis: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _known_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return g.copy(), np.empty((g.size, 0))
+    return g, np.empty((g.size, 0))
 
 
 def _scaled_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return float(beta[0]) * g, g[:, None].copy()
+    return float(beta[0]) * g, g[:, None]
 
 
 def _closure_route(integrals, starts, ends, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,8 +95,13 @@ class TimeGrid:
         Instants alone identify a grid; stored delays can differ from
         instant differences in their last bits (that is why they are
         stored), so hashing them would make serialization round-trips
-        change the digest.
+        change the digest.  The instants are read-only, so the digest is
+        computed once per grid.
         """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(self.instants.tobytes()).hexdigest()
 
 

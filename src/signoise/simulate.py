@@ -8,9 +8,13 @@ many replicates run, in what order, or on how many processes.
 
 Every draw goes through one core, ``_standard_normals``: it builds one
 Philox per call and re-keys it for each replicate, and it turns raw words
-into normals a slab of at most ``_SLAB_WORDS`` words at a time, so a
-block needs the output array plus one slab.  Neither changes the
-stream, which ``normal_stream`` defines.
+into normals a slab of at most ``_SLAB_WORDS`` words at a time.  ``_draw``
+then scales and shifts the block in stretches of at most ``_SLAB_WORDS``
+columns; ``simulate_increments`` and ``simulate_batch`` take a stretch's
+standard deviations as the square root of that stretch of the variances.
+So a block needs the output array plus one slab, for the draw and for
+the scaling alike.  Neither changes the stream, which ``normal_stream``
+defines, nor any value drawn from it.
 """
 
 from __future__ import annotations
@@ -119,8 +123,7 @@ def normal_stream(seed: int, replicate: int, count: int) -> np.ndarray:
     """
     seed = _check_seed(seed, "seed")
     replicate = _check_seed(replicate, "replicate")
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    count = _check_seed(count, "count")
     return _standard_normals(seed, replicate, replicate + 1, count)[0]
 
 
@@ -137,9 +140,20 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
+    return _draw(seed, lo, hi, mean, np.broadcast_to(sd, mean.size).__getitem__)
+
+
+def _draw(seed: int, lo: int, hi: int, mean: np.ndarray, sd_of) -> np.ndarray:
+    """Rows lo..hi-1 of ``mean + sd * stream``, scaled in place a stretch of
+    at most ``_SLAB_WORDS`` columns at a time; ``sd_of(cols)`` gives the
+    stretch's standard deviations.  Each value is the one whole-array
+    ``out *= sd; out += mean`` gives."""
     out = _standard_normals(seed, lo, hi, mean.size)
-    out *= sd
-    out += mean
+    for start in range(0, mean.size, _SLAB_WORDS):
+        cols = slice(start, start + _SLAB_WORDS)
+        stretch = out[:, cols]
+        stretch *= sd_of(cols)
+        stretch += mean[cols]
     return out
 
 
@@ -191,9 +205,7 @@ def simulate_increments(
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    y = normal_stream(seed, replicate, m.mean.size)  # = draw_block's row; reaches replicate 2**64-1
-    y *= np.sqrt(m.var)
-    y += m.mean
+    y = _draw(seed, replicate, replicate + 1, m.mean, lambda cols: np.sqrt(m.var[cols]))[0]
     return IncrementSample(y, seed, replicate, grid.digest(), theta)
 
 
@@ -208,13 +220,15 @@ def simulate_batch(
     """Rows 0..replicates-1 of the replicate family, shape (replicates, n).
 
     Row r equals ``simulate_increments(..., replicate=r).y`` exactly.
+    ``seed`` and ``replicates`` follow the seed rule, and replicates >= 1.
     """
+    seed, replicates = _check_seed(seed, "seed"), _check_seed(replicates, "replicates")
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    return draw_block(m.mean, np.sqrt(m.var), seed, 0, replicates)
+    return _draw(seed, 0, replicates, m.mean, lambda cols: np.sqrt(m.var[cols]))
 
 
 def moments_for(model: ModelSpec, theta: Theta, grid: TimeGrid) -> IncrementMoments:

@@ -56,6 +56,25 @@ def test_constant_drift_unit_noise_moments():
     assert m.grad_var.shape == (4, 0)
 
 
+def test_closed_routes_share_the_cache_arrays_read_only():
+    grid = uniform_grid(50, 0.2)
+    model, _, theta = trig_scaled_model()
+    cache = MomentCache(model, grid)
+    scaled = cache.moments(theta)
+    g = cache.noise_profile_integrals()
+    assert np.shares_memory(scaled.grad_var, g) and np.array_equal(scaled.grad_var[:, 0], g)
+    assert np.array_equal(scaled.var, theta.beta[0] * g)
+    assert scaled.grad_mean is cache.signal_basis_integrals()
+    model, _, theta = trig_known_model()
+    cache = MomentCache(model, grid)
+    known = cache.moments(theta)
+    assert known.var is cache.noise_profile_integrals()
+    assert cache.moments(theta).var is known.var
+    for arr in (scaled.grad_var, scaled.grad_mean, g, known.var):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_cosine_drift_integrals():
     signal = LinearSignal((CosineFn(1.0),))
     model = ModelSpec(signal, KnownNoise(constant_profile(1.0)))

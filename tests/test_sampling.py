@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -134,3 +136,14 @@ def test_instants_are_read_only():
     g = uniform_grid(4, 0.5)
     with pytest.raises(ValueError):
         g.instants[0] = 1.0
+
+
+def test_digest_is_the_instants_hash_and_survives_pickling():
+    g = quantile_grid(lambda u: u**1.5, 1000, 10.0)
+    want = hashlib.sha256(g.instants.tobytes()).hexdigest()
+    fresh = pickle.loads(pickle.dumps(g))  # pickled before the digest was computed
+    assert g.digest() == want and g.digest() is g.digest()
+    kept = pickle.loads(pickle.dumps(g))  # pickled with it
+    for back in (fresh, kept):
+        assert back.digest() == want
+        assert np.array_equal(back.instants, g.instants) and back.label == g.label

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from signoise import (
+    MomentCache,
     Theta,
     derive_seed,
     draw_block,
@@ -127,6 +129,11 @@ _SEEDED_CALLS = {
     "simulate_increments-replicate": (
         "replicate", lambda v: simulate_increments(*_mean_setup(), seed=5, replicate=v)
     ),
+    "normal_stream-count": ("count", lambda v: normal_stream(5, 0, v)),
+    "simulate_batch-seed": ("seed", lambda v: simulate_batch(*_mean_setup(), seed=v, replicates=2)),
+    "simulate_batch-replicates": (
+        "replicates", lambda v: simulate_batch(*_mean_setup(), seed=5, replicates=v)
+    ),
 }
 
 
@@ -148,6 +155,51 @@ def test_seed_arguments_follow_the_seed_rule(name, call):
         with pytest.raises(DomainError, match=rf"^{name} must"):
             call(bad)
     assert _bits(call(np.int64(3))) == _bits(call(3))  # numpy integers count as their value
+
+
+class _UnevaluatedCache:
+    def moments(self, theta):
+        raise AssertionError("moments evaluated before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "seed, replicates, name",
+    [(1.5, 2, "seed"), (5, 2.5, "replicates"), (5, "3", "replicates"), (5, 0, "replicates")],
+)
+def test_simulate_batch_checks_arguments_before_moments(seed, replicates, name):
+    model, theta, grid = _mean_setup()
+    with pytest.raises(DomainError, match=rf"^{name} must"):
+        simulate_batch(model, theta, grid, seed, replicates, cache=_UnevaluatedCache())
+
+
+def test_long_records_scale_stretch_by_stretch_bit_for_bit():
+    model, _, theta = trig_scaled_model()
+    n = 2 * simulate._SLAB_WORDS + 5  # three column stretches, the last of 5
+    grid = uniform_grid(n, 0.01)
+    cache = MomentCache(model, grid)
+    m = cache.moments(theta)
+    sample = simulate_increments(model, theta, grid, 11, replicate=2, cache=cache)
+    assert np.array_equal(sample.y, m.mean + np.sqrt(m.var) * normal_stream(11, 2, n))
+    batch = simulate_batch(model, theta, grid, 11, 3, cache=cache)
+    for r in range(3):
+        assert np.array_equal(batch[r], m.mean + np.sqrt(m.var) * normal_stream(11, r, n))
+
+
+def test_simulate_batch_keeps_one_copy_of_each_long_array():
+    # Beyond the k rows, only the mean and the variance are n long; the
+    # standard deviations and the raw words exist one slab at a time.
+    model, _, theta = trig_scaled_model()
+    n, k = 2**18, 3
+    grid = uniform_grid(n, 0.01)
+    cache = MomentCache(model, grid)
+    normal_stream(4, 0, 1)  # a first draw imports scipy.special; keep that out of the trace
+    tracemalloc.start()
+    try:
+        simulate_batch(model, theta, grid, 4, k, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k + 2) * 8 * n + 2 * 2**20
 
 
 def test_simulate_increments_reaches_the_last_replicate():
