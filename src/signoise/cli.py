@@ -26,7 +26,6 @@ from . import config as _config
 from .errors import ConfigError, NoiseFloorViolation, SignoiseError
 from .estimate import resolve_estimator
 from .experiments import run_study, save_report, study_from_dict
-from .information import empirical_fisher
 from .increments import MomentCache
 from .sampling import save_grid_csv
 from .simulate import load_sample, save_sample, simulate_increments
@@ -102,12 +101,9 @@ def _cmd_estimate(args) -> int:
         {"model", "space"},
         "estimate config",
     )
-    model = _config.build_model(cfg["model"])
-    space = _config.build_space(cfg["space"])
-    if model.p != space.p or model.q != space.q:
-        raise ConfigError("model and space dimensions do not match", key="space")
+    model, space = _config.read_model_space(cfg)
     estimator = resolve_estimator(cfg.get("estimator", "auto"), model, space, cfg.get("prior"))
-    prior = _config.build_prior(cfg["prior"], space.d) if cfg.get("prior") else None
+    prior = _config.read_prior(cfg, space.d)
     seeds = {"seed": 0, **cfg} if args.seed is None else {"seed": args.seed}
     seed = _config._seed(seeds, "seed", "estimate config")
     cfg_digest = _config.digest(cfg)
@@ -174,18 +170,9 @@ def _cmd_fisher(args) -> int:
     )
     model = _config.build_model(cfg["model"])
     theta = _config.build_theta(cfg["theta"], model.p, model.q)
-    source = cfg["source"]
-    if source == "empirical":
-        if "grid" not in cfg:
-            raise ConfigError("empirical information needs a grid", key="grid")
-        grid = _config.build_grid(cfg["grid"])
-        bundle = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
-    elif source == "limit":
-        grid = _config.build_grid(cfg["grid"]) if "grid" in cfg else None
-        bundle = _config.build_limit_fisher(cfg, "fisher config")(model, theta, grid=grid)
-    else:
-        raise ConfigError(f"source must be 'empirical' or 'limit', got {source!r}", key="source")
-
+    information = _config.read_information(cfg, "fisher config")
+    grid = _config.build_grid(cfg["grid"]) if "grid" in cfg else None
+    bundle = information(model, theta, grid)
     payload = {**bundle.to_dict(), "config_digest": _config.digest(cfg)}
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fisher.json")

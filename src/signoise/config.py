@@ -1,4 +1,4 @@
-"""Declarative configuration: dicts in, validated model objects out.
+"""Declarative configuration: the one place config dicts become objects.
 
 Configs are plain JSON-compatible dicts.  Validation is strict: unknown
 keys are rejected by name, required keys are reported by name, and value
@@ -6,7 +6,10 @@ errors name the key they sit under.  Every number is read by one of the
 checked readers below (``_number``, ``_integer``, ``_seed``, ``_list``),
 which the CLI and ``StudyConfig`` use too.  A value the model, parameter,
 grid or prior constructors refuse (a negative step, a NaN parameter) is a
-ConfigError naming the entry it sits under.
+ConfigError naming the entry it sits under.  Each tagged object states
+its keys once per kind, in a table ``_tagged`` reads.  The ``read_*``
+functions, shared by the CLI and studies, read the model and box, the
+prior or the information source from an enclosing config.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridError
 from .estimate import Prior
-from .information import periodic_limit_fisher
+from .increments import MomentCache
+from .information import empirical_fisher, periodic_limit_fisher
 from .model import (
     ConstantFn,
     CosineFn,
@@ -52,7 +56,9 @@ __all__ = [
     "build_grid",
     "build_grid_for",
     "build_prior",
-    "build_limit_fisher",
+    "read_model_space",
+    "read_prior",
+    "read_information",
 ]
 
 
@@ -98,6 +104,24 @@ def _check_keys(cfg: dict, allowed: set[str], required: set[str], where: str) ->
             raise ConfigError(f"{where} is missing a required key", key=key)
 
 
+def _tagged(cfg: dict, kinds: dict[str, str], what: str) -> str:
+    """The ``kind`` of the tagged object cfg, once its other keys fit that kind.
+
+    ``kinds`` maps each kind to its keys besides ``kind``, space-separated,
+    an optional one marked ``?``.
+    """
+    _check_keys(cfg, set(cfg) if isinstance(cfg, dict) else set(), {"kind"}, what)
+    kind = cfg["kind"]
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(
+            f"unknown {what} kind {kind!r} (one of {', '.join(map(repr, kinds))})", key="kind"
+        )
+    keys = kinds[kind].split()
+    allowed = {"kind", *(k.rstrip("?") for k in keys)}
+    _check_keys(cfg, allowed, {"kind", *(k for k in keys if k[-1] != "?")}, f"{kind} {what}")
+    return kind
+
+
 def _number(cfg: dict, key: str, where: str) -> float:
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -136,70 +160,49 @@ def _number_list(cfg: dict, key: str, where: str) -> list[float]:
 # model pieces
 # ---------------------------------------------------------------------------
 
+_ATOM_KEYS = {"const": "", "cos": "freq phase?", "sin": "freq", "steps": "levels period"}
+_PROFILE_KEYS = {"const": "value", "trig": "offset terms", "steps": "levels period"}
+_SIGNAL_KEYS = {"linear": "basis"}  # general callables are library-only
+_NOISE_KEYS = {"known": "profile", "scaled": "profile"}
+
+
+def _steps(cfg: dict, where: str) -> PeriodicStepFn:
+    return PeriodicStepFn(tuple(_number_list(cfg, "levels", where)), _number(cfg, "period", where))
+
 
 def build_atom(cfg: dict):
-    _check_keys(cfg, {"kind", "freq", "phase", "levels", "period"}, {"kind"}, "basis atom")
-    kind = cfg["kind"]
+    kind = _tagged(cfg, _ATOM_KEYS, "basis atom")
+    where = f"{kind} atom"
     if kind == "const":
-        _check_keys(cfg, {"kind"}, {"kind"}, "const atom")
         return ConstantFn()
     if kind == "cos":
-        _check_keys(cfg, {"kind", "freq", "phase"}, {"kind", "freq"}, "cos atom")
-        phase = _number({"phase": 0, **cfg}, "phase", "cos atom")
-        return CosineFn(_number(cfg, "freq", "cos atom"), phase)
+        return CosineFn(_number(cfg, "freq", where), _number({"phase": 0, **cfg}, "phase", where))
     if kind == "sin":
-        _check_keys(cfg, {"kind", "freq"}, {"kind", "freq"}, "sin atom")
-        return SineFn(_number(cfg, "freq", "sin atom"))
-    if kind == "steps":
-        _check_keys(cfg, {"kind", "levels", "period"}, {"kind", "levels", "period"}, "steps atom")
-        return PeriodicStepFn(
-            tuple(_number_list(cfg, "levels", "steps atom")),
-            _number(cfg, "period", "steps atom"),
-        )
-    raise ConfigError(f"unknown basis atom kind {kind!r}", key="kind")
+        return SineFn(_number(cfg, "freq", where))
+    return _steps(cfg, where)
 
 
 def build_profile(cfg: dict) -> Profile:
-    _check_keys(cfg, {"kind", "value", "offset", "terms", "levels", "period"}, {"kind"}, "profile")
-    kind = cfg["kind"]
+    kind = _tagged(cfg, _PROFILE_KEYS, "profile")
+    where = f"{kind} profile"
     if kind == "const":
-        _check_keys(cfg, {"kind", "value"}, {"kind", "value"}, "const profile")
-        return Profile(offset=_number(cfg, "value", "const profile"))
-    if kind == "trig":
-        _check_keys(cfg, {"kind", "offset", "terms"}, {"kind", "offset", "terms"}, "trig profile")
-        terms = cfg["terms"]
-        if not isinstance(terms, list):
-            raise ConfigError("trig profile terms must be a list", key="terms")
-        coefs, atoms = [], []
-        for term in terms:
-            _check_keys(term, {"amp", "freq", "phase"}, {"amp", "freq"}, "trig term")
-            coefs.append(_number(term, "amp", "trig term"))
-            phase = _number({"phase": 0, **term}, "phase", "trig term")
-            atoms.append(CosineFn(_number(term, "freq", "trig term"), phase))
-        return Profile(
-            offset=_number(cfg, "offset", "trig profile"),
-            coefs=tuple(coefs),
-            atoms=tuple(atoms),
-        )
+        return Profile(offset=_number(cfg, "value", where))
     if kind == "steps":
-        _check_keys(cfg, {"kind", "levels", "period"}, {"kind", "levels", "period"}, "steps profile")
-        atom = PeriodicStepFn(
-            tuple(_number_list(cfg, "levels", "steps profile")),
-            _number(cfg, "period", "steps profile"),
-        )
-        return Profile(offset=0.0, coefs=(1.0,), atoms=(atom,))
-    raise ConfigError(f"unknown profile kind {kind!r}", key="kind")
+        return Profile(offset=0.0, coefs=(1.0,), atoms=(_steps(cfg, where),))
+    terms = cfg["terms"]
+    if not isinstance(terms, list):
+        raise ConfigError("trig profile terms must be a list", key="terms")
+    coefs, atoms = [], []
+    for term in terms:
+        _check_keys(term, {"amp", "freq", "phase"}, {"amp", "freq"}, "trig term")
+        coefs.append(_number(term, "amp", "trig term"))
+        phase = _number({"phase": 0, **term}, "phase", "trig term")
+        atoms.append(CosineFn(_number(term, "freq", "trig term"), phase))
+    return Profile(offset=_number(cfg, "offset", where), coefs=tuple(coefs), atoms=tuple(atoms))
 
 
 def build_signal(cfg: dict):
-    _check_keys(cfg, {"kind", "basis"}, {"kind"}, "signal")
-    if cfg["kind"] != "linear":
-        raise ConfigError(
-            f"unknown signal kind {cfg['kind']!r}; config files support 'linear' "
-            "(general callables are library-only)",
-            key="kind",
-        )
-    _check_keys(cfg, {"kind", "basis"}, {"kind", "basis"}, "linear signal")
+    _tagged(cfg, _SIGNAL_KEYS, "signal")
     basis = cfg["basis"]
     if not isinstance(basis, list) or not basis:
         raise ConfigError("linear signal basis must be a non-empty list", key="basis")
@@ -207,17 +210,8 @@ def build_signal(cfg: dict):
 
 
 def build_noise(cfg: dict):
-    _check_keys(cfg, {"kind", "profile"}, {"kind", "profile"}, "noise")
-    kind = cfg["kind"]
-    profile = build_profile(cfg["profile"])
-    if kind == "known":
-        return KnownNoise(profile)
-    if kind == "scaled":
-        return ScaledNoise(profile)
-    raise ConfigError(
-        f"unknown noise kind {kind!r}; config files support 'known' and 'scaled'",
-        key="kind",
-    )
+    kind = _tagged(cfg, _NOISE_KEYS, "noise")
+    return (KnownNoise if kind == "known" else ScaledNoise)(build_profile(cfg["profile"]))
 
 
 @_naming("model")
@@ -253,46 +247,44 @@ def build_theta(cfg: dict, p: int, q: int) -> Theta:
     return Theta(np.asarray(alpha), np.asarray(beta))
 
 
+def read_model_space(cfg: dict) -> tuple[ModelSpec, ParameterSpace]:
+    """The model and parameter box under cfg's ``model`` and ``space`` keys, of equal dims."""
+    model, space = build_model(cfg["model"]), build_space(cfg["space"])
+    if (model.p, model.q) != (space.p, space.q):
+        raise ConfigError(
+            f"model dims ({model.p}, {model.q}) do not match the box ({space.p}, {space.q})",
+            key="space",
+        )
+    return model, space
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {"kind", "n", "h", "step_rule", "c", "offsets", "period", "cycles",
-              "total_time", "exponent"}
+_GRID_KEYS = {"uniform": "n h", "pattern": "offsets period cycles",
+              "quantile": "n total_time exponent"}
+_GRID_FAMILY_KEYS = {"uniform": "h? step_rule? c?", "pattern": "offsets period"}
 
 
 @_naming("grid")
 def build_grid(cfg: dict) -> TimeGrid:
     """Build a fixed-size grid (explicit n or cycles)."""
-    _check_keys(cfg, _GRID_KEYS, {"kind"}, "grid")
-    kind = cfg["kind"]
+    kind = _tagged(cfg, _GRID_KEYS, "grid")
+    where = f"{kind} grid"
     if kind == "uniform":
-        _check_keys(cfg, {"kind", "n", "h"}, {"kind", "n", "h"}, "uniform grid")
-        return uniform_grid(_integer(cfg, "n", "uniform grid"), _number(cfg, "h", "uniform grid"))
+        return uniform_grid(_integer(cfg, "n", where), _number(cfg, "h", where))
     if kind == "pattern":
-        _check_keys(
-            cfg, {"kind", "offsets", "period", "cycles"},
-            {"kind", "offsets", "period", "cycles"}, "pattern grid",
-        )
         return periodic_pattern_grid(
-            _number_list(cfg, "offsets", "pattern grid"),
-            _number(cfg, "period", "pattern grid"),
-            _integer(cfg, "cycles", "pattern grid"),
+            _number_list(cfg, "offsets", where),
+            _number(cfg, "period", where),
+            _integer(cfg, "cycles", where),
         )
-    if kind == "quantile":
-        _check_keys(
-            cfg, {"kind", "n", "total_time", "exponent"},
-            {"kind", "n", "total_time", "exponent"}, "quantile grid",
-        )
-        a = _number(cfg, "exponent", "quantile grid")
-        if a <= 0.0:
-            raise ConfigError("quantile grid exponent must be positive", key="exponent")
-        return quantile_grid(
-            lambda u: u**a,
-            _integer(cfg, "n", "quantile grid"),
-            _number(cfg, "total_time", "quantile grid"),
-        )
-    raise ConfigError(f"unknown grid kind {kind!r}", key="kind")
+    a = _number(cfg, "exponent", where)
+    if a <= 0.0:
+        raise ConfigError("quantile grid exponent must be positive", key="exponent")
+    n, total_time = _integer(cfg, "n", where), _number(cfg, "total_time", where)
+    return quantile_grid(lambda u: u**a, n, total_time)
 
 
 @_naming("grid")
@@ -304,66 +296,89 @@ def build_grid_for(cfg: dict, n: int) -> TimeGrid:
     h = c / sqrt(n).  Pattern grids require n to be a multiple of the
     pattern length.
     """
-    _check_keys(cfg, _GRID_KEYS, {"kind"}, "grid")
-    kind = cfg["kind"]
+    kind = _tagged(cfg, _GRID_FAMILY_KEYS, "grid family")
+    where = f"{kind} grid family"
     if kind == "uniform":
-        _check_keys(cfg, {"kind", "h", "step_rule", "c"}, {"kind"}, "uniform grid family")
         if "h" in cfg:
             if "step_rule" in cfg or "c" in cfg:
                 raise ConfigError(
                     "give either a fixed h or a step_rule, not both", key="step_rule"
                 )
-            return uniform_grid(n, _number(cfg, "h", "uniform grid family"))
+            return uniform_grid(n, _number(cfg, "h", where))
         if cfg.get("step_rule") != "inverse_sqrt":
             raise ConfigError(
                 f"unknown step_rule {cfg.get('step_rule')!r} (only 'inverse_sqrt')",
                 key="step_rule",
             )
-        c = _number(cfg, "c", "uniform grid family") if "c" in cfg else 1.0
+        c = _number(cfg, "c", where) if "c" in cfg else 1.0
         return uniform_grid(n, c / np.sqrt(n))
-    if kind == "pattern":
-        _check_keys(
-            cfg, {"kind", "offsets", "period"}, {"kind", "offsets", "period"},
-            "pattern grid family",
+    offsets = _number_list(cfg, "offsets", where)
+    if n % len(offsets):
+        raise ConfigError(
+            f"n = {n} is not a multiple of the pattern length {len(offsets)}",
+            key="offsets",
         )
-        offsets = _number_list(cfg, "offsets", "pattern grid family")
-        if n % len(offsets):
-            raise ConfigError(
-                f"n = {n} is not a multiple of the pattern length {len(offsets)}",
-                key="offsets",
-            )
-        return periodic_pattern_grid(
-            offsets, _number(cfg, "period", "pattern grid family"), n // len(offsets)
-        )
-    raise ConfigError(f"grid kind {kind!r} cannot generate a size ladder", key="kind")
+    return periodic_pattern_grid(offsets, _number(cfg, "period", where), n // len(offsets))
+
+
+# ---------------------------------------------------------------------------
+# prior and information source
+# ---------------------------------------------------------------------------
+
+_PRIOR_KEYS = {"uniform": "", "gaussian": "center scale"}
 
 
 def build_prior(cfg: dict, d: int) -> Prior:
     """The prior of a d-dimensional parameter vector."""
-    _check_keys(cfg, {"kind", "center", "scale"}, {"kind"}, "prior")
-    kind = cfg["kind"]
-    if kind == "uniform":
+    if _tagged(cfg, _PRIOR_KEYS, "prior") == "uniform":
         return Prior()
-    if kind == "gaussian":
-        _check_keys(cfg, {"kind", "center", "scale"}, {"kind", "center", "scale"}, "prior")
-        center = tuple(_number_list(cfg, "center", "prior"))
-        scale = tuple(_number_list(cfg, "scale", "prior"))
-        with _naming("prior"):
-            prior = Prior(kind="gaussian", center=center, scale=scale)
-            prior.check_dimension(d)
-        return prior
-    raise ConfigError(f"unknown prior kind {kind!r}", key="kind")
+    center = tuple(_number_list(cfg, "center", "gaussian prior"))
+    scale = tuple(_number_list(cfg, "scale", "gaussian prior"))
+    with _naming("prior"):
+        prior = Prior(kind="gaussian", center=center, scale=scale)
+        prior.check_dimension(d)
+    return prior
 
 
-def build_limit_fisher(
-    cfg: dict, where: str, period_key: str = "period", regime_key: str = "regime"
-):
-    """``periodic_limit_fisher`` with the period, regime and offsets of cfg bound.
+def read_prior(cfg: dict, d: int) -> Prior:
+    """The prior under cfg's ``prior`` key: flat when absent or null, else built and checked."""
+    return Prior() if cfg.get("prior") is None else build_prior(cfg["prior"], d)
 
-    Everything is checked here and nothing is computed: the result takes
-    ``(model, theta, grid=None)``.  The ``pattern`` regime takes its
-    offsets from cfg's pattern grid.
+
+def _empirical_information(model, theta, grid, cache=None):
+    cache = MomentCache(model, grid) if cache is None else cache
+    return empirical_fisher(cache.moments(theta), grid)
+
+
+def _limit_information(period, regime, offsets, model, theta, grid, cache=None):
+    return periodic_limit_fisher(model, theta, period, regime, offsets, grid)
+
+
+def read_information(cfg: dict, where: str, keys=("source", "period", "regime")):
+    """The information source that cfg's ``keys`` (source, period, regime) name.
+
+    Returns ``information(model, theta, grid, cache=None)`` giving an
+    InformationBundle; everything is checked here and nothing is computed.
+    ``empirical`` (the default) sums over the grid, which it needs, and
+    reads neither period nor regime.  ``limit`` takes a positive period
+    and a regime, ``vanishing_step`` (the default) or ``pattern``, which
+    takes its offsets from cfg's pattern grid.
     """
+    source_key, period_key, regime_key = keys
+    source = cfg.get(source_key, "empirical")
+    if source == "empirical":
+        for key in (period_key, regime_key):
+            if key in cfg:
+                raise ConfigError(
+                    f"{where} with {source_key} 'empirical' never reads this key", key=key
+                )
+        if "grid" not in cfg:
+            raise ConfigError("empirical information needs a grid", key="grid")
+        return _empirical_information
+    if source != "limit":
+        raise ConfigError(
+            f"{source_key} must be 'empirical' or 'limit', got {source!r}", key=source_key
+        )
     period = _number({period_key: cfg.get(period_key)}, period_key, where)
     if not (period > 0.0 and math.isfinite(period)):
         raise ConfigError(f"{where}.{period_key} must be positive, got {period!r}", key=period_key)
@@ -378,4 +393,4 @@ def build_limit_fisher(
         raise ConfigError(
             f"unknown regime {regime!r} (only 'vanishing_step' or 'pattern')", key=regime_key
         )
-    return partial(periodic_limit_fisher, period=period, regime=regime, offsets=offsets)
+    return partial(_limit_information, period, regime, offsets)

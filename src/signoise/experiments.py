@@ -53,9 +53,9 @@ import numpy as np
 from . import config as _config
 from ._ks import ks_normal
 from .errors import ConfigError, DomainError, SignoiseError
-from .estimate import ESTIMATORS, Prior, resolve_estimator
+from .estimate import ESTIMATORS, resolve_estimator
 from .increments import MomentCache
-from .information import InformationBundle, empirical_fisher
+from .information import InformationBundle
 from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
 from .quadrature import tensor_rule
@@ -131,6 +131,9 @@ class StudyConfig:
 
     ``model``/``space``/``theta``/``grid`` are plain config dicts (see the
     config module).  The check thresholds are module constants.
+    Construction validates the study and builds its ``_model``, ``_space``,
+    ``_theta``, ``_prior`` and ``_information`` once, kept out of the
+    fields, so ``digest``, ``==`` and the report see the config alone.
     """
 
     kind: str
@@ -168,13 +171,27 @@ class StudyConfig:
                     "least one decade",
                     key="n_values",
                 )
-        if self.info_source not in ("empirical", "limit"):
-            raise ConfigError(
-                f"info_source must be 'empirical' or 'limit', got {self.info_source!r}",
-                key="info_source",
-            )
-        if self.info_source == "limit":
-            _config.build_limit_fisher(vars(self), "study", "limit_period", "limit_regime")
+        model, space = _config.read_model_space(vars(self))
+        theta = _config.build_theta(self.theta, model.p, model.q)
+        if not space.contains(theta):
+            raise ConfigError("theta lies outside the parameter box", key="theta")
+        for n in self.n_values:
+            _config.build_grid_for(self.grid, n)
+        resolve_estimator(self.estimator, model, space, self.prior)
+        if any(len(w) != space.d for w in self.directions):
+            raise ConfigError(f"each direction must be a length-{space.d} vector", key="directions")
+        # the info source reader refuses limit keys by presence: a field at its default is absent
+        defaults = {f.name: f.default for f in fields(self)}
+        given = {k: v for k, v in vars(self).items() if v != defaults[k]}
+        vars(self).update(
+            _model=model,
+            _space=space,
+            _theta=theta,
+            _prior=_config.read_prior(vars(self), space.d),
+            _information=_config.read_information(
+                given, "study", ("info_source", "limit_period", "limit_regime")
+            ),
+        )
 
     def digest(self) -> str:
         return _config.digest(asdict(self))
@@ -252,52 +269,35 @@ def _batch_se(values: np.ndarray) -> float:
 
 @dataclass
 class _Context:
-    """One rung's model, grid and truth, built once per study and passed to
-    every replicate (pickled to workers, so they use the parent's arrays)."""
+    """One rung's grid, moment cache and moments at a truth, built once per
+    study and passed to every replicate (pickled to workers, so they use
+    the parent's arrays)."""
 
-    model: object
-    space: object
     grid: TimeGrid
     cache: MomentCache
     theta: Theta
-    mean: np.ndarray
-    sd: np.ndarray
-    grid_digest: str
-    prior: Prior
+    mean: np.ndarray = field(init=False)
+    sd: np.ndarray = field(init=False)
+    grid_digest: str = field(init=False)
+
+    def __post_init__(self):
+        m = self.cache.moments(self.theta)
+        self.mean, self.sd, self.grid_digest = m.mean, np.sqrt(m.var), self.grid.digest()
 
 
 def _context(cfg: StudyConfig, n: int) -> _Context:
-    model = _config.build_model(cfg.model)
-    space = _config.build_space(cfg.space)
     grid = _config.build_grid_for(cfg.grid, n)
-    theta = _config.build_theta(cfg.theta, model.p, model.q)
-    cache = MomentCache(model, grid)
-    m = cache.moments(theta)
-    prior = _config.build_prior(cfg.prior, space.d) if cfg.prior else Prior()
-    return _Context(
-        model=model,
-        space=space,
-        grid=grid,
-        cache=cache,
-        theta=theta,
-        mean=m.mean,
-        sd=np.sqrt(m.var),
-        grid_digest=grid.digest(),
-        prior=prior,
-    )
+    return _Context(grid, MomentCache(cfg._model, grid), cfg._theta)
 
 
 def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
-    if cfg.info_source == "limit":
-        limit = _config.build_limit_fisher(vars(cfg), "study", "limit_period", "limit_regime")
-        return limit(ctx.model, ctx.theta, grid=ctx.grid)
-    return empirical_fisher(ctx.cache.moments(ctx.theta), ctx.grid)
+    return cfg._information(cfg._model, ctx.theta, ctx.grid, ctx.cache)
 
 
 def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int) -> list:
     """Estimates of replicates lo..hi-1; a failed replicate gives its error class name."""
     ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
-    estimator = resolve_estimator(cfg.estimator, ctx.model, ctx.space)
+    estimator = resolve_estimator(cfg.estimator, cfg._model, cfg._space)
     if estimator is ESTIMATORS["mle-closed"]:
         try:
             return list(ctx.cache.linear_design().fit(ys.T))
@@ -309,12 +309,12 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
         try:
             out.append(
                 estimator(
-                    ctx.model,
-                    ctx.space,
+                    cfg._model,
+                    cfg._space,
                     ctx.grid,
                     sample,
                     cache=ctx.cache,
-                    prior=ctx.prior,
+                    prior=cfg._prior,
                     seed=derive_seed(seed, "is", r),
                     **_BAYES_SETTINGS.get(cfg.estimator, {}),
                 ).theta.vector
@@ -373,31 +373,41 @@ def _failure_check(report: StudyReport, n: int, failures: Counter, replicates: i
     )
 
 
-def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None):
-    """Yield (n, ctx, stacked results) for each rung of the ladder.
+def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None, lattice=None):
+    """Yield (n, ctx, results) for each rung of the ladder.
 
     ``task(ctx)`` gives the rung's chunk task, by default the configured
-    estimator's; each rung reads the ``(seed, kind, rung)`` stream, and its
-    failure check is recorded before the rung is yielded.
+    estimator's.  Without a ``lattice`` the replicates run at the truth on
+    the ``(seed, kind, rung)`` stream, and ``results`` stacks them; with
+    one, they run at each of its points j on the ``(seed, kind, rung, j)``
+    stream, and ``results`` lists one stack per point.  One failure check
+    covers the whole rung and is recorded before the rung is yielded.
     """
     for rung, n in enumerate(cfg.n_values):
         ctx = _context(cfg, n)
         chunk = partial(_estimate_chunk, cfg) if task is None else task(ctx)
-        seed = derive_seed(cfg.seed, cfg.kind, rung)
-        results, failures = _replicates(map_fn, chunk, ctx, seed, cfg.replicates)
-        _failure_check(report, n, failures, cfg.replicates)
-        yield n, ctx, np.stack(results)
+        runs = [(ctx, (rung,))] if lattice is None else [
+            (replace(ctx, theta=theta), (rung, j)) for j, theta in enumerate(lattice)
+        ]
+        stacks, failures = [], Counter()
+        for point, key in runs:
+            seed = derive_seed(cfg.seed, cfg.kind, *key)
+            results, point_failures = _replicates(map_fn, chunk, point, seed, cfg.replicates)
+            stacks.append(np.stack(results))
+            failures += point_failures
+        _failure_check(report, n, failures, cfg.replicates * len(runs))
+        yield n, ctx, stacks[0] if lattice is None else stacks
 
 
-def _norm_scale(grid: TimeGrid, p: int, q: int) -> np.ndarray:
+def _norm_scale(grid: TimeGrid, model) -> np.ndarray:
     """Per-coordinate error normalizers: sqrt(T) drift, sqrt(n) variance."""
     return np.concatenate(
-        [np.full(p, math.sqrt(grid.total_time)), np.full(q, math.sqrt(grid.n))]
+        [np.full(model.p, math.sqrt(grid.total_time)), np.full(model.q, math.sqrt(grid.n))]
     )
 
 
-def _coord_names(p: int, q: int) -> list[str]:
-    return [f"alpha[{j}]" for j in range(p)] + [f"beta[{j}]" for j in range(q)]
+def _coord_names(model) -> list[str]:
+    return [f"alpha[{j}]" for j in range(model.p)] + [f"beta[{j}]" for j in range(model.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +423,8 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     """
     for n, ctx, estimates in _rungs(cfg, report, map_fn):
         cov_ref = _reference_bundle(cfg, ctx).joint_inverse
-        names = _coord_names(ctx.model.p, ctx.model.q)
-        scale = _norm_scale(ctx.grid, ctx.model.p, ctx.model.q)
+        names = _coord_names(cfg._model)
+        scale = _norm_scale(ctx.grid, cfg._model)
         u = (estimates - ctx.theta.vector) * scale
         for k, name in enumerate(names):
             bias = float(u[:, k].mean())
@@ -476,7 +486,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     points: dict[str, list[list[float]]] = {"drift": [], "var": []}
     for n, ctx, estimates in _rungs(cfg, report, map_fn):
         err = estimates - ctx.theta.vector
-        p = ctx.model.p
+        p = cfg._model.p
         blocks = (("drift", err[:, :p], ctx.grid.total_time), ("var", err[:, p:], n))
         for label, block, size in blocks:
             if block.shape[1]:
@@ -526,16 +536,18 @@ def _lan(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     def task(ctx: _Context):
         # no directions configured: probe w = 0 so the remainder table still
         # appears, with every entry exactly zero
-        directions = np.array(cfg.directions or ((0.0,) * ctx.model.d,))
+        directions = np.array(cfg.directions or ((0.0,) * cfg._model.d,))
         scaling = _reference_bundle(cfg, ctx).local_scaling
-        expansion = local_expansion(ctx.model, ctx.space, ctx.theta, directions, scaling, ctx.cache)
+        expansion = local_expansion(
+            cfg._model, cfg._space, ctx.theta, directions, scaling, ctx.cache
+        )
         return partial(_lan_chunk, expansion)
 
     mean_abs_remainder: dict[int, list[float]] = {}
     n_dir = len(cfg.directions) or 1  # the w = 0 probe is one direction
     for n, ctx, good in _rungs(cfg, report, map_fn, task):
-        names = _coord_names(ctx.model.p, ctx.model.q)
-        log_ratios, central, remainders = np.split(good, [n_dir, n_dir + ctx.model.d], axis=1)
+        names = _coord_names(cfg._model)
+        log_ratios, central, remainders = np.split(good, [n_dir, n_dir + cfg._model.d], axis=1)
 
         for k, name in enumerate(names):
             ks_stat, ks_pvalue = ks_normal(central[:, k])
@@ -629,58 +641,41 @@ def _loss_values(r: np.ndarray, loss: tuple[str, float]) -> np.ndarray:
 
 
 def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
-    """Worst-case normalized risk over a nearby-truth lattice vs the limit."""
-    for rung, n in enumerate(cfg.n_values):
-        ctx = _context(cfg, n)
-        d = ctx.model.d
-        center = ctx.theta.vector
-        shifts = [np.zeros(d)]
-        for k in range(d):
-            eps = _RISK_EPSILON * ctx.space.widths[k]
-            for sgn in (+1.0, -1.0):
-                e = np.zeros(d)
-                e[k] = sgn * eps
-                shifts.append(e)
-        lattice = [Theta.from_vector(center + s, ctx.model.p) for s in shifts]
-        for j, theta in enumerate(lattice):
-            if not ctx.space.contains(theta):
-                raise ConfigError(
-                    f"risk lattice point {j} leaves the parameter box; move the "
-                    f"truth at least {_RISK_EPSILON:g} of each box width inward",
-                    key="theta",
-                )
-        bundle = _reference_bundle(cfg, ctx)
-        cov_ref = bundle.joint_inverse
-        scale = _norm_scale(ctx.grid, ctx.model.p, ctx.model.q)
+    """Worst-case normalized risk over a nearby-truth lattice vs the limit.
 
-        loss_records: dict[int, list[tuple[float, float]]] = {
-            i: [] for i in range(len(cfg.losses))
-        }
-        total_failures = Counter()
-        for j, theta in enumerate(lattice):
-            m = ctx.cache.moments(theta)
-            moved = replace(ctx, theta=theta, mean=m.mean, sd=np.sqrt(m.var))
-            seed = derive_seed(cfg.seed, "risk", rung, j)
-            results, failures = _replicates(
-                map_fn, partial(_estimate_chunk, cfg), moved, seed, cfg.replicates
+    The lattice is the truth and, for each axis k, the truth moved by
+    +/- ``_RISK_EPSILON`` of the box width along k.
+    """
+    model, center = cfg._model, cfg._theta.vector
+    lattice = [cfg._theta] + [
+        Theta.from_vector(center + sgn * step, model.p)
+        for step in np.diag(_RISK_EPSILON * cfg._space.widths)
+        for sgn in (1.0, -1.0)
+    ]
+    for j, theta in enumerate(lattice):
+        if not cfg._space.contains(theta):
+            raise ConfigError(
+                f"risk lattice point {j} leaves the parameter box; move the "
+                f"truth at least {_RISK_EPSILON:g} of each box width inward",
+                key="theta",
             )
-            total_failures += failures
-            u = (np.stack(results) - theta.vector) * scale
-            r = np.linalg.norm(u, axis=1)
-            for i, loss in enumerate(cfg.losses):
+    for n, ctx, stacks in _rungs(cfg, report, map_fn, lattice=lattice):
+        cov_ref = _reference_bundle(cfg, ctx).joint_inverse
+        scale = _norm_scale(ctx.grid, model)
+        loss_records: list[list[tuple[float, float]]] = [[] for _ in cfg.losses]
+        for j, (theta, estimates) in enumerate(zip(lattice, stacks)):
+            r = np.linalg.norm((estimates - theta.vector) * scale, axis=1)
+            for records, loss in zip(loss_records, cfg.losses):
                 vals = _loss_values(r, loss)
-                mean_loss = float(vals.mean())
-                se = _batch_se(vals)
-                loss_records[i].append((mean_loss, se))
+                mean_loss, se = float(vals.mean()), _batch_se(vals)
+                records.append((mean_loss, se))
                 report.rows.append(
                     _row(n, f"risk[{_loss_name(loss)}]", f"point{j}", mean_loss, se)
                 )
-        _failure_check(report, n, total_failures, cfg.replicates * len(lattice))
 
-        for i, loss in enumerate(cfg.losses):
+        for records, loss in zip(loss_records, cfg.losses):
             bound = gaussian_expected_loss(cov_ref, loss)
-            sups = max(loss_records[i], key=lambda t: t[0])
-            sup_risk, sup_se = sups
+            sup_risk, sup_se = max(records, key=lambda t: t[0])
             report.rows.append(_row(n, f"sup_risk[{_loss_name(loss)}]", "", sup_risk, sup_se))
             report.rows.append(_row(n, f"bound[{_loss_name(loss)}]", "", bound))
             if loss[0] == "power" and bound > 0.0:
@@ -750,10 +745,8 @@ def study_from_dict(cfg: dict) -> StudyConfig:
 
     The allowed and required keys are the StudyConfig fields and the
     fields without defaults, less the keys the study's kind and
-    info_source never read.  Nested model/space/theta/grid dicts are built
-    once here so malformed entries surface as ConfigError before any
-    replicate runs; estimator applicability and the Bayes dimension guard
-    are checked here too.
+    info_source never read; everything else is checked by StudyConfig
+    itself, before any replicate runs.
     """
     schema = fields(StudyConfig)
     _config._check_keys(
@@ -762,29 +755,11 @@ def study_from_dict(cfg: dict) -> StudyConfig:
         {f.name for f in schema if f.default is MISSING},
         "study",
     )
-    model = _config.build_model(cfg["model"])
-    space = _config.build_space(cfg["space"])
-    theta = _config.build_theta(cfg["theta"], model.p, model.q)
-    if model.p != space.p or model.q != space.q:
-        raise ConfigError(
-            f"model dims ({model.p}, {model.q}) do not match the box "
-            f"({space.p}, {space.q})",
-            key="space",
-        )
-    if not space.contains(theta):
-        raise ConfigError("theta lies outside the parameter box", key="theta")
     study = StudyConfig(**cfg)
     for key, read in _READ_ONLY_WHEN.items():
         if key in cfg and not read(study):
             where = f"{study.kind} study with info_source {study.info_source!r}"
             raise ConfigError(f"a {where} never reads this key", key=key)
-    for n in study.n_values:
-        _config.build_grid_for(study.grid, n)
-    resolve_estimator(study.estimator, model, space, study.prior)
-    if any(len(w) != space.d for w in study.directions):
-        raise ConfigError(f"each direction must be a length-{space.d} vector", key="directions")
-    if study.prior is not None:
-        _config.build_prior(study.prior, space.d)
     return study
 
 

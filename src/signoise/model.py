@@ -248,8 +248,39 @@ class LinearSignal:
         )
 
 
+class _General:
+    """The shared body of the general families, whose first field is their
+    parameter count (named by ``_count``) and whose rate is ``_what``."""
+
+    @property
+    def _k(self) -> int:
+        return getattr(self, self._count)
+
+    def __post_init__(self):
+        if self._k < 0:
+            raise DomainError(f"{self._count} must be >= 0, got {self._k}")
+
+    def rates(self, params, ts):
+        return _rows(self.value_fn, self.grad_fn, self._k, self._what, "t={1!r}", params, ts)
+
+    @property
+    def integrals(self):
+        """``(params, starts, ends) -> (n, 1 + k)`` exact interval integrals, or None."""
+        if self.integral_fn is None or self.grad_integral_fn is None:
+            return None
+        where = "interval {0} on [{1!r}, {2!r}]"
+        return partial(_rows, self.integral_fn, self.grad_integral_fn, self._k, self._what, where)
+
+    def jumps(self, lo: float, hi: float) -> np.ndarray:
+        """The sorted times ``jumps_fn(lo, hi)`` gives strictly inside (lo, hi); none without it."""
+        if self.jumps_fn is None:
+            return np.empty(0)
+        times = np.sort(np.asarray(self.jumps_fn(lo, hi), dtype=float).ravel())
+        return times[(times > lo) & (times < hi)]
+
+
 @dataclass(frozen=True)
-class GeneralSignal:
+class GeneralSignal(_General):
     """Drift given by arbitrary scalar callables.
 
     value_fn(alpha, t) -> float and grad_fn(alpha, t) -> (p,) are required;
@@ -263,27 +294,15 @@ class GeneralSignal:
     jump inside an interval.
     """
 
+    _count = "p"
+    _what = "drift"
+
     p: int
     value_fn: object
     grad_fn: object
     integral_fn: object = None
     grad_integral_fn: object = None
     jumps_fn: object = None
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise DomainError(f"p must be >= 0, got {self.p}")
-
-    def rates(self, alpha, ts):
-        return _rows(self.value_fn, self.grad_fn, self.p, "drift", "t={1!r}", alpha, ts)
-
-    @property
-    def integrals(self):
-        """``(alpha, starts, ends) -> (n, 1 + p)`` exact interval integrals, or None."""
-        return _exact_integrals(self, self.p, "drift")
-
-    def jumps(self, lo: float, hi: float) -> np.ndarray:
-        return _declared_jumps(self.jumps_fn, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +346,7 @@ class ScaledNoise:
 
 
 @dataclass(frozen=True)
-class GeneralNoise:
+class GeneralNoise(_General):
     """Variance rate given by arbitrary scalar callables.
 
     value_fn(beta, t) -> float and grad_fn(beta, t) -> (q,) are required and
@@ -336,43 +355,15 @@ class GeneralNoise:
     jumps_fn(lo, hi) declares a rate's jump times as it does there.
     """
 
+    _count = "q"
+    _what = "variance"
+
     q: int
     value_fn: object
     grad_fn: object
     integral_fn: object = None
     grad_integral_fn: object = None
     jumps_fn: object = None
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError(f"q must be >= 0, got {self.q}")
-
-    def rates(self, beta, ts):
-        return _rows(self.value_fn, self.grad_fn, self.q, "variance", "t={1!r}", beta, ts)
-
-    @property
-    def integrals(self):
-        """``(beta, starts, ends) -> (n, 1 + q)`` exact interval integrals, or None."""
-        return _exact_integrals(self, self.q, "variance")
-
-    def jumps(self, lo: float, hi: float) -> np.ndarray:
-        return _declared_jumps(self.jumps_fn, lo, hi)
-
-
-def _declared_jumps(jumps_fn, lo: float, hi: float) -> np.ndarray:
-    """The sorted times ``jumps_fn(lo, hi)`` returns strictly inside (lo, hi); none without it."""
-    if jumps_fn is None:
-        return np.empty(0)
-    times = np.sort(np.asarray(jumps_fn(lo, hi), dtype=float).ravel())
-    return times[(times > lo) & (times < hi)]
-
-
-def _exact_integrals(family, k: int, what: str):
-    """The general family's antiderivatives stacked over intervals, or None without both."""
-    if family.integral_fn is None or family.grad_integral_fn is None:
-        return None
-    where = "interval {0} on [{1!r}, {2!r}]"
-    return partial(_rows, family.integral_fn, family.grad_integral_fn, k, what, where)
 
 
 def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> np.ndarray:
@@ -551,11 +542,6 @@ class ParameterSpace:
     @property
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
-
-    @property
-    def center(self) -> Theta:
-        mid = 0.5 * (self.lower + self.upper)
-        return Theta.from_vector(mid, self.p)
 
     @property
     def interior_bounds(self) -> tuple[np.ndarray, np.ndarray]:

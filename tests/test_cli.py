@@ -146,10 +146,20 @@ FIVE_DIM_CONFIG = {
             "gaussian prior center and scale must be finite: axis 0", "prior",
         ),
         ("mle-closed", MEAN_CONFIG, [1.0], {"kind": "uniform"}, "never reads this key", "prior"),
+        # a present prior is always checked: {} has no kind, and a flat one takes no other key
+        ("bayes", MEAN_CONFIG, [1.0], {}, "prior is missing a required key", "kind"),
+        (
+            "bayes", MEAN_CONFIG, [1.0], {"kind": "uniform", "center": [5.0]},
+            "unknown key in uniform prior", "center",
+        ),
+        (
+            "bayes", MEAN_CONFIG, [1.0], {"kind": "uniform", "scale": [-1.0]},
+            "unknown key in uniform prior", "scale",
+        ),
     ],
     ids=[
         "unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-nan",
-        "prior-unread",
+        "prior-unread", "prior-empty", "uniform-prior-center", "uniform-prior-scale",
     ],
 )
 def test_estimator_config_errors(
@@ -343,6 +353,8 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
     estimate = {"model": TRIG_SCALED_CONFIG, "space": SCALED_SPACE}
     fisher = {"model": TRIG_SCALED_CONFIG, "theta": {"alpha": [1.0, 0.5], "beta": [1.0]},
               "source": "limit", "period": 1.0}
+    empirical = {key: fisher[key] for key in ("model", "theta")} | {
+        "grid": {"kind": "uniform", "n": 100, "h": 0.25}, "source": "empirical"}
     malformed = [
         ("simulate", _simulate_cfg() | {"seed": "x"}, "seed"),
         ("simulate", _simulate_cfg() | {"seed": -1}, "seed"),
@@ -351,6 +363,9 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
         ("estimate", estimate | {"estimator": ["mle"]}, "estimator"),
         ("fisher", fisher | {"period": "one"}, "period"),
         ("fisher", fisher | {"regime": "bogus"}, "regime"),
+        # the empirical source reads neither period nor regime
+        ("fisher", empirical | {"period": -5.0}, "period"),
+        ("fisher", empirical | {"regime": "bogus"}, "regime"),
     ]
     for k, (command, payload, key) in enumerate(malformed):
         argv = [command, "--config", _write(tmp_path / f"bad{k}.json", payload)]

@@ -400,6 +400,25 @@ def test_config_guards(monkeypatch):
             study_from_dict(limit | overrides)
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"theta": {"alpha": [5.0], "beta": []}}, "theta"),
+        ({"space": SCALED_SPACE}, "space"),
+        ({"theta": SCALED_THETA}, "theta"),
+    ],
+    ids=["theta-outside-box", "space-dims", "theta-dims"],
+)
+def test_direct_study_config_is_validated_like_a_dict(overrides, key):
+    cfg = _study(**overrides)
+    with pytest.raises(ConfigError) as from_dict:
+        study_from_dict(cfg)
+    with pytest.raises(ConfigError) as direct:
+        StudyConfig(**cfg)
+    assert from_dict.value.key == direct.value.key == key
+    assert str(from_dict.value) == str(direct.value)
+
+
 def test_gaussian_expected_loss_oracles():
     cov = np.array([[0.7, 0.2], [0.2, 1.1]])
     assert gaussian_expected_loss(cov, ("power", 2.0)) == pytest.approx(
