@@ -5,9 +5,10 @@ Fisher-scoring steps from the best one, so repeated calls with the same
 inputs return bit-identical results.  For drifts linear in
 their parameters, with known variances or one unknown variance scale, the
 MLE is exact and ``increments.LinearDesign`` is its one owner: it gives
-``closed_form_mle``'s fit and covariance, the block fits of Monte-Carlo
-studies, and the log-likelihood the Bayes routes integrate, at O(p^2) per
-parameter point once a sample is reduced to a few weighted sums
+``closed_form_mle``'s fit, covariance and log-likelihood, the block fits of
+Monte-Carlo studies, and the log-likelihood that the numeric MLE's screen,
+each cubature round and the importance draws take in one call each, at
+O(p^2) per parameter point once a sample is reduced to a few weighted sums
 (``LinearDesign.log_likelihood`` says why that quadratic is centred at the
 weighted least-squares point and not at zero).
 
@@ -20,6 +21,8 @@ routes share no quadrature machinery on purpose.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from .errors import (
     NoiseFloorViolation,
     OptimizationError,
     QuadratureError,
+    SingularDesignError,
     SingularInformationError,
 )
 from .increments import IncrementMoments, MomentCache, has_closed_form
@@ -58,7 +62,7 @@ __all__ = [
 
 _BAYES_MAX_DIM = 4
 _BAYES_MAX_CELLS = 4096
-_BLOCK_NODES = 2**13  # cubature nodes per log-likelihood call
+_BLOCK_NODES = 2**16  # cubature nodes per log-likelihood call: a round's new cells at d <= 3
 _PROPOSAL_SCALE = 1.5
 
 
@@ -108,8 +112,10 @@ _STEP_TOL = 1e-12
 _GAIN_TOL = 1e-14  # a predicted gain below this times |log-likelihood| is rounding
 
 
+@functools.lru_cache(maxsize=8)
 def _halton_starts(space: ParameterSpace, count: int) -> np.ndarray:
-    """Unscrambled Halton points 1..count (point 0 is the corner) mapped onto the box.
+    """Unscrambled Halton points 1..count (point 0 is the corner) mapped onto the box,
+    computed once per box and count, read-only.
 
     Per axis, the radical inverse of the index in the next prime base, summed
     digit by digit as scipy's Halton sampler sums it, so the two are bit-equal.
@@ -123,7 +129,9 @@ def _halton_starts(space: ParameterSpace, count: int) -> np.ndarray:
             u[:, axis] += (index % base) * weight
             weight /= base
             index //= base
-    return lo + u * (hi - lo)
+    starts = lo + u * (hi - lo)
+    starts.flags.writeable = False
+    return starts
 
 
 def mle_numeric(
@@ -137,7 +145,10 @@ def mle_numeric(
 
     Screens 8 Halton points, dropping a start whose evaluation
     fails with a ``start k: ...`` diagnostic (OptimizationError names them
-    all if every start fails).  From the best start, Fisher scoring with the
+    all if every start fails).  A closed-form model scores them in one call of
+    the Bayes routes' O(p^2) evaluator; a non-finite value or a scale not clear
+    of the noise floor is evaluated alone, as a general family's starts are,
+    and so is the best start.  From it, Fisher scoring with the
     expected information, ``empirical_fisher``'s sums without 1/T and 1/2n:
     a coordinate on a face whose score points outward is held, and a step is
     clipped to the bounds and halved until the log-likelihood does not
@@ -156,22 +167,30 @@ def mle_numeric(
         m = cache.moments(Theta.from_vector(x, model.p))
         return log_likelihood(m, y), m, x
 
-    best = None
-    diagnostics = []
-    for k, x0 in enumerate(_halton_starts(space, _MULTISTARTS)):
-        try:
-            point = evaluate(x0)
-        except _POINT_ERRORS as exc:
-            diagnostics.append(f"start {k}: {type(exc).__name__}: {exc}")
-            continue
-        if not np.isfinite(point[0]):
-            diagnostics.append(f"start {k}: non-finite log-likelihood {point[0]!r}")
-        elif best is None or point[0] > best[0]:
-            best = point
+    starts = _halton_starts(space, _MULTISTARTS)
+    screened = np.full(len(starts), np.nan)  # NaN: evaluate the start alone
+    if has_closed_form(model):  # a rank-deficient basis has no design
+        with contextlib.suppress(SingularDesignError), np.errstate(all="ignore"):
+            screened = _make_batch_loglik(cache, y)(tuple(starts.T))
+    best, diagnostics = None, []  # best: (log-likelihood, start, evaluated point or None)
+    for k, x0 in enumerate(starts):
+        point = None
+        if not (np.isfinite(screened[k]) and cache.clears_floor(x0[model.p :])):
+            try:
+                point = evaluate(x0)
+            except _POINT_ERRORS as exc:
+                diagnostics.append(f"start {k}: {type(exc).__name__}: {exc}")
+                continue
+            if not np.isfinite(point[0]):
+                diagnostics.append(f"start {k}: non-finite log-likelihood {point[0]!r}")
+                continue
+        value = screened[k] if point is None else point[0]
+        if best is None or value > best[0]:
+            best = value, k, point
     if best is None:
         raise OptimizationError("every start failed: " + "; ".join(diagnostics), diagnostics)
 
-    ll, m, x = best
+    ll, m, x = best[2] if best[2] is not None else evaluate(starts[best[1]])
     lo, hi = space.interior_bounds
     sizes = np.concatenate([np.full(model.p, grid.total_time), np.full(model.q, float(grid.n))])
     scale = np.sqrt(np.outer(sizes, sizes))  # unscales empirical_fisher's blocks
@@ -243,15 +262,16 @@ def closed_form_mle(
     if cache is None:
         cache = MomentCache(model, grid)
     design = cache.linear_design()
-    vector = design.fit(sample.y)
+    vector, log_lik = design.fit_log_likelihood(sample.y)
     stderr, cov = design.covariance(vector)
     theta_hat = Theta.from_vector(vector, model.p)
-    try:
-        log_lik = log_likelihood(cache.moments(theta_hat), sample.y)
-    except NoiseFloorViolation:
-        # perfect interpolation: the fitted scale collapses to zero and the
-        # profile likelihood is unbounded above
-        log_lik = math.inf
+    if not cache.clears_floor(theta_hat.beta):
+        try:
+            cache.moments(theta_hat)  # the elementwise floor test
+        except NoiseFloorViolation:
+            # perfect interpolation: the fitted scale collapses to zero and the
+            # profile likelihood is unbounded above
+            log_lik = math.inf
     return EstimateResult(
         theta=theta_hat,
         log_lik=log_lik,
@@ -397,7 +417,7 @@ def _integrate_cells(log_weight, lo: np.ndarray, hi: np.ndarray):
     """Integrals (cells, 1 + d) of w and w*theta over the cells [lo, hi] (cells, d), with
     w = exp(log_weight), and their embedded errors (cells,).
 
-    Whole cells go in blocks of about 2**13 nodes.  Per block and rule,
+    Whole cells go in blocks of about 2**16 nodes.  Per block and rule,
     ``log_weight`` gets d coordinate arrays, axis i of shape (cells, 1, ...,
     order, ..., 1) with the order in place 1 + i, and returns the values on
     the cells' tensor grids (cells, order, ..., order).  The rule's node
@@ -550,14 +570,19 @@ def posterior_mean_importance(
 
     z = normal_stream(derive_seed(seed, "bayes-is"), 0, draws * d).reshape(draws, d)
     pts = center + z * scale
-    inside = np.all((pts > space.lower) & (pts < space.upper), axis=1)
+    inside = np.ones(draws, dtype=bool)  # per axis: reductions along rows of d are slow
+    for x, lo, hi in zip(pts.T, space.lower, space.upper):
+        inside &= (x > lo) & (x < hi)
     if not np.any(inside):
         raise DegeneratePosteriorError("every proposal draw fell outside the box")
 
     batch_ll = _make_batch_loglik(cache, sample.y)
     log_w = np.full(draws, -np.inf)
-    log_q = -0.5 * np.sum(z * z, axis=1)  # proposal log density up to constants
-    coords = tuple(pts[inside].T)
+    # the proposal log density up to constants; per axis, numpy's order for rows under
+    # 8 terms, which it sums in order (longer rows it sums pairwise)
+    squares = functools.reduce(np.add, (x * x for x in z.T)) if d < 8 else np.sum(z * z, axis=1)
+    log_q = -0.5 * squares
+    coords = tuple(x[inside] for x in pts.T)
     log_w[inside] = batch_ll(coords) - est.log_lik + prior.log_density(coords) - log_q[inside]
     log_w -= log_w.max()
     w = np.exp(log_w)

@@ -29,6 +29,11 @@ closed routes return the cache's own arrays where the moments equal them
 (the basis as the drift gradient, the profile integrals as a known
 variance or, as a view, the scale's gradient), and ``IncrementMoments``
 makes them read-only, so a long record keeps one copy of each.
+The cache checks its own arrays once, when built, and ``moments`` only
+those a call builds.  On the closed variance routes, var = s * g (s = 1 for
+known noise), the floor test var_i > floor * delay_i reduces to a scale
+threshold fixed at build: scales clear of it pass in O(1), and the rest, as
+on every other route, take the elementwise test with its message.
 """
 
 from __future__ import annotations
@@ -127,9 +132,10 @@ class LinearDesign:
         self.gram_inverse = np.linalg.inv(self.gram)
 
     @cached_property
-    def log_profile_sum(self) -> float:
-        """Sum of ln g_i, the variance part of the log-likelihood normalizer."""
-        return float(np.sum(np.log(self.profile)))
+    def log_normalizer(self) -> float:
+        """-(n/2) ln(2 pi) - (1/2) sum of ln g_i, the log-likelihood's term free of y and alpha."""
+        n = self.basis.shape[0]
+        return -0.5 * n * math.log(2.0 * math.pi) - 0.5 * float(np.sum(np.log(self.profile)))
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
@@ -151,6 +157,16 @@ class LinearDesign:
             return self.solve(y).T
         alpha, _, q0 = self._residual(y)
         return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
+
+    def fit_log_likelihood(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """``fit(y)`` of one sample y (n,) and the log-likelihood there, from q0 alone:
+        const - q0/2, or, scaled, const - (n/2)(ln beta + 1) as beta = q0/n (inf if 0)."""
+        alpha, _, q0 = self._residual(y)
+        if not self.scaled:
+            return alpha, self.log_normalizer - 0.5 * float(q0)
+        half_n, scale = 0.5 * y.shape[0], q0 / y.shape[0]
+        log_lik = self.log_normalizer - half_n * (math.log(scale) + 1.0) if scale else math.inf
+        return np.concatenate([alpha, scale[None]]), log_lik
 
     def covariance(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(stderr, covariance) at the fit theta (d,).
@@ -186,7 +202,7 @@ class LinearDesign:
         a0, resid, q0 = self._residual(y)
         c = self.basis.T @ (resid / self.profile)
         n, p = self.basis.shape
-        const = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * self.log_profile_sum
+        const = self.log_normalizer
 
         def batch(coords) -> np.ndarray:
             delta = [x - a for x, a in zip(coords[:p], a0)]
@@ -209,7 +225,9 @@ class MomentCache:
 
     Precomputes whatever is parameter-independent for the bound grid (basis
     integrals for linear drifts, profile integrals for known or scaled
-    variances) so that ``moments(theta)`` costs a few matrix products.  A
+    variances, both checked finite, and the floor threshold of the latter) so
+    that ``moments(theta)`` costs a few matrix products and checks only what
+    it builds.  A
     closure block reuses its last 16 parameter vectors' results (fewer if they
     would pass 32 MiB), drift and variance apart, freed with the cache and not
     pickled; a repeat shares arrays ``IncrementMoments`` made read-only.
@@ -222,6 +240,8 @@ class MomentCache:
         self._basis_integrals: np.ndarray | None = None
         self._profile_integrals: np.ndarray | None = None
         self._design: LinearDesign | None = None
+        self._floor_clear = math.inf  # closed variances pass the floor at scales above this
+        self._own: list[np.ndarray] = []  # the arrays closed routes return as they are
         # each block's one route, params -> (integrals (n,), gradient integrals (n, k)): a
         # module function, as a bound method would keep the cache alive in a reference cycle
         self._drift = self._route("drift", model.signal, model.p)
@@ -234,14 +254,20 @@ class MomentCache:
         if isinstance(family, LinearSignal):
             self._basis_integrals = family.basis_integral_matrix(grid.starts, grid.ends)
             self._check_finite("basis integral", self._basis_integrals)
+            self._own.append(self._basis_integrals)
             exact = partial(_linear_route, self._basis_integrals)
         elif isinstance(family, (KnownNoise, ScaledNoise)):
-            self._profile_integrals = np.asarray(
+            g = self._profile_integrals = np.asarray(
                 family.profile.integral(grid.starts, grid.ends), dtype=float
             )
-            self._check_finite("variance profile integral", self._profile_integrals)
-            self._profile_integrals.flags.writeable = False  # the scaled route shares a view
-            exact = partial(_scaled_route if family.q else _known_route, self._profile_integrals)
+            self._check_finite("variance profile integral", g)
+            g.flags.writeable = False  # the scaled route shares a view
+            grad = g[:, None] if family.q else np.empty((g.size, 0))
+            grad.flags.writeable = False
+            self._own += [g, grad]
+            exact = partial(_profile_route, g, grad)
+            if not self.force_quadrature:
+                self._floor_clear = _floor_clear(self.model.sigma2_floor * grid.delays, g)
         elif (integrals := getattr(family, "integrals", None)) is not None:
             size = min(_MEMO_SIZE, max(1, _MEMO_BYTES // (8 * grid.n * (1 + k))))
             exact = _Memo(partial(_closure_route, integrals, grid.starts, grid.ends), size)
@@ -255,7 +281,9 @@ class MomentCache:
         return partial(_quadrature_route, label, family.rates, knots, cuts)
 
     def _check_finite(self, what: str, *arrays: np.ndarray) -> None:
-        """EvaluationError naming the first interval where a row of ``arrays`` is non-finite."""
+        """EvaluationError naming the first interval where a row of ``arrays`` is non-finite;
+        the cache's own arrays, checked when it was built, are skipped."""
+        arrays = [x for x in arrays if not any(x is a for a in self._own)]
         if all(np.all(np.isfinite(x)) for x in arrays):
             return  # the cheap test: the row mask is built only on failure
         rows = [np.isfinite(x).all(axis=tuple(range(1, x.ndim))) for x in arrays]
@@ -297,14 +325,32 @@ class MomentCache:
         var, grad_var = self._variance(theta.beta)
         self._check_finite("drift moment", mean, grad_mean)
         self._check_finite("variance moment", var, grad_var)
-        floor = self.model.sigma2_floor * self.grid.delays
-        if np.any(var <= floor):
-            i = int(np.argmax(var <= floor))
-            raise NoiseFloorViolation(
-                f"increment variance {float(var[i])!r} on interval {i} is at or "
-                f"below floor*delay = {float(floor[i])!r}"
-            )
+        if not self.clears_floor(theta.beta):
+            floor = self.model.sigma2_floor * self.grid.delays
+            if np.any(var <= floor):
+                i = int(np.argmax(var <= floor))
+                raise NoiseFloorViolation(
+                    f"increment variance {float(var[i])!r} on interval {i} is at or "
+                    f"below floor*delay = {float(floor[i])!r}"
+                )
         return IncrementMoments(mean, var, grad_mean, grad_var)
+
+    def clears_floor(self, beta: np.ndarray) -> bool:
+        """Whether the closed variances s*g at ``beta`` (s = 1 if known) pass the floor
+        test by s > max_i floor*d_i/g_i, in O(1); False leaves it to the elementwise test."""
+        return (float(beta[0]) if beta.size else 1.0) > self._floor_clear
+
+
+def _floor_clear(floor: np.ndarray, g: np.ndarray) -> float:
+    """The scale s above which s*g > floor elementwise despite rounding, overwriting
+    ``floor``; inf unless floor and g are normal positive numbers, rounded relatively."""
+    tiny = np.finfo(float).tiny
+    if not (floor.min() >= tiny and g.min() >= tiny):
+        return math.inf
+    threshold = float(np.divide(floor, g, out=floor).max())
+    # s > fl(floor_i/g_i)(1 + 4 eps) gives fl(s*g_i) > floor_i through three roundings of
+    # eps/2 each; 16 eps leaves room for the rounding of this product
+    return threshold * (1.0 + 16.0 * np.finfo(float).eps) if threshold >= tiny else math.inf
 
 
 class _Memo:
@@ -325,12 +371,9 @@ def _linear_route(basis: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.
     return basis @ alpha, basis
 
 
-def _known_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return g, np.empty((g.size, 0))
-
-
-def _scaled_route(g: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return float(beta[0]) * g, g[:, None]
+def _profile_route(g: np.ndarray, grad: np.ndarray, beta: np.ndarray):
+    """A known variance g, or a scaled one beta * g, with its fixed gradient."""
+    return (float(beta[0]) * g if beta.size else g), grad
 
 
 def _closure_route(integrals, starts, ends, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -99,15 +99,21 @@ def _standard_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
             filled += take
             left -= take
             if filled == slab.size or done + filled == flat.size:
-                words = slab[:filled]
-                u = flat[done : done + filled]
-                np.right_shift(words, np.uint64(11), out=words)
-                u[...] = words
-                u += 0.5
-                u *= 2.0**-53
+                u = _uniforms(slab[:filled], flat[done : done + filled])
                 ndtri(u, out=u)
                 done += filled
                 filled = 0
+    return out
+
+
+def _uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = (k + 0.5) * 2**-53 of each word's top 53 bits k, shifting ``words``; the
+    one k = 2**53 - 1 that rounds to 1.0 takes 1 - 2**-53, the largest double below 1."""
+    np.right_shift(words, np.uint64(11), out=words)
+    out[...] = words
+    out += 0.5
+    out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     return out
 
 
@@ -116,10 +122,11 @@ def normal_stream(seed: int, replicate: int, count: int) -> np.ndarray:
 
     The stream is the words of Philox4x64-10 under the 128-bit key
     ``(seed << 64) | replicate`` from counter zero, one word per value: the
-    top 53 bits become a uniform strictly inside (0, 1) via
-    u = (k + 0.5) * 2**-53, then the inverse normal CDF maps u to a normal.
-    Fixed consumption per position is what makes the stream
-    position-addressable.  This is row 0 of ``draw_block``'s core.
+    top 53 bits k become the uniform u = (k + 0.5) * 2**-53 (1 - 2**-53 for the
+    top k, where that rounds to 1), strictly inside (0, 1), and the inverse
+    normal CDF maps u to a finite normal.  Fixed consumption per position is
+    what makes the stream position-addressable.  This is row 0 of
+    ``draw_block``'s core.
     """
     seed = _check_seed(seed, "seed")
     replicate = _check_seed(replicate, "replicate")

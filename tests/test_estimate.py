@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import signoise.estimate
 import signoise.increments
 
 from signoise import (
@@ -19,6 +20,7 @@ from signoise import (
     LinearSignal,
     ModelSpec,
     MomentCache,
+    NoiseFloorViolation,
     OptimizationError,
     ParameterSpace,
     Prior,
@@ -28,8 +30,10 @@ from signoise import (
     Theta,
     closed_form_mle,
     constant_profile,
+    derive_seed,
     log_likelihood,
     mle_numeric,
+    normal_stream,
     periodic_pattern_grid,
     posterior_mean_importance,
     posterior_mean_quadrature,
@@ -42,6 +46,7 @@ from signoise import (
 from signoise.estimate import (
     _BLOCK_NODES,
     _MULTISTARTS,
+    _PROPOSAL_SCALE,
     _halton_starts,
     _integrate_cells,
     _make_batch_loglik,
@@ -765,3 +770,178 @@ def test_gaussian_prior_length_must_match_dimension(length):
     for route in (posterior_mean_quadrature, posterior_mean_importance):
         with pytest.raises(DomainError, match=message):
             route(model, space, grid, sample, prior=prior)
+
+
+def _closed_form_corpus():
+    """(model, space, grid, sample) of each closed-form family on two layouts, three
+    seeds each, and the scaled trig drift at T near 1e5 with drift level 1e3."""
+    grids = (uniform_grid(400, 0.25), periodic_pattern_grid((0.25, 1.0), 1.0, 200))
+    for build in (mean_model, trig_known_model, trig_scaled_model, steps_model):
+        model, space, theta = build()
+        for grid in grids:
+            cache = MomentCache(model, grid)
+            for seed in (3, 4, 5):
+                yield model, space, grid, simulate_increments(model, theta, grid, seed, cache=cache)
+    model, space, theta = _trig_model("scaled", 1e3)
+    grid = uniform_grid(2000, 49.7)
+    yield model, space, grid, simulate_increments(model, theta, grid, seed=31)
+
+
+def test_closed_form_log_lik_matches_the_moment_route():
+    for model, space, grid, sample in _closed_form_corpus():
+        cache = MomentCache(model, grid)
+        fit = closed_form_mle(model, space, grid, sample, cache=cache)
+        ref = log_likelihood(cache.moments(fit.theta), sample.y)
+        assert abs(fit.log_lik - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("case", ["zero scale", "scale below the floor", "known below the floor"])
+def test_closed_form_log_lik_is_infinite_at_the_floor(case):
+    # perfect interpolation: the fitted variances sit at or below floor*delay
+    model, space, theta = trig_scaled_model()
+    if case == "known below the floor":
+        model, space, theta = trig_known_model()
+        model = ModelSpec(model.signal, KnownNoise(constant_profile(1e-13)))
+    grid = uniform_grid(50, 0.25)
+    cache = MomentCache(model, grid)
+    y = cache.signal_basis_integrals() @ theta.alpha
+    if case == "scale below the floor":
+        y += 1e-9 * np.random.default_rng(2).standard_normal(grid.n)
+    fit = closed_form_mle(model, space, grid, IncrementSample(y, 0, 0, grid.digest()), cache=cache)
+    assert fit.log_lik == np.inf
+    with pytest.raises(NoiseFloorViolation):
+        cache.moments(fit.theta)
+
+
+def _same_estimate(a, b):
+    for field in ("stderr", "covariance"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x is None and y is None) or np.array_equal(x, y)
+    assert np.array_equal(a.theta.vector, b.theta.vector)
+    assert (a.log_lik, a.converged, a.iterations) == (b.log_lik, b.converged, b.iterations)
+
+
+def _mle_corpus():
+    """Closed-form fits, one with starts under the noise floor, one with a singular design."""
+    for model, space, grid, sample in _closed_form_corpus():
+        yield model, space, grid, sample
+    model, _, theta = trig_scaled_model()
+    grid = uniform_grid(200, 0.5)
+    negative = ParameterSpace(((-3.0, 3.0), (-3.0, 3.0)), ((-1.0, 3.0),))  # 3 of 8 starts fail
+    yield model, negative, grid, simulate_increments(model, theta, grid, seed=7)
+    twin = ModelSpec(LinearSignal((ConstantFn(), ConstantFn())), KnownNoise(constant_profile(1.0)))
+    grid = uniform_grid(16, 0.25)
+    yield twin, ParameterSpace(((-2.0, 2.0), (-2.0, 2.0)), ()), grid, simulate_increments(
+        twin, Theta((0.5, 0.5), ()), grid, seed=1
+    )
+
+
+def test_numeric_mle_screen_is_bit_identical_to_a_point_by_point_screen(monkeypatch):
+    fewer = 0
+    for model, space, grid, sample in _mle_corpus():
+        runs, calls = [], []
+        for batched in (True, False):
+            cache = MomentCache(model, grid)
+            counted = cache.moments
+            monkeypatch.setattr(cache, "moments", lambda t: calls.append(batched) or counted(t))
+            if not batched:  # every start evaluated alone, as for a general family
+                monkeypatch.setattr(signoise.estimate, "has_closed_form", lambda m: False)
+            runs.append(mle_numeric(model, space, grid, sample, cache=cache))
+            monkeypatch.undo()
+        _same_estimate(*runs)
+        fewer += calls.count(True) < calls.count(False)
+    assert fewer >= 25
+
+
+@pytest.mark.parametrize("beta_box", [(-3.0, -1.0), (1e-20, 1e-14)], ids=["negative", "tiny"])
+def test_numeric_mle_reports_starts_under_the_floor_as_a_point_by_point_screen(
+    beta_box, monkeypatch
+):
+    # tiny scales have finite log-likelihoods, but their variances are under the floor
+    model, _, theta = trig_scaled_model()
+    grid = uniform_grid(200, 0.5)
+    sample = simulate_increments(model, theta, grid, seed=7)
+    space = ParameterSpace(((-3.0, 3.0), (-3.0, 3.0)), (beta_box,))
+    messages = []
+    for batched in (True, False):
+        if not batched:
+            monkeypatch.setattr(signoise.estimate, "has_closed_form", lambda m: False)
+        with pytest.raises(OptimizationError) as info:
+            mle_numeric(model, space, grid, sample)
+        messages.append((str(info.value), info.value.diagnostics))
+    assert messages[0] == messages[1]
+    assert messages[0][1][0].startswith("start 0: NoiseFloorViolation: increment variance ")
+
+
+def _importance_by_rows(cache, space, sample, anchor, prior, draws, seed):
+    """The importance estimate with inside, log q and the accepted points formed
+    on (draws, d) arrays, reduced along rows."""
+    scale = _PROPOSAL_SCALE * np.maximum(anchor.stderr, 1e-12)
+    d = space.d
+    z = normal_stream(derive_seed(seed, "bayes-is"), 0, draws * d).reshape(draws, d)
+    pts = anchor.theta.vector + z * scale
+    inside = np.all((pts > space.lower) & (pts < space.upper), axis=1)
+    log_w = np.full(draws, -np.inf)
+    log_q = -0.5 * np.sum(z * z, axis=1)
+    coords = tuple(pts[inside].T)
+    log_w[inside] = (
+        _make_batch_loglik(cache, sample.y)(coords) - anchor.log_lik + prior.log_density(coords)
+        - log_q[inside]
+    )
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    w_sum = float(w.sum())
+    mean = (w @ pts) / w_sum
+    se = np.sqrt(np.sum((w[:, None] * (pts - mean)) ** 2, axis=0)) / w_sum
+    return np.clip(mean, space.lower, space.upper), se, w_sum**2 / float(np.sum(w * w)), inside
+
+
+def test_importance_is_bit_identical_to_its_row_formulas():
+    # d = 1, 2, 3 and 8: numpy sums a row of 8 or more terms pairwise
+    wide = ModelSpec(
+        LinearSignal((ConstantFn(), *(CosineFn(f) for f in (0.3, 0.7, 1.3)),
+                      *(SineFn(f) for f in (0.3, 0.7, 1.3)))),
+        ScaledNoise(constant_profile(1.0)),
+    )
+    wide_space = ParameterSpace(((-3.0, 3.0),) * 7, ((0.1, 4.0),))
+    cases = [build() for build in (mean_model, trig_known_model, trig_scaled_model)]
+    cases.append((wide, wide_space, Theta((1.0, 0.5, 0.2, 0.1, -0.3, 0.2, 0.1), (1.0,))))
+    partial_hits = 0
+    for model, space, theta in cases:
+        grid = uniform_grid(200, 0.25)
+        cache = MomentCache(model, grid)
+        sample = simulate_increments(model, theta, grid, seed=13, cache=cache)
+        fit = closed_form_mle(model, space, grid, sample, cache=cache)
+        # a proposal with a quarter of the box's width per axis puts draws outside it
+        for stderr in (fit.stderr, space.widths / 6.0):
+            anchor = EstimateResult(fit.theta, fit.log_lik, True, 0, "mle-closed", stderr=stderr)
+            for prior in (Prior(), Prior("gaussian", tuple(theta.vector), (1.0,) * space.d)):
+                got = posterior_mean_importance(
+                    model, space, grid, sample, prior=prior, draws=3000, seed=2, anchor=anchor,
+                    cache=cache,
+                )
+                mean, se, ess, inside = _importance_by_rows(cache, space, sample, anchor, prior,
+                                                            3000, 2)
+                assert np.array_equal(got.theta.vector, mean)
+                assert np.array_equal(got.stderr, se)
+                assert got.effective_draws == ess
+                partial_hits += not inside.all()
+    assert partial_hits >= 4
+
+
+def test_cubature_cells_do_not_depend_on_the_node_block(monkeypatch):
+    # test 08's sample (n = 1000, rel_tol 1e-6) and four more at rel_tol 1e-5
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(1000, 0.1)
+    cache = MomentCache(model, grid)
+    cases = [(808, 0, 1e-6)] + [(809, r, 1e-5) for r in range(4)]
+    for seed, replicate, rel_tol in cases:
+        sample = simulate_increments(model, theta, grid, seed, replicate, cache=cache)
+        runs = []
+        for nodes in (2**16, 2**13):
+            monkeypatch.setattr(signoise.estimate, "_BLOCK_NODES", nodes)
+            runs.append(posterior_mean_quadrature(model, space, grid, sample, rel_tol=rel_tol,
+                                                  cache=cache))
+        assert runs[0].cells == runs[1].cells
+        a, b = runs[0].theta.vector, runs[1].theta.vector
+        assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b))

@@ -24,6 +24,7 @@ from signoise import (
     Theta,
     constant_profile,
     expected_power_identity,
+    grid_from_delays,
     grid_from_instants,
     mle_numeric,
     simulate_increments,
@@ -412,6 +413,60 @@ def test_noise_floor_violation_raised():
     cache = MomentCache(model, uniform_grid(3, 0.5))
     with pytest.raises(NoiseFloorViolation):
         cache.moments(Theta((1.0,), ()))
+
+
+def _elementwise_floor_verdict(var, model, grid):
+    """The floor test on every interval, with its message: None if all pass."""
+    floor = model.sigma2_floor * grid.delays
+    if not np.any(var <= floor):
+        return None
+    i = int(np.argmax(var <= floor))
+    return (
+        f"increment variance {float(var[i])!r} on interval {i} is at or "
+        f"below floor*delay = {float(floor[i])!r}"
+    )
+
+
+def _floor_verdict(cache, theta):
+    try:
+        cache.moments(theta)
+    except NoiseFloorViolation as exc:
+        return str(exc)
+    return None
+
+
+def _ulp_steps(x, steps):
+    return [x + k * np.spacing(x) for k in steps]  # x is far from a power of two here
+
+
+@pytest.mark.parametrize("noise", ["known", "scaled"])
+def test_floor_threshold_verdict_equals_the_elementwise_test(noise):
+    # every verdict and message at and within +-1, +-4 ulps of the threshold,
+    # and out to 40 ulps, where scales clear of it skip the elementwise test
+    rng = np.random.default_rng(3)
+    grid = grid_from_delays(rng.uniform(0.05, 0.9, 60))
+    profile = Profile(2.0, (1.0,), (CosineFn(1.0),))
+    g = profile.integral(grid.starts, grid.ends)
+    steps = [0, -1, 1, -4, 4, *range(-40, 41)]
+    cases = []
+    if noise == "scaled":
+        model = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(profile), sigma2_floor=0.3)
+        cache = MomentCache(model, grid)
+        threshold = float(np.max(0.3 * grid.delays / g))
+        for beta in _ulp_steps(threshold, steps):
+            cases.append((cache, Theta((1.0,), (beta,)), beta * g, model))
+    else:
+        for floor in _ulp_steps(float(np.min(g / grid.delays)), steps):
+            model = ModelSpec(LinearSignal((ConstantFn(),)), KnownNoise(profile), floor)
+            cases.append((MomentCache(model, grid), Theta((1.0,), ()), g, model))
+    verdicts, cleared = [], 0
+    for cache, theta, var, model in cases:
+        want = _elementwise_floor_verdict(var, model, grid)
+        assert _floor_verdict(cache, theta) == want
+        verdicts.append(want)
+        cleared += cache.clears_floor(theta.beta)
+    assert None in verdicts and any(v is not None for v in verdicts)
+    assert 0 < cleared < len(cases)
 
 
 def test_basis_integrals_reused_across_theta():

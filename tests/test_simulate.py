@@ -75,7 +75,18 @@ def test_streams_match_frozen_digests():
 def _defined_stream(seed: int, replicate: int, count: int) -> np.ndarray:
     """The stream from its definition: fresh Philox key, top 53 bits, ndtri."""
     raw = Philox(key=(seed << 64) | replicate).random_raw(count)
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53))
+
+
+def test_words_map_to_uniforms_strictly_inside_the_unit_interval():
+    words = np.array([k << 11 for k in (0, 1, 2**52, 2**53 - 2)] + [2**64 - 1], dtype=np.uint64)
+    plain = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = simulate._uniforms(words.copy(), np.empty(words.size))
+    assert u.tolist() == [2.0**-54, 1.5 * 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    # the top word alone moves: (k + 0.5) * 2**-53 rounds to 1.0 there
+    assert np.array_equal(u[:-1], plain[:-1]) and plain[-1] == 1.0
+    assert np.all(np.isfinite(ndtri(u)))
 
 
 @pytest.mark.parametrize(
