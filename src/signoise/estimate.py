@@ -16,7 +16,8 @@ Bayes posterior means are computed two independent ways: an adaptive
 tensor-product Gauss-Legendre cubature anchored at the MLE (the primary
 route, dimension-guarded), and self-normalized importance sampling from a
 Gaussian proposal (the cross-check, with a standard error).  The two
-routes share no quadrature machinery on purpose.
+routes share one set-up (prior, anchor, its per-axis scale and the batch
+log-likelihood) but no quadrature machinery, on purpose.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def mle_numeric(
     all if every start fails).  A closed-form model scores them in one call of
     the Bayes routes' O(p^2) evaluator; a non-finite value or a scale not clear
     of the noise floor is evaluated alone, as a general family's starts are,
-    and so is the best start.  From it, Fisher scoring with the
-    expected information, ``empirical_fisher``'s sums without 1/T and 1/2n:
+    and so is the best start.  From it, Fisher scoring with the expected
+    information, ``empirical_fisher``'s blocks times the bundle's ``sizes``:
     a coordinate on a face whose score points outward is held, and a step is
     clipped to the bounds and halved until the log-likelihood does not
     fall.  Converged: a full step moves every coordinate by at most
@@ -192,11 +193,10 @@ def mle_numeric(
 
     ll, m, x = best[2] if best[2] is not None else evaluate(starts[best[1]])
     lo, hi = space.interior_bounds
-    sizes = np.concatenate([np.full(model.p, grid.total_time), np.full(model.q, float(grid.n))])
-    scale = np.sqrt(np.outer(sizes, sizes))  # unscales empirical_fisher's blocks
+    bundle = empirical_fisher(m, grid)
+    scale = np.sqrt(np.outer(bundle.sizes, bundle.sizes))  # unscales the bundle's blocks
     steps, converged = 0, False
     for _ in range(_SCORING_STEPS):
-        bundle = empirical_fisher(m, grid)
         g = score(m, y)
         free = ~(((x <= lo) & (g < 0.0)) | ((x >= hi) & (g > 0.0)))
         step = np.zeros_like(x)
@@ -223,7 +223,6 @@ def mle_numeric(
             break
         ll, m, x = point
         steps += 1
-    else:
         bundle = empirical_fisher(m, grid)
 
     try:
@@ -378,21 +377,24 @@ def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
     return batch
 
 
-def _anchor_estimate(
-    model: ModelSpec,
-    space: ParameterSpace,
-    grid: TimeGrid,
-    sample: IncrementSample,
-    cache: MomentCache,
-    anchor: EstimateResult | None,
-) -> EstimateResult:
-    if anchor is not None:
-        return anchor
-    if has_closed_form(model):
-        est = closed_form_mle(model, space, grid, sample, cache)
-        if space.contains(est.theta):
-            return est
-    return mle_numeric(model, space, grid, sample, cache=cache)
+def _bayes_setup(model, space, grid, sample, prior, anchor, cache):
+    """The two Bayes routes' prior (flat by default, checked against d), anchor (the
+    one passed, else the closed form if it lies in the box, else the numeric MLE),
+    the anchor's scale on each axis (its stderr, else 5% of each box width) and the
+    batch log-likelihood."""
+    if prior is None:
+        prior = Prior()
+    prior.check_dimension(space.d)
+    if cache is None:
+        cache = MomentCache(model, grid)
+    if anchor is None and has_closed_form(model):
+        anchor = closed_form_mle(model, space, grid, sample, cache)
+        if not space.contains(anchor.theta):
+            anchor = None
+    if anchor is None:
+        anchor = mle_numeric(model, space, grid, sample, cache=cache)
+    scale = anchor.stderr if anchor.stderr is not None else 0.05 * space.widths
+    return prior, anchor, scale, _make_batch_loglik(cache, sample.y)
 
 
 def _cell_rule(order: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,23 +471,14 @@ def posterior_mean_quadrature(
         )
     if not (np.isfinite(rel_tol) and rel_tol > 0.0):
         raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
-    if prior is None:
-        prior = Prior()
-    prior.check_dimension(space.d)
-    if cache is None:
-        cache = MomentCache(model, grid)
-    est = _anchor_estimate(model, space, grid, sample, cache, anchor)
-    anchor_vec = est.theta.vector
-    anchor_ll = est.log_lik
-    batch_ll = _make_batch_loglik(cache, sample.y)
+    prior, est, stderr, batch_ll = _bayes_setup(model, space, grid, sample, prior, anchor, cache)
 
     def log_weight(coords) -> np.ndarray:  # a flat prior leaves one full-grid addition
-        return batch_ll(coords) + (prior.log_density(coords) - anchor_ll)
+        return batch_ll(coords) + (prior.log_density(coords) - est.log_lik)
 
     # initial partition: isolate the anchor neighborhood on every axis
-    stderr = est.stderr if est.stderr is not None else 0.05 * space.widths
     breakpoints = []
-    for lo_k, hi_k, a_k, se_k in zip(space.lower, space.upper, anchor_vec, stderr):
+    for lo_k, hi_k, a_k, se_k in zip(space.lower, space.upper, est.theta.vector, stderr):
         cuts = {lo_k, hi_k}
         for c in (a_k - 6.0 * se_k, a_k + 6.0 * se_k):
             if lo_k + 1e-3 * (hi_k - lo_k) < c < hi_k - 1e-3 * (hi_k - lo_k):
@@ -557,14 +550,10 @@ def posterior_mean_importance(
     """
     if not isinstance(draws, (int, np.integer)) or draws < 2:
         raise DomainError(f"draws must be an integer >= 2, got {draws!r}")
-    if prior is None:
-        prior = Prior()
-    prior.check_dimension(space.d)
-    if cache is None:
-        cache = MomentCache(model, grid)
-    est = _anchor_estimate(model, space, grid, sample, cache, anchor)
+    prior, est, base_scale, batch_ll = _bayes_setup(
+        model, space, grid, sample, prior, anchor, cache
+    )
     center = est.theta.vector
-    base_scale = est.stderr if est.stderr is not None else 0.05 * space.widths
     scale = _PROPOSAL_SCALE * np.maximum(base_scale, 1e-12)
     d = space.d
 
@@ -576,7 +565,6 @@ def posterior_mean_importance(
     if not np.any(inside):
         raise DegeneratePosteriorError("every proposal draw fell outside the box")
 
-    batch_ll = _make_batch_loglik(cache, sample.y)
     log_w = np.full(draws, -np.inf)
     # the proposal log density up to constants; per axis, numpy's order for rows under
     # 8 terms, which it sums in order (longer rows it sums pairwise)

@@ -399,13 +399,6 @@ def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None, lattice=Non
         yield n, ctx, stacks[0] if lattice is None else stacks
 
 
-def _norm_scale(grid: TimeGrid, model) -> np.ndarray:
-    """Per-coordinate error normalizers: sqrt(T) drift, sqrt(n) variance."""
-    return np.concatenate(
-        [np.full(model.p, math.sqrt(grid.total_time)), np.full(model.q, math.sqrt(grid.n))]
-    )
-
-
 def _coord_names(model) -> list[str]:
     return [f"alpha[{j}]" for j in range(model.p)] + [f"beta[{j}]" for j in range(model.q)]
 
@@ -422,10 +415,10 @@ def _normality(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     information's diagonal entry) with ``ks_normal``.
     """
     for n, ctx, estimates in _rungs(cfg, report, map_fn):
-        cov_ref = _reference_bundle(cfg, ctx).joint_inverse
+        bundle = _reference_bundle(cfg, ctx)
+        cov_ref = bundle.joint_inverse
         names = _coord_names(cfg._model)
-        scale = _norm_scale(ctx.grid, cfg._model)
-        u = (estimates - ctx.theta.vector) * scale
+        u = (estimates - ctx.theta.vector) * np.sqrt(bundle.sizes)
         for k, name in enumerate(names):
             bias = float(u[:, k].mean())
             report.rows.append(_row(n, "bias", name, bias, _batch_se(u[:, k])))
@@ -660,8 +653,8 @@ def _risk(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
                 key="theta",
             )
     for n, ctx, stacks in _rungs(cfg, report, map_fn, lattice=lattice):
-        cov_ref = _reference_bundle(cfg, ctx).joint_inverse
-        scale = _norm_scale(ctx.grid, model)
+        bundle = _reference_bundle(cfg, ctx)
+        cov_ref, scale = bundle.joint_inverse, np.sqrt(bundle.sizes)
         loss_records: list[list[tuple[float, float]]] = [[] for _ in cfg.losses]
         for j, (theta, estimates) in enumerate(zip(lattice, stacks)):
             r = np.linalg.norm((estimates - theta.vector) * scale, axis=1)

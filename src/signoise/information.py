@@ -4,6 +4,9 @@ The empirical information of a design splits into a drift block scaled by
 total observation time and a variance block scaled by the number of
 observations; the two blocks converge at different rates, which is why
 the local rescaling matrix is block diagonal with distinct factors.
+``InformationBundle`` owns that layout (joint matrix, inverse, local
+scaling) and the design sizes: T for each drift coordinate, n for each
+variance coordinate.
 
 For periodic models two limit regimes have closed expressions: vanishing
 step size (integrals over one period) and a repeating offset pattern
@@ -13,7 +16,7 @@ empirical sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,10 +46,14 @@ def _check_eigenvalues(eigvals: np.ndarray, what: str) -> None:
         )
 
 
+def _inverse_spd(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of an SPD matrix whose symmetric part clears the eigenvalue floor."""
+    _check_eigenvalues(np.linalg.eigvalsh(0.5 * (matrix + matrix.T)), what)
+    return np.linalg.inv(matrix)
+
+
 def _inv_sqrt_spd(matrix: np.ndarray, what: str) -> np.ndarray:
     """Inverse symmetric square root of an SPD matrix via eigendecomposition."""
-    if matrix.size == 0:
-        return np.zeros_like(matrix)
     sym = 0.5 * (matrix + matrix.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     _check_eigenvalues(eigvals, what)
@@ -60,7 +67,7 @@ class InformationBundle:
     ``drift_info`` is the drift block per unit time (p, p); ``var_info``
     is the variance block per observation (q, q).  ``total_time`` and
     ``n`` record the design the bundle was computed on (or attached to,
-    for limit bundles) and are needed to form the local scalings.
+    for limit bundles) and are needed for ``sizes`` and ``local_scaling``.
     """
 
     drift_info: np.ndarray
@@ -95,53 +102,45 @@ class InformationBundle:
     def d(self) -> int:
         return self.p + self.q
 
-    @property
-    def joint(self) -> np.ndarray:
-        """Block-diagonal (d, d) per-unit information matrix."""
-        out = np.zeros((self.d, self.d))
-        out[: self.p, : self.p] = self.drift_info
-        out[self.p :, self.p :] = self.var_info
-        return out
-
     @cached_property
-    def joint_inverse(self) -> np.ndarray:
-        out = np.zeros((self.d, self.d))
-        if self.p:
-            out[: self.p, : self.p] = np.linalg.inv(self._checked(self.drift_info, "drift block"))
-        if self.q:
-            out[self.p :, self.p :] = np.linalg.inv(self._checked(self.var_info, "variance block"))
-        return out
-
-    def _checked(self, block: np.ndarray, what: str) -> np.ndarray:
-        _check_eigenvalues(np.linalg.eigvalsh(0.5 * (block + block.T)), what)
-        return block
-
-    def _require_design(self) -> tuple[float, int]:
+    def sizes(self) -> np.ndarray:
+        """Design size of each coordinate (d,): T for the drift, n for the variance."""
         if self.total_time is None or self.n is None:
             raise DomainError(
                 "bundle carries no design size; attach a grid to form local scalings"
             )
-        return float(self.total_time), int(self.n)
+        out = np.repeat([float(self.total_time), float(self.n)], (self.p, self.q))
+        out.flags.writeable = False
+        return out
+
+    def _block_diagonal(self, form) -> np.ndarray:
+        """(d, d) matrix of ``form(block, its first coordinate, what)`` per non-empty block."""
+        out = np.zeros((self.d, self.d))
+        for block, first, what in (
+            (self.drift_info, 0, "drift block"),
+            (self.var_info, self.p, "variance block"),
+        ):
+            if block.size:
+                span = slice(first, first + len(block))
+                out[span, span] = form(block, first, what)
+        return out
+
+    @property
+    def joint(self) -> np.ndarray:
+        """Block-diagonal (d, d) per-unit information matrix."""
+        return self._block_diagonal(lambda block, first, what: block)
 
     @cached_property
-    def drift_scaling(self) -> np.ndarray:
-        """(T * drift_info)^(-1/2), the drift-block local scale."""
-        total_time, _ = self._require_design()
-        return _inv_sqrt_spd(total_time * self.drift_info, "drift block")
-
-    @cached_property
-    def var_scaling(self) -> np.ndarray:
-        """(n * var_info)^(-1/2), the variance-block local scale."""
-        _, n = self._require_design()
-        return _inv_sqrt_spd(n * self.var_info, "variance block")
+    def joint_inverse(self) -> np.ndarray:
+        return self._block_diagonal(lambda block, first, what: _inverse_spd(block, what))
 
     @cached_property
     def local_scaling(self) -> np.ndarray:
-        """Block-diagonal (d, d) matrix combining both block scalings."""
-        out = np.zeros((self.d, self.d))
-        out[: self.p, : self.p] = self.drift_scaling
-        out[self.p :, self.p :] = self.var_scaling
-        return out
+        """Block-diagonal (d, d) local scale: (T drift_info)^(-1/2) and (n var_info)^(-1/2)."""
+        sizes = self.sizes
+        return self._block_diagonal(
+            lambda block, first, what: _inv_sqrt_spd(sizes[first] * block, what)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -151,11 +150,6 @@ class InformationBundle:
             "n": None if self.n is None else int(self.n),
             "source": self.source,
         }
-
-    def with_design(self, grid: TimeGrid) -> "InformationBundle":
-        return InformationBundle(
-            self.drift_info, self.var_info, grid.total_time, grid.n, self.source
-        )
 
 
 def empirical_fisher(moments: IncrementMoments, grid: TimeGrid) -> InformationBundle:
@@ -224,7 +218,7 @@ def periodic_limit_fisher(
         raise DomainError(f"unknown regime {regime!r}")
 
     if grid is not None:
-        bundle = bundle.with_design(grid)
+        bundle = replace(bundle, total_time=grid.total_time, n=grid.n)
     return bundle
 
 

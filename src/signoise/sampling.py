@@ -78,10 +78,6 @@ class TimeGrid:
         return float(self.instants[-1])
 
     @property
-    def max_delay(self) -> float:
-        return float(self.delays.max())
-
-    @property
     def starts(self) -> np.ndarray:
         return self.instants[:-1]
 

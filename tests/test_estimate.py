@@ -945,3 +945,59 @@ def test_cubature_cells_do_not_depend_on_the_node_block(monkeypatch):
         assert runs[0].cells == runs[1].cells
         a, b = runs[0].theta.vector, runs[1].theta.vector
         assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b))
+
+
+def _same_bayes(a, b):
+    assert np.array_equal(a.theta.vector, b.theta.vector)
+    assert (a.stderr is None and b.stderr is None) or np.array_equal(a.stderr, b.stderr)
+    assert (a.method, a.cells, a.draws) == (b.method, b.cells, b.draws)
+    assert (a.effective_draws, a.error_estimate) == (b.effective_draws, b.error_estimate)
+
+
+def _anchor_rule_cases():
+    """(model, space, grid, sample, the anchor the Bayes routes must pick)."""
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(200, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=21)
+    fit = closed_form_mle(model, space, grid, sample)
+    assert space.contains(fit.theta)
+    yield model, space, grid, sample, fit
+    # every increment is 1.05 h: the exact fit 1.05 leaves the box (0.9, 1.0)
+    model, _, _ = mean_model()
+    narrow = ParameterSpace(((0.9, 1.0),), ())
+    grid = uniform_grid(20, 0.5)
+    sample = IncrementSample(np.full(20, 0.525), 0, 0, grid.digest())
+    assert not narrow.contains(closed_form_mle(model, narrow, grid, sample).theta)
+    yield model, narrow, grid, sample, mle_numeric(model, narrow, grid, sample)
+    model, space, theta = curved_model()
+    grid = uniform_grid(40, 0.5)
+    sample = simulate_increments(model, theta, grid, seed=3)
+    yield model, space, grid, sample, mle_numeric(model, space, grid, sample)
+
+
+def test_bayes_routes_anchor_at_the_closed_form_in_the_box_else_the_numeric_mle():
+    for model, space, grid, sample, anchor in _anchor_rule_cases():
+        for route, settings in (
+            (posterior_mean_quadrature, {"rel_tol": 1e-4}),
+            (posterior_mean_importance, {"draws": 500, "seed": 5}),
+        ):
+            implicit = route(model, space, grid, sample, **settings)
+            explicit = route(model, space, grid, sample, anchor=anchor, **settings)
+            _same_bayes(implicit, explicit)
+
+
+def test_bayes_routes_scale_an_anchor_without_stderr_by_the_box_widths():
+    model, space, theta = trig_scaled_model()
+    grid = uniform_grid(200, 0.25)
+    sample = simulate_increments(model, theta, grid, seed=21)
+    fit = closed_form_mle(model, space, grid, sample)
+    bare, widths = (
+        EstimateResult(fit.theta, fit.log_lik, True, 0, "mle-closed", stderr=stderr)
+        for stderr in (None, 0.05 * space.widths)
+    )
+    for route, settings in (
+        (posterior_mean_quadrature, {"rel_tol": 1e-4}),
+        (posterior_mean_importance, {"draws": 500, "seed": 5}),
+    ):
+        _same_bayes(route(model, space, grid, sample, anchor=bare, **settings),
+                    route(model, space, grid, sample, anchor=widths, **settings))

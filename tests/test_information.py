@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from signoise import (
     ConstantFn,
     CosineFn,
+    DomainError,
+    InformationBundle,
     KnownNoise,
     LinearSignal,
     ModelSpec,
@@ -115,12 +118,13 @@ def test_local_scaling_inverts_design_information():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(500, 0.25)
     b = empirical_fisher(moments_for(model, theta, grid), grid)
-    phi_p = b.drift_scaling
+    phi = b.local_scaling
+    phi_p, phi_q = phi[:2, :2], phi[2:, 2:]
     assert np.allclose(
         phi_p @ (grid.total_time * b.drift_info) @ phi_p, np.eye(2), atol=1e-10
     )
-    phi_q = b.var_scaling
     assert np.allclose(phi_q @ (grid.n * b.var_info) @ phi_q, np.eye(1), atol=1e-10)
+    assert not phi[:2, 2:].any() and not phi[2:, :2].any()
 
 
 def test_local_scaling_shrinks_with_design_size():
@@ -154,7 +158,97 @@ def test_singular_information_is_reported():
     grid = uniform_grid(20, 0.5)
     b = empirical_fisher(moments_for(model, Theta((1.0, 1.0), ()), grid), grid)
     with pytest.raises(SingularInformationError):
-        b.drift_scaling
+        b.local_scaling
+
+
+def _blocks_written_out(b):
+    """joint, joint_inverse and local_scaling assembled block by block, each block
+    filled by its own expression."""
+    p, d = b.p, b.d
+
+    def inv_sqrt(matrix):
+        if matrix.size == 0:
+            return np.zeros_like(matrix)
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+        return (eigvecs * eigvals**-0.5) @ eigvecs.T
+
+    joint, inverse, scaling = (np.zeros((d, d)) for _ in range(3))
+    joint[:p, :p] = b.drift_info
+    joint[p:, p:] = b.var_info
+    if b.p:
+        inverse[:p, :p] = np.linalg.inv(b.drift_info)
+    if b.q:
+        inverse[p:, p:] = np.linalg.inv(b.var_info)
+    scaling[:p, :p] = inv_sqrt(float(b.total_time) * b.drift_info)
+    scaling[p:, p:] = inv_sqrt(int(b.n) * b.var_info)
+    return joint, inverse, scaling
+
+
+def _bundles_of_each_layout():
+    """(p, q) = (1, 0), (2, 1) and (0, 1), and limit bundles with a grid attached."""
+    grid = grid_from_instants([0.0, 0.3, 1.0, 1.4, 2.9, 3.05, 4.7])
+    for build in (mean_model, trig_scaled_model):
+        model, _, theta = build()
+        yield empirical_fisher(moments_for(model, theta, grid), grid)
+    yield InformationBundle(np.zeros((0, 0)), np.array([[0.7]]), 12.5, 50, "direct")
+    model, _, theta = trig_scaled_model()
+    for n in (40, 333):
+        grid = uniform_grid(n, 0.25)
+        yield periodic_limit_fisher(model, theta, period=1.0, grid=grid)
+        yield periodic_limit_fisher(
+            model, theta, period=1.0, regime="pattern", offsets=[0.25, 0.5, 0.75, 1.0],
+            grid=grid,
+        )
+
+
+def test_block_layout_is_bit_equal_to_the_blocks_written_out():
+    layouts = set()
+    for b in _bundles_of_each_layout():
+        layouts.add((b.p, b.q))
+        for got, want in zip((b.joint, b.joint_inverse, b.local_scaling), _blocks_written_out(b)):
+            assert got.shape == (b.d, b.d)
+            assert np.array_equal(got, want)
+    assert layouts == {(1, 0), (2, 1), (0, 1)}
+
+
+def test_sizes_give_the_error_normalizers():
+    # drift errors scale by sqrt(T), variance errors by sqrt(n)
+    for b in _bundles_of_each_layout():
+        want = np.concatenate(
+            [np.full(b.p, math.sqrt(b.total_time)), np.full(b.q, math.sqrt(b.n))]
+        )
+        assert np.array_equal(np.sqrt(b.sizes), want)
+    grid = uniform_grid(400, 0.25)
+    model, _, theta = trig_scaled_model()
+    b = periodic_limit_fisher(model, theta, period=1.0, grid=grid)
+    assert (b.total_time, b.n, b.source) == (grid.total_time, grid.n, "limit:vanishing_step")
+    assert b.sizes.tolist() == [100.0, 100.0, 400.0]
+
+
+def test_bundle_without_design_names_the_missing_size():
+    model, _, theta = trig_scaled_model()
+    for b in (
+        periodic_limit_fisher(model, theta, period=1.0),
+        InformationBundle(np.eye(1), np.eye(1), None, None, "direct"),
+    ):
+        assert b.joint_inverse.shape == (b.d, b.d)  # the inverse needs no design
+        for name in ("sizes", "local_scaling"):
+            with pytest.raises(
+                DomainError,
+                match=r"^bundle carries no design size; attach a grid to form local scalings$",
+            ):
+                getattr(b, name)
+
+
+@pytest.mark.parametrize("what", ["drift block", "variance block"])
+def test_singular_block_error_names_the_block(what):
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    blocks = (singular, np.eye(1)) if what == "drift block" else (np.eye(1), singular)
+    b = InformationBundle(*blocks, 10.0, 20, "direct")
+    message = rf"^{what} has eigenvalue .+ below the floor 1e-12$"
+    for name in ("joint_inverse", "local_scaling"):
+        with pytest.raises(SingularInformationError, match=message):
+            getattr(b, name)
 
 
 def test_bundle_json_round_trip(tmp_path):

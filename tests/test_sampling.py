@@ -22,7 +22,7 @@ def test_uniform_grid_examples():
     g = uniform_grid(4, 0.5)
     assert np.allclose(g.instants, [0.0, 0.5, 1.0, 1.5, 2.0], atol=0.0)
     assert g.total_time == 2.0
-    assert g.max_delay == 0.5
+    assert g.delays.max() == 0.5
 
     g1 = uniform_grid(1, 1.0)
     assert np.array_equal(g1.instants, [0.0, 1.0])
@@ -45,7 +45,7 @@ def test_pattern_grid_examples():
     g100 = periodic_pattern_grid([0.1, 0.5, 1.0], 1.0, 100)
     assert g100.n == 300
     assert g100.total_time == pytest.approx(100.0, rel=1e-15)
-    assert g100.max_delay == pytest.approx(0.5, abs=1e-15)
+    assert g100.delays.max() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pattern_grid_rejects_malformed_offsets():
@@ -66,8 +66,8 @@ def test_quantile_grid_examples():
 
     g100 = quantile_grid(lambda u: u * u, 100, 1.0)
     assert np.all(np.diff(g100.delays) > 0.0)
-    assert g100.max_delay == pytest.approx(1.0 - 0.99**2, abs=1e-15)
-    assert g100.max_delay == g100.delays[-1]
+    assert g100.delays.max() == pytest.approx(1.0 - 0.99**2, abs=1e-15)
+    assert g100.delays.max() == g100.delays[-1]
 
 
 def test_quantile_grid_rejects_non_monotone_map():
@@ -113,11 +113,6 @@ def test_grid_invariants_rejected():
         grid_from_delays([1e7, 1e-10, 1.0])
     with pytest.raises(GridError, match=r"non-finite instant or delay: interval 2$"):
         grid_from_delays([1.0, 2.0, float("nan")])
-
-
-def test_max_delay_is_exact_maximum():
-    g = periodic_pattern_grid([0.2, 0.5, 1.0], 1.0, 7)
-    assert g.max_delay == g.delays.max()
 
 
 def test_grid_csv_round_trip_preserves_digest(tmp_path):
