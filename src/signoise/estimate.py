@@ -558,8 +558,9 @@ def posterior_mean_importance(
     d = space.d
 
     z = normal_stream(derive_seed(seed, "bayes-is"), 0, draws * d).reshape(draws, d)
-    pts = center + z * scale
-    inside = np.ones(draws, dtype=bool)  # per axis: reductions along rows of d are slow
+    # per axis, here and below: numpy's loops along rows of d are slow
+    pts = np.stack([c + x * s for c, x, s in zip(center, z.T, scale)], axis=1)
+    inside = np.ones(draws, dtype=bool)
     for x, lo, hi in zip(pts.T, space.lower, space.upper):
         inside &= (x > lo) & (x < hi)
     if not np.any(inside):
@@ -579,8 +580,8 @@ def posterior_mean_importance(
         raise DegeneratePosteriorError("importance weights sum to zero")
 
     mean_vec = (w @ pts) / w_sum
-    centered = pts - mean_vec
-    se = np.sqrt(np.sum((w[:, None] * centered) ** 2, axis=0)) / w_sum
+    deviations = np.stack([(w * (x - m)) ** 2 for x, m in zip(pts.T, mean_vec)], axis=1)
+    se = np.sqrt(np.sum(deviations, axis=0)) / w_sum
     effective = w_sum**2 / float(np.sum(w * w))
     theta = Theta.from_vector(np.clip(mean_vec, space.lower, space.upper), model.p)
     return BayesResult(

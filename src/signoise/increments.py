@@ -29,6 +29,10 @@ closed routes return the cache's own arrays where the moments equal them
 (the basis as the drift gradient, the profile integrals as a known
 variance or, as a view, the scale's gradient), and ``IncrementMoments``
 makes them read-only, so a long record keeps one copy of each.
+Sums over the intervals (here, in ``likelihood`` and in ``information``)
+run through ``_summed`` in stretches of ``_SLAB_WORDS`` = 65,536 intervals,
+which draws scale in too: a call's working memory is one stretch, not n, and
+up to one stretch each sum is its whole-array expression, bit for bit.
 The cache checks its own arrays once, when built, and ``moments`` only
 those a call builds.  On the closed variance routes, var = s * g (s = 1 for
 known noise), the floor test var_i > floor * delay_i reduces to a scale
@@ -69,6 +73,26 @@ __all__ = [
 ]
 
 _MEMO_SIZE, _MEMO_BYTES = 16, 2**25  # per memoized block: 8 screen points, a fit's steps; 32 MiB
+_SLAB_WORDS = 65_536  # the stretch: draws scale, and reductions sum, this many intervals at a time
+
+
+def _stretches(n: int):
+    """Consecutive slices of at most ``_SLAB_WORDS`` indices that cover range(n), in order."""
+    return (slice(i, i + _SLAB_WORDS) for i in range(0, n, _SLAB_WORDS))
+
+
+def _summed(term, *arrays: np.ndarray) -> tuple:
+    """The tuple ``term(*arrays)``, taken on each stretch of the arrays' first axis and summed
+    slot by slot in order.  With one stretch, n <= ``_SLAB_WORDS``, it is ``term(*arrays)``
+    itself; past that, no temporary of ``term`` is longer than a stretch."""
+    n = len(arrays[0])
+    if n <= _SLAB_WORDS:
+        return term(*arrays)  # the whole arrays, with no slicing cost per call
+    parts = (term(*(x[s] for x in arrays)) for s in _stretches(n))
+    total = next(parts)
+    for part in parts:
+        total = tuple(a + b for a, b in zip(total, part))
+    return total
 
 
 @dataclass(frozen=True)
@@ -112,17 +136,18 @@ class LinearDesign:
     """Exact MLE on basis integrals B (n, p) and variances g (n,), or beta * g if ``scaled``.
 
     Holds the Gram matrix G = B'WB, W = diag(1/g), and its inverse: the one
-    place either is formed.  B and g are kept by reference, so no n-long
-    array is added.  Raises SingularDesignError when G has no Cholesky
-    factor.  The drift MLE is the weighted least-squares solution, which the
-    scale cancels from; the scale MLE is the mean weighted squared residual.
+    place either is formed.  B and g are kept by reference, and every sum
+    over the intervals runs in stretches, so no n-long array is added.
+    Raises SingularDesignError when G has no Cholesky factor.  The drift MLE
+    is the weighted least-squares solution, which the scale cancels from;
+    the scale MLE is the mean weighted squared residual.
     """
 
     def __init__(self, basis: np.ndarray, profile: np.ndarray, scaled: bool):
         self.basis = basis
         self.profile = profile
         self.scaled = scaled
-        self.gram = (basis.T * (1.0 / profile)) @ basis
+        (self.gram,) = _summed(lambda b, g: ((b.T * (1.0 / g)) @ b,), basis, profile)
         try:
             np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError as exc:
@@ -135,33 +160,39 @@ class LinearDesign:
     def log_normalizer(self) -> float:
         """-(n/2) ln(2 pi) - (1/2) sum of ln g_i, the log-likelihood's term free of y and alpha."""
         n = self.basis.shape[0]
-        return -0.5 * n * math.log(2.0 * math.pi) - 0.5 * float(np.sum(np.log(self.profile)))
+        (log_g,) = _summed(lambda g: (np.sum(np.log(g)),), self.profile)
+        return -0.5 * n * math.log(2.0 * math.pi) - 0.5 * float(log_g)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
-        w = 1.0 / self.profile
-        return self.gram_inverse @ (self.basis.T @ (w * y.T).T)
+        (bwy,) = _summed(lambda b, g, x: (b.T @ ((1.0 / g) * x.T).T,), self.basis, self.profile, y)
+        return self.gram_inverse @ bwy
 
     def _residual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a0, r0, q0) of y (n,), or of each column of y (n, k): the weighted
-        least-squares solution, its residual r0 = y - B a0 and q0 = r0'W r0."""
+        """(a0, q0, c) of y (n,), or of each column of y (n, k): the weighted least-squares
+        solution a0, and q0 = r0'W r0 and c = B'W r0 (zero up to rounding), r0 = y - B a0.
+        Only ``log_likelihood`` reads c, of one sample: a block's c is 0.0, not formed."""
         alpha = self.solve(y)
-        resid = y - self.basis @ alpha
-        weighted = (resid * resid).T  # divided in place: same layout, so the same summation order
-        weighted /= self.profile
-        return alpha, resid, np.sum(weighted, axis=-1)
+
+        def term(b, g, x):
+            resid = x - b @ alpha
+            weighted = (resid * resid).T  # divided in place: same layout, same summation order
+            weighted /= g
+            return np.sum(weighted, axis=-1), (b.T @ (resid / g) if resid.ndim == 1 else 0.0)
+
+        return (alpha, *_summed(term, self.basis, self.profile, y))
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""
         if not self.scaled:
             return self.solve(y).T
-        alpha, _, q0 = self._residual(y)
+        alpha, q0, _ = self._residual(y)
         return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
 
     def fit_log_likelihood(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """``fit(y)`` of one sample y (n,) and the log-likelihood there, from q0 alone:
         const - q0/2, or, scaled, const - (n/2)(ln beta + 1) as beta = q0/n (inf if 0)."""
-        alpha, _, q0 = self._residual(y)
+        alpha, q0, _ = self._residual(y)
         if not self.scaled:
             return alpha, self.log_normalizer - 0.5 * float(q0)
         half_n, scale = 0.5 * y.shape[0], q0 / y.shape[0]
@@ -187,8 +218,8 @@ class LinearDesign:
 
         The points are given as d coordinate arrays, one per parameter, that
         broadcast together (per-axis nodes of a tensor grid, or k flat
-        coordinates); the result has their broadcast shape.  With a0, r0 and
-        q0 from ``_residual`` and c = B'W r0 (zero up to rounding), for every
+        coordinates); the result has their broadcast shape.  With a0, q0 and
+        c = B'W r0 (zero up to rounding) from ``_residual``, for every
         coefficient vector a and delta = a - a0
 
             (y - B a)'W(y - B a) = q0 - 2 delta'c + delta'G delta,
@@ -199,8 +230,7 @@ class LinearDesign:
         y'Wy, which at a long horizon or a large drift exceed the residual
         sum by many digits.
         """
-        a0, resid, q0 = self._residual(y)
-        c = self.basis.T @ (resid / self.profile)
+        a0, q0, c = self._residual(y)
         n, p = self.basis.shape
         const = self.log_normalizer
 

@@ -11,7 +11,8 @@ variance coordinate.
 For periodic models two limit regimes have closed expressions: vanishing
 step size (integrals over one period) and a repeating offset pattern
 (finite sums over one cycle).  Both are provided for cross-checking the
-empirical sums.
+empirical sums, which run in stretches (``increments._summed``): whole-array
+bits up to 65,536 intervals.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError, PeriodicityError, SingularInformationError
-from .increments import IncrementMoments, MomentCache
+from .increments import IncrementMoments, MomentCache, _summed
 from .model import ModelSpec, Theta
 from .sampling import TimeGrid, periodic_pattern_grid
 
@@ -160,10 +161,15 @@ def empirical_fisher(moments: IncrementMoments, grid: TimeGrid) -> InformationBu
     """
     if moments.n != grid.n:
         raise DomainError(f"moments have n={moments.n}, grid has n={grid.n}")
-    inv_var = 1.0 / moments.var
-    drift = (moments.grad_mean.T * inv_var) @ moments.grad_mean / grid.total_time
-    grad_ln = moments.grad_var * inv_var[:, None]
-    var = grad_ln.T @ grad_ln / (2.0 * grid.n)
+
+    def term(grad_mean, var, grad_var):
+        inv_var = 1.0 / var
+        drift = (grad_mean.T * inv_var) @ grad_mean
+        grad_ln = grad_var * inv_var[:, None]
+        return drift, grad_ln.T @ grad_ln
+
+    drift, var = _summed(term, moments.grad_mean, moments.var, moments.grad_var)
+    drift, var = drift / grid.total_time, var / (2.0 * grid.n)
     return InformationBundle(drift, var, grid.total_time, grid.n, "empirical")
 
 

@@ -4,7 +4,8 @@ Because increments are independent Gaussians with known mean/variance
 integrals, the log-likelihood is a finite sum in the increment moments; no
 discretization or approximation enters anywhere in this module.  The log
 of each standard deviation is taken as half the log variance, so variances
-near the floor do not round through a square root first.
+near the floor do not round through a square root first.  The sums run in
+stretches (``increments._summed``): whole-array bits up to 65,536 intervals.
 
 Beyond the likelihood itself this module exposes the centered two-point
 decomposition used by the asymptotic studies: the log-ratio between a base
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfSpaceError
-from .increments import IncrementMoments, MomentCache
+from .increments import IncrementMoments, MomentCache, _summed
 from .model import ModelSpec, ParameterSpace, Theta
 from .sampling import TimeGrid
 
@@ -49,12 +50,13 @@ def _as_rows(moments: IncrementMoments, y: np.ndarray, ndim: int = 1) -> np.ndar
 
 def log_likelihood(moments: IncrementMoments, y: np.ndarray) -> float:
     """Exact Gaussian log-likelihood of the increment vector y."""
-    resid = _as_rows(moments, y) - moments.mean
-    return float(
-        -0.5 * moments.n * _LN_2PI
-        - 0.5 * np.sum(np.log(moments.var))
-        - 0.5 * np.sum(resid * resid / moments.var)
-    )
+
+    def term(y, mean, var):
+        resid = y - mean
+        return np.sum(np.log(var)), np.sum(resid * resid / var)
+
+    log_var, quad = _summed(term, _as_rows(moments, y), moments.mean, moments.var)
+    return float(-0.5 * moments.n * _LN_2PI - 0.5 * log_var - 0.5 * quad)
 
 
 def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
@@ -63,10 +65,14 @@ def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
     Drift block:    sum_i resid_i * grad_mean_i / var_i
     Variance block: sum_i (resid_i^2 / var_i - 1) * grad_var_i / (2 var_i)
     """
-    resid = _as_rows(moments, y) - moments.mean
-    g_alpha = (resid / moments.var) @ moments.grad_mean
-    w = (resid * resid / moments.var - 1.0) / (2.0 * moments.var)
-    return np.concatenate([g_alpha, w @ moments.grad_var])
+
+    def term(y, mean, var, grad_mean, grad_var):
+        resid = y - mean
+        w = (resid * resid / var - 1.0) / (2.0 * var)
+        return (resid / var) @ grad_mean, w @ grad_var
+
+    m = moments
+    return np.concatenate(_summed(term, _as_rows(m, y), m.mean, m.var, m.grad_mean, m.grad_var))
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,13 @@ class TimeGrid:
         instant differences in their last bits (that is why they are
         stored), so hashing them would make serialization round-trips
         change the digest.  The instants are read-only, so the digest is
-        computed once per grid.
+        computed once per grid, from their buffer itself: no copy is made.
         """
         return self._digest
 
     @cached_property
     def _digest(self) -> str:
-        return hashlib.sha256(self.instants.tobytes()).hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(self.instants)).hexdigest()
 
 
 def uniform_grid(n: int, h: float) -> TimeGrid:

@@ -8,8 +8,8 @@ many replicates run, in what order, or on how many processes.
 
 Every draw goes through one core, ``_standard_normals``: it builds one
 Philox per call and re-keys it for each replicate, and it turns raw words
-into normals a slab of at most ``_SLAB_WORDS`` words at a time.  ``_draw``
-then scales and shifts the block in stretches of at most ``_SLAB_WORDS``
+into normals a slab of at most ``_SLAB_WORDS`` words (``increments``' stretch)
+at a time.  ``_draw`` then scales and shifts the block in those stretches of
 columns; ``simulate_increments`` and ``simulate_batch`` take a stretch's
 standard deviations as the square root of that stretch of the variances.
 So a block needs the output array plus one slab, for the draw and for
@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DomainError, GridError
-from .increments import IncrementMoments, MomentCache
+from .increments import _SLAB_WORDS, IncrementMoments, MomentCache, _stretches
 from .model import ModelSpec, Theta
 from .sampling import TimeGrid, grid_from_instants
 
@@ -63,9 +63,6 @@ def _check_seed(value, name: str) -> int:
     if problem is not None:
         raise DomainError(f"{name} {problem}")
     return int(value)
-
-
-_SLAB_WORDS = 65_536
 
 
 def _standard_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
@@ -156,8 +153,7 @@ def _draw(seed: int, lo: int, hi: int, mean: np.ndarray, sd_of) -> np.ndarray:
     stretch's standard deviations.  Each value is the one whole-array
     ``out *= sd; out += mean`` gives."""
     out = _standard_normals(seed, lo, hi, mean.size)
-    for start in range(0, mean.size, _SLAB_WORDS):
-        cols = slice(start, start + _SLAB_WORDS)
+    for cols in _stretches(mean.size):
         stretch = out[:, cols]
         stretch *= sd_of(cols)
         stretch += mean[cols]

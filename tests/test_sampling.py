@@ -142,3 +142,14 @@ def test_digest_is_the_instants_hash_and_survives_pickling():
     for back in (fresh, kept):
         assert back.digest() == want
         assert np.array_equal(back.instants, g.instants) and back.label == g.label
+
+
+def test_digest_hashes_the_instant_buffer_of_a_long_grid():
+    # past one 65,536-long stretch the digest still hashes the instants' bytes, so saved
+    # sample sidecars match; a strided view of instants digests like its copy
+    g = grid_from_delays(np.full(3 * 2**16 + 17, 0.01))
+    assert g.digest() == hashlib.sha256(g.instants.tobytes()).hexdigest()
+    doubled = np.arange(2 * g.n + 1, dtype=float) * 0.5
+    strided = grid_from_instants(doubled[::2])
+    assert not strided.instants.flags.c_contiguous
+    assert strided.digest() == hashlib.sha256(doubled[::2].tobytes()).hexdigest()
