@@ -168,17 +168,16 @@ class LinearDesign:
         (bwy,) = _summed(lambda b, g, x: (b.T @ ((1.0 / g) * x.T).T,), self.basis, self.profile, y)
         return self.gram_inverse @ bwy
 
-    def _residual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a0, q0, c) of y (n,), or of each column of y (n, k): the weighted least-squares
-        solution a0, and q0 = r0'W r0 and c = B'W r0 (zero up to rounding), r0 = y - B a0.
-        Only ``log_likelihood`` reads c, of one sample: a block's c is 0.0, not formed."""
+    def _residual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a0, q0) of y (n,), or of each column of y (n, k): the weighted least-squares
+        solution a0 and q0 = r0'W r0, r0 = y - B a0."""
         alpha = self.solve(y)
 
         def term(b, g, x):
             resid = x - b @ alpha
             weighted = (resid * resid).T  # divided in place: same layout, same summation order
             weighted /= g
-            return np.sum(weighted, axis=-1), (b.T @ (resid / g) if resid.ndim == 1 else 0.0)
+            return (np.sum(weighted, axis=-1),)
 
         return (alpha, *_summed(term, self.basis, self.profile, y))
 
@@ -186,13 +185,13 @@ class LinearDesign:
         """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""
         if not self.scaled:
             return self.solve(y).T
-        alpha, q0, _ = self._residual(y)
+        alpha, q0 = self._residual(y)
         return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
 
     def fit_log_likelihood(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """``fit(y)`` of one sample y (n,) and the log-likelihood there, from q0 alone:
         const - q0/2, or, scaled, const - (n/2)(ln beta + 1) as beta = q0/n (inf if 0)."""
-        alpha, q0, _ = self._residual(y)
+        alpha, q0 = self._residual(y)
         if not self.scaled:
             return alpha, self.log_normalizer - 0.5 * float(q0)
         half_n, scale = 0.5 * y.shape[0], q0 / y.shape[0]
@@ -218,8 +217,8 @@ class LinearDesign:
 
         The points are given as d coordinate arrays, one per parameter, that
         broadcast together (per-axis nodes of a tensor grid, or k flat
-        coordinates); the result has their broadcast shape.  With a0, q0 and
-        c = B'W r0 (zero up to rounding) from ``_residual``, for every
+        coordinates); the result has their broadcast shape.  With a0 and q0
+        from ``_residual`` and c = B'W r0 (zero up to rounding), for every
         coefficient vector a and delta = a - a0
 
             (y - B a)'W(y - B a) = q0 - 2 delta'c + delta'G delta,
@@ -230,7 +229,8 @@ class LinearDesign:
         y'Wy, which at a long horizon or a large drift exceed the residual
         sum by many digits.
         """
-        a0, q0, c = self._residual(y)
+        a0, q0 = self._residual(y)
+        (c,) = _summed(lambda b, g, x: (b.T @ ((x - b @ a0) / g),), self.basis, self.profile, y)
         n, p = self.basis.shape
         const = self.log_normalizer
 

@@ -60,8 +60,8 @@ class TimeGrid:
         if not np.all(np.isfinite(inst)) or not np.all(np.isfinite(dl)):
             i = int(np.argmin(np.isfinite(inst[1:]) & np.isfinite(dl)))  # only on failure
             raise GridError(f"non-finite instant or delay: interval {i}")
-        if np.any(dl <= 0.0) or np.any(np.diff(inst) <= 0.0):
-            i = int(np.argmax((dl <= 0.0) | (np.diff(inst) <= 0.0)))
+        if np.any(dl <= 0.0) or np.any(inst[1:] <= inst[:-1]):
+            i = int(np.argmax((dl <= 0.0) | (inst[1:] <= inst[:-1])))
             raise GridError(f"instants must be strictly increasing: interval {i} has delay "
                             f"{float(dl[i])!r} on [{float(inst[i])!r}, {float(inst[i + 1])!r}]")
         inst.flags.writeable = False
@@ -165,9 +165,10 @@ def quantile_grid(inverse_cdf, n: int, total_time: float) -> TimeGrid:
     instants = total_time * q
     instants[0] = 0.0
     instants[-1] = total_time
-    if np.any(np.diff(instants) <= 0.0):
+    delays = np.diff(instants)
+    if np.any(delays <= 0.0):
         raise GridError("inverse cdf is not strictly increasing on the lattice")
-    return TimeGrid(instants, np.diff(instants), label=f"quantile(n={n})")
+    return TimeGrid(instants, delays, label=f"quantile(n={n})")
 
 
 def grid_from_instants(instants, label: str = "") -> TimeGrid:

@@ -6,15 +6,17 @@ come out of the inverse normal CDF.  Consequence: the k-th normal of a
 replicate is a pure function of (seed, replicate, k), independent of how
 many replicates run, in what order, or on how many processes.
 
-Every draw goes through one core, ``_standard_normals``: it builds one
-Philox per call and re-keys it for each replicate, and it turns raw words
-into normals a slab of at most ``_SLAB_WORDS`` words (``increments``' stretch)
-at a time.  ``_draw`` then scales and shifts the block in those stretches of
-columns; ``simulate_increments`` and ``simulate_batch`` take a stretch's
-standard deviations as the square root of that stretch of the variances.
-So a block needs the output array plus one slab, for the draw and for
-the scaling alike.  Neither changes the stream, which ``normal_stream``
-defines, nor any value drawn from it.
+Every draw goes through one core, ``_draw``: it builds one Philox per call
+and re-keys it for each replicate, and ``Generator.random`` over it writes
+each word's k * 2**-53 in place into the output row.  Rows go in blocks of
+about ``_SLAB_WORDS`` values and columns in stretches of at most that many
+(``increments``' stretch), and each block's stretch is finished where it
+lies, in one pass: the half-step and the clamp, the inverse normal CDF,
+and for a sample the scaling and shift, with ``simulate_increments`` and
+``simulate_batch`` taking a stretch's standard deviations as the square
+root of that stretch of the variances.  So a block needs no buffer beyond
+the output array.  None of this changes the stream, which
+``normal_stream`` defines, nor any value drawn from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .errors import DomainError, GridError
 from .increments import _SLAB_WORDS, IncrementMoments, MomentCache, _stretches
@@ -65,52 +67,51 @@ def _check_seed(value, name: str) -> int:
     return int(value)
 
 
-def _standard_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
-    """Rows lo..hi-1 of the streams of ``seed``, ``count`` normals each.
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """``u`` = k * 2**-53 becomes (k + 0.5) * 2**-53 in place; the one k = 2**53 - 1 that
+    rounds to 1.0 takes 1 - 2**-53, the largest double below 1."""
+    u += 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def _draw(seed: int, lo: int, hi: int, count: int, mean=None, sd_of=None) -> np.ndarray:
+    """Rows lo..hi-1 of the streams of ``seed``, ``count`` values each: standard normals,
+    or ``mean + sd * stream`` when ``mean`` is given, with ``sd_of(cols)`` a stretch's
+    standard deviations.
 
     Setting the state (key ``(seed << 64) | r``, counter zero, empty
     buffer) yields the words ``Philox(key=...)`` would, without building a
-    generator per replicate.  A full slab, or the last partial one, is
-    mapped to normals in place into its stretch of the output; a row
-    longer than the slab carries on with the same generator.
+    generator per replicate; ``Generator.random`` writes each word's top 53
+    bits k as k * 2**-53 straight into the output row.  Rows go in blocks of
+    about ``_SLAB_WORDS`` values and columns in stretches of at most that many:
+    a block of several rows is one stretch wide, and a row longer than a
+    stretch is a block of its own that carries on with its stream.  Each
+    stretch of a block is finished where it lies, in one pass.
     """
     from scipy.special import ndtri  # deferred: only a draw needs scipy
 
     out = np.empty((hi - lo, count))
-    flat = out.reshape(-1)
-    if flat.size == 0:
+    if out.size == 0:
         return out
     gen = Philox(key=0)
+    rng = Generator(gen)
     state = gen.state
     key = state["state"]["key"]
     key[1] = seed
-    slab = np.empty(min(_SLAB_WORDS, flat.size), dtype=np.uint64)
-    filled = done = 0
-    for r in range(lo, hi):
-        key[0] = r
-        gen.state = state
-        left = count
-        while left:
-            take = min(left, slab.size - filled)
-            slab[filled : filled + take] = gen.random_raw(take)
-            filled += take
-            left -= take
-            if filled == slab.size or done + filled == flat.size:
-                u = _uniforms(slab[:filled], flat[done : done + filled])
-                ndtri(u, out=u)
-                done += filled
-                filled = 0
-    return out
-
-
-def _uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = (k + 0.5) * 2**-53 of each word's top 53 bits k, shifting ``words``; the
-    one k = 2**53 - 1 that rounds to 1.0 takes 1 - 2**-53, the largest double below 1."""
-    np.right_shift(words, np.uint64(11), out=words)
-    out[...] = words
-    out += 0.5
-    out *= 2.0**-53
-    np.minimum(out, 1.0 - 2.0**-53, out=out)
+    step = max(1, _SLAB_WORDS // count)
+    for first in range(0, hi - lo, step):
+        block = out[first : first + step]
+        for cols in _stretches(count):
+            u = block[:, cols]
+            for r, row in enumerate(u, lo + first):
+                if cols.start == 0:
+                    key[0] = r
+                    gen.state = state
+                rng.random(out=row)
+            ndtri(_open_unit(u), out=u)
+            if mean is not None:
+                u *= sd_of(cols)
+                u += mean[cols]
     return out
 
 
@@ -128,36 +129,23 @@ def normal_stream(seed: int, replicate: int, count: int) -> np.ndarray:
     seed = _check_seed(seed, "seed")
     replicate = _check_seed(replicate, "replicate")
     count = _check_seed(count, "count")
-    return _standard_normals(seed, replicate, replicate + 1, count)[0]
+    return _draw(seed, replicate, replicate + 1, count)[0]
 
 
 def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) -> np.ndarray:
     """Replicates lo..hi-1 of the family with these moments, shape (hi - lo, n).
 
     Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit:
-    the same stream, drawn by one generator re-keyed per replicate, then
-    scaled and shifted in place.  Memory beyond the block is bounded by
-    the slab of ``_SLAB_WORDS`` raw words.  ``seed``, ``lo`` and ``hi`` follow
-    the seed rule, and lo <= hi.
+    the same stream, drawn by one generator re-keyed per replicate into the
+    rows in place, then finished, scaled and shifted in one pass per block
+    and stretch: no buffer is held beyond the block.  ``seed``, ``lo`` and
+    ``hi`` follow the seed rule, and lo <= hi.
     """
     seed = _check_seed(seed, "seed")
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
-    return _draw(seed, lo, hi, mean, np.broadcast_to(sd, mean.size).__getitem__)
-
-
-def _draw(seed: int, lo: int, hi: int, mean: np.ndarray, sd_of) -> np.ndarray:
-    """Rows lo..hi-1 of ``mean + sd * stream``, scaled in place a stretch of
-    at most ``_SLAB_WORDS`` columns at a time; ``sd_of(cols)`` gives the
-    stretch's standard deviations.  Each value is the one whole-array
-    ``out *= sd; out += mean`` gives."""
-    out = _standard_normals(seed, lo, hi, mean.size)
-    for cols in _stretches(mean.size):
-        stretch = out[:, cols]
-        stretch *= sd_of(cols)
-        stretch += mean[cols]
-    return out
+    return _draw(seed, lo, hi, mean.size, mean, np.broadcast_to(sd, mean.size).__getitem__)
 
 
 def derive_seed(seed: int, *salts) -> int:
@@ -208,7 +196,7 @@ def simulate_increments(
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    y = _draw(seed, replicate, replicate + 1, m.mean, lambda cols: np.sqrt(m.var[cols]))[0]
+    y = _draw(seed, replicate, replicate + 1, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))[0]
     return IncrementSample(y, seed, replicate, grid.digest(), theta)
 
 
@@ -231,7 +219,7 @@ def simulate_batch(
     if cache is None:
         cache = MomentCache(model, grid)
     m = cache.moments(theta)
-    return _draw(seed, 0, replicates, m.mean, lambda cols: np.sqrt(m.var[cols]))
+    return _draw(seed, 0, replicates, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))
 
 
 def moments_for(model: ModelSpec, theta: Theta, grid: TimeGrid) -> IncrementMoments:

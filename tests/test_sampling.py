@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,3 +154,21 @@ def test_digest_hashes_the_instant_buffer_of_a_long_grid():
     strided = grid_from_instants(doubled[::2])
     assert not strided.instants.flags.c_contiguous
     assert strided.digest() == hashlib.sha256(doubled[::2].tobytes()).hexdigest()
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_grids_build_without_extra_instant_copies():
+    # beyond its result, a build holds no n-long difference for its order check
+    n = 2**18
+    instants = np.arange(n + 1, dtype=float) * 0.01
+    assert _peak_bytes(lambda: grid_from_instants(instants)) <= 1.5 * 8 * n
+    # the lattice, Q's values, the instants and one difference for check and delays
+    assert _peak_bytes(lambda: quantile_grid(lambda u: u**1.5, n, 10.0)) <= 4.5 * 8 * n

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy import stats
 from scipy.special import ndtri
 
@@ -70,6 +70,10 @@ def test_streams_match_frozen_digests():
     assert _sha256_prefix(normal_stream(2**64 - 1, 2**64 - 2, 1000)) == "510199a4641bfb72"
     block = draw_block(np.linspace(-1, 1, 300), np.linspace(0.5, 2, 300), 12345, 7, 40)
     assert _sha256_prefix(block) == "f9cfcef26e192fd2"
+    # rows of three column stretches, the last of 5, recorded before rows were filled in place
+    model, _, theta = trig_scaled_model()
+    grid = uniform_grid(2 * simulate._SLAB_WORDS + 5, 0.01)
+    assert _sha256_prefix(simulate_batch(model, theta, grid, 11, 3)) == "d3776015dfccd9fd"
 
 
 def _defined_stream(seed: int, replicate: int, count: int) -> np.ndarray:
@@ -82,23 +86,45 @@ def _defined_stream(seed: int, replicate: int, count: int) -> np.ndarray:
 def test_words_map_to_uniforms_strictly_inside_the_unit_interval():
     words = np.array([k << 11 for k in (0, 1, 2**52, 2**53 - 2)] + [2**64 - 1], dtype=np.uint64)
     plain = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u = simulate._uniforms(words.copy(), np.empty(words.size))
+    # the core draws k * 2**-53 in place and finishes it to the uniform
+    u = simulate._open_unit((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
     assert u.tolist() == [2.0**-54, 1.5 * 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
     # the top word alone moves: (k + 0.5) * 2**-53 rounds to 1.0 there
     assert np.array_equal(u[:-1], plain[:-1]) and plain[-1] == 1.0
     assert np.all(np.isfinite(ndtri(u)))
+    # numpy's Generator.random over Philox is that k * 2**-53, word for word
+    key = ((2**64 - 1) << 64) | (2**64 - 2)
+    k = Philox(key=key).random_raw(1000) >> np.uint64(11)
+    assert np.array_equal(Generator(Philox(key=key)).random(1000), k * 2.0**-53)
 
 
 @pytest.mark.parametrize(
     "rows, n",
-    [(2, simulate._SLAB_WORDS + 3), (5, simulate._SLAB_WORDS // 2 + 7)],
-    ids=["row-split-across-slabs", "block-over-several-slabs"],
+    [
+        (2, simulate._SLAB_WORDS + 3),
+        (5, simulate._SLAB_WORDS // 2 + 7),
+        (3, simulate._SLAB_WORDS),
+        (7, 30_000),
+        (simulate._SLAB_WORDS + 2, 1),
+        (0, 7),
+    ],
+    ids=[
+        "row-split-across-slabs",
+        "block-over-several-slabs",
+        "count-equals-slab",
+        "partial-last-row-block",
+        "count-one-across-row-blocks",
+        "no-rows",
+    ],
 )
 def test_draw_block_rows_match_stream_across_slabs(rows, n):
     mean = np.linspace(-1.0, 1.0, n)
     sd = np.linspace(0.5, 2.0, n)
     block = draw_block(mean, sd, 2024, 9, 9 + rows)
-    for j in range(rows):
+    assert block.shape == (rows, n)
+    # the first and last row of each block of rows the core fills together
+    step = max(1, simulate._SLAB_WORDS // n)
+    for j in [j for j in range(rows) if j % step in (0, step - 1) or j == rows - 1]:
         z = normal_stream(2024, 9 + j, n)
         assert np.array_equal(z, _defined_stream(2024, 9 + j, n))
         assert np.array_equal(block[j], mean + sd * z)
@@ -198,7 +224,7 @@ def test_long_records_scale_stretch_by_stretch_bit_for_bit():
 
 def test_simulate_batch_keeps_one_copy_of_each_long_array():
     # Beyond the k rows, only the mean and the variance are n long; the
-    # standard deviations and the raw words exist one slab at a time.
+    # standard deviations exist one stretch at a time, the words only in the rows.
     model, _, theta = trig_scaled_model()
     n, k = 2**18, 3
     grid = uniform_grid(n, 0.01)
