@@ -61,7 +61,6 @@ from .simulate import (
     derive_seed,
     draw_block,
     load_sample,
-    moments_for,
     normal_stream,
     save_sample,
     simulate_batch,

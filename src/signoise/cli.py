@@ -26,7 +26,6 @@ from . import config as _config
 from .errors import ConfigError, NoiseFloorViolation, SignoiseError
 from .estimate import resolve_estimator
 from .experiments import run_study, save_report, study_from_dict
-from .increments import MomentCache
 from .sampling import save_grid_csv
 from .simulate import load_sample, save_sample, simulate_increments
 
@@ -115,9 +114,7 @@ def _cmd_estimate(args) -> int:
             if os.path.exists(candidate):
                 meta_path = candidate
         sample, grid = load_sample(sample_path, meta_path)
-        result = estimator(
-            model, space, grid, sample, cache=MomentCache(model, grid), prior=prior, seed=seed
-        ).to_dict()
+        result = estimator(model, space, grid, sample, cache=None, prior=prior, seed=seed).to_dict()
         result["config_digest"] = cfg_digest
         result["sample"] = os.path.basename(sample_path)
         result["sample_seed"] = sample.seed

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridError
 from .estimate import Prior
-from .increments import MomentCache
+from .increments import _bind
 from .information import empirical_fisher, periodic_limit_fisher
 from .model import (
     ConstantFn,
@@ -346,8 +346,7 @@ def read_prior(cfg: dict, d: int) -> Prior:
 
 
 def _empirical_information(model, theta, grid, cache=None):
-    cache = MomentCache(model, grid) if cache is None else cache
-    return empirical_fisher(cache.moments(theta), grid)
+    return empirical_fisher(_bind(model, grid, cache).moments(theta), grid)
 
 
 def _limit_information(period, regime, offsets, model, theta, grid, cache=None):
@@ -360,7 +359,8 @@ def read_information(cfg: dict, where: str, keys=("source", "period", "regime"))
     Returns ``information(model, theta, grid, cache=None)`` giving an
     InformationBundle; everything is checked here and nothing is computed.
     ``empirical`` (the default) sums over the grid, which it needs, and
-    reads neither period nor regime.  ``limit`` takes a positive period
+    reads neither period nor regime; a ``cache`` it is given must hold this
+    model on this grid (DomainError otherwise).  ``limit`` takes a positive period
     and a regime, ``vanishing_step`` (the default) or ``pattern``, which
     takes its offsets from cfg's pattern grid.
     """

@@ -41,7 +41,7 @@ from .errors import (
     SingularDesignError,
     SingularInformationError,
 )
-from .increments import IncrementMoments, MomentCache, has_closed_form
+from .increments import IncrementMoments, MomentCache, _bind, has_closed_form
 from .information import empirical_fisher
 from .likelihood import log_likelihood, score
 from .quadrature import tensor_rule
@@ -156,12 +156,13 @@ def mle_numeric(
     fall.  Converged: a full step moves every coordinate by at most
     1e-12 (1 + |x|), or no halving ascends a step whose predicted gain the
     log-likelihood cannot resolve.  Unconverged: a singular information,
-    a resolvable step no halving ascends, or 50 steps.
+    a resolvable step no halving ascends, or 50 steps.  Refuses a ``sample``
+    of another grid (GridError) and a ``cache`` of another model or grid (DomainError).
     """
     if model.p != space.p or model.q != space.q:
         raise DomainError("model and space dimensions do not match")
-    if cache is None:
-        cache = MomentCache(model, grid)
+    sample._check_grid(grid)
+    cache = _bind(model, grid, cache)
     y = sample.y
 
     def evaluate(x: np.ndarray) -> tuple[float, IncrementMoments, np.ndarray]:
@@ -256,10 +257,12 @@ def closed_form_mle(
     finite-sample distribution theory is exact.  Unlike the numeric route
     this is unconstrained: the exact maximizer is returned even if it falls
     outside the box (it almost never does for a box containing the truth).
-    Raises DomainError for families without a closed form.
+    Raises DomainError for families without a closed form or a ``cache`` of
+    another model or grid, GridError for a ``sample`` of another grid, and
+    NoiseFloorViolation for known variances at or below the floor.
     """
-    if cache is None:
-        cache = MomentCache(model, grid)
+    sample._check_grid(grid)
+    cache = _bind(model, grid, cache)
     design = cache.linear_design()
     vector, log_lik = design.fit_log_likelihood(sample.y)
     stderr, cov = design.covariance(vector)
@@ -268,6 +271,8 @@ def closed_form_mle(
         try:
             cache.moments(theta_hat)  # the elementwise floor test
         except NoiseFloorViolation:
+            if model.q != 1:
+                raise  # known variances have no scale to collapse
             # perfect interpolation: the fitted scale collapses to zero and the
             # profile likelihood is unbounded above
             log_lik = math.inf
@@ -381,12 +386,12 @@ def _bayes_setup(model, space, grid, sample, prior, anchor, cache):
     """The two Bayes routes' prior (flat by default, checked against d), anchor (the
     one passed, else the closed form if it lies in the box, else the numeric MLE),
     the anchor's scale on each axis (its stderr, else 5% of each box width) and the
-    batch log-likelihood."""
+    batch log-likelihood.  The sample and the cache are checked as the MLEs check them."""
     if prior is None:
         prior = Prior()
     prior.check_dimension(space.d)
-    if cache is None:
-        cache = MomentCache(model, grid)
+    sample._check_grid(grid)
+    cache = _bind(model, grid, cache)
     if anchor is None and has_closed_form(model):
         anchor = closed_form_mle(model, space, grid, sample, cache)
         if not space.contains(anchor.theta):
@@ -464,6 +469,7 @@ def posterior_mean_quadrature(
     cells exist (the multi-region scheme of Berntsen, Espelid & Genz, 1991).
 
     Guarded to d <= 4: tensor rules beyond that are not worth their cost.
+    ``sample`` and ``cache`` are refused as by the MLEs.
     """
     if space.d > _BAYES_MAX_DIM:
         raise DomainError(
@@ -547,6 +553,7 @@ def posterior_mean_importance(
     landing outside the box get zero weight.  The returned ``stderr`` is
     the delta-method standard error of the weighted mean, which is what
     makes this route a quantitative cross-check of the cubature route.
+    ``sample`` and ``cache`` are refused as by the MLEs.
     """
     if not isinstance(draws, (int, np.integer)) or draws < 2:
         raise DomainError(f"draws must be an integer >= 2, got {draws!r}")
@@ -567,10 +574,7 @@ def posterior_mean_importance(
         raise DegeneratePosteriorError("every proposal draw fell outside the box")
 
     log_w = np.full(draws, -np.inf)
-    # the proposal log density up to constants; per axis, numpy's order for rows under
-    # 8 terms, which it sums in order (longer rows it sums pairwise)
-    squares = functools.reduce(np.add, (x * x for x in z.T)) if d < 8 else np.sum(z * z, axis=1)
-    log_q = -0.5 * squares
+    log_q = -0.5 * functools.reduce(np.add, (x * x for x in z.T))  # proposal, up to constants
     coords = tuple(x[inside] for x in pts.T)
     log_w[inside] = batch_ll(coords) - est.log_lik + prior.log_density(coords) - log_q[inside]
     log_w -= log_w.max()
@@ -597,25 +601,15 @@ def posterior_mean_importance(
 # estimator table
 # ---------------------------------------------------------------------------
 
-# Every entry is called as fn(model, space, grid, sample, cache=, prior=,
-# rel_tol=, draws=, seed=) and reads only the settings its route uses.  The
-# entries look their estimator up by module-level name at call time, so a
-# patched module attribute reaches every front end.
+# Every entry is called as fn(model, space, grid, sample, cache=, prior=, seed=)
+# plus its own route's settings (rel_tol= or draws=), and drops the keys its
+# route does not read.  The entries look their estimator up by module-level
+# name at call time, so a patched module attribute reaches every front end.
 ESTIMATORS = {
-    "mle-closed": lambda model, space, grid, sample, cache, **_: closed_form_mle(
-        model, space, grid, sample, cache=cache
-    ),
-    "mle": lambda model, space, grid, sample, cache, **_: mle_numeric(
-        model, space, grid, sample, cache=cache
-    ),
-    "bayes": lambda model, space, grid, sample, cache, prior, seed, **settings: (
-        posterior_mean_quadrature(model, space, grid, sample, prior=prior, cache=cache, **settings)
-    ),
-    "bayes-is": lambda model, space, grid, sample, cache, prior, seed, **settings: (
-        posterior_mean_importance(
-            model, space, grid, sample, prior=prior, seed=seed, cache=cache, **settings
-        )
-    ),
+    "mle-closed": lambda *args, cache, **_: closed_form_mle(*args, cache=cache),
+    "mle": lambda *args, cache, **_: mle_numeric(*args, cache=cache),
+    "bayes": lambda *args, seed, **settings: posterior_mean_quadrature(*args, **settings),
+    "bayes-is": lambda *args, **settings: posterior_mean_importance(*args, **settings),
 }
 
 

@@ -59,7 +59,6 @@ from .information import InformationBundle
 from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
 from .quadrature import tensor_rule
-from .sampling import TimeGrid
 from .simulate import IncrementSample, derive_seed, draw_block
 
 __all__ = [
@@ -269,29 +268,22 @@ def _batch_se(values: np.ndarray) -> float:
 
 @dataclass
 class _Context:
-    """One rung's grid, moment cache and moments at a truth, built once per
-    study and passed to every replicate (pickled to workers, so they use
-    the parent's arrays)."""
+    """One rung's moment cache (which holds its grid) and moments at a truth,
+    built once per study and passed to every replicate (pickled to workers,
+    so they use the parent's arrays)."""
 
-    grid: TimeGrid
     cache: MomentCache
     theta: Theta
     mean: np.ndarray = field(init=False)
     sd: np.ndarray = field(init=False)
-    grid_digest: str = field(init=False)
 
     def __post_init__(self):
         m = self.cache.moments(self.theta)
-        self.mean, self.sd, self.grid_digest = m.mean, np.sqrt(m.var), self.grid.digest()
-
-
-def _context(cfg: StudyConfig, n: int) -> _Context:
-    grid = _config.build_grid_for(cfg.grid, n)
-    return _Context(grid, MomentCache(cfg._model, grid), cfg._theta)
+        self.mean, self.sd = m.mean, np.sqrt(m.var)
 
 
 def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
-    return cfg._information(cfg._model, ctx.theta, ctx.grid, ctx.cache)
+    return cfg._information(cfg._model, ctx.theta, ctx.cache.grid, ctx.cache)
 
 
 def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int) -> list:
@@ -303,15 +295,15 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
             return list(ctx.cache.linear_design().fit(ys.T))
         except (SignoiseError, np.linalg.LinAlgError) as exc:
             return [type(exc).__name__] * len(ys)
-    out = []
+    out, grid = [], ctx.cache.grid
     for r, y in zip(range(lo, hi), ys):
-        sample = IncrementSample(y, seed, r, ctx.grid_digest, ctx.theta)
+        sample = IncrementSample(y, seed, r, grid.digest(), ctx.theta)
         try:
             out.append(
                 estimator(
                     cfg._model,
                     cfg._space,
-                    ctx.grid,
+                    grid,
                     sample,
                     cache=ctx.cache,
                     prior=cfg._prior,
@@ -353,7 +345,7 @@ def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[list, C
             else:
                 results.append(v)
     if not results:
-        raise DomainError(f"every replicate failed at n={ctx.grid.n}: {dict(failures)}")
+        raise DomainError(f"every replicate failed at n={ctx.cache.grid.n}: {dict(failures)}")
     return results, failures
 
 
@@ -384,7 +376,7 @@ def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None, lattice=Non
     covers the whole rung and is recorded before the rung is yielded.
     """
     for rung, n in enumerate(cfg.n_values):
-        ctx = _context(cfg, n)
+        ctx = _Context(MomentCache(cfg._model, _config.build_grid_for(cfg.grid, n)), cfg._theta)
         chunk = partial(_estimate_chunk, cfg) if task is None else task(ctx)
         runs = [(ctx, (rung,))] if lattice is None else [
             (replace(ctx, theta=theta), (rung, j)) for j, theta in enumerate(lattice)
@@ -480,7 +472,7 @@ def _rate(cfg: StudyConfig, report: StudyReport, map_fn) -> None:
     for n, ctx, estimates in _rungs(cfg, report, map_fn):
         err = estimates - ctx.theta.vector
         p = cfg._model.p
-        blocks = (("drift", err[:, :p], ctx.grid.total_time), ("var", err[:, p:], n))
+        blocks = (("drift", err[:, :p], ctx.cache.grid.total_time), ("var", err[:, p:], n))
         for label, block, size in blocks:
             if block.shape[1]:
                 sq = np.sum(block**2, axis=1)

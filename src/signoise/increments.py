@@ -371,6 +371,19 @@ class MomentCache:
         return (float(beta[0]) if beta.size else 1.0) > self._floor_clear
 
 
+def _bind(model: ModelSpec, grid: TimeGrid, cache: MomentCache | None) -> MomentCache:
+    """A new cache of ``model`` on ``grid`` when ``cache`` is None, else ``cache`` itself if it
+    holds this model (the same, or ==) on this grid (the same, or of its digest); DomainError
+    otherwise, as its moments would describe another experiment."""
+    if cache is None:
+        return MomentCache(model, grid)
+    if cache.model is not model and cache.model != model:
+        raise DomainError("the moment cache holds another model")
+    if cache.grid is not grid and cache.grid.digest() != grid.digest():
+        raise DomainError(f"the moment cache holds another grid of {cache.grid.n} intervals")
+    return cache
+
+
 def _floor_clear(floor: np.ndarray, g: np.ndarray) -> float:
     """The scale s above which s*g > floor elementwise despite rounding, overwriting
     ``floor``; inf unless floor and g are normal positive numbers, rounded relatively."""

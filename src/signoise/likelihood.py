@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfSpaceError
-from .increments import IncrementMoments, MomentCache, _summed
+from .increments import IncrementMoments, MomentCache, _bind, _summed
 from .model import ModelSpec, ParameterSpace, Theta
 from .sampling import TimeGrid
 
@@ -136,6 +136,8 @@ def local_expansion(
 
     Raises
     ------
+    DomainError
+        If ``cache`` holds another model.
     OutOfSpaceError
         If the base point or a shifted point leaves the open parameter
         box; the message names the direction index, n and the point.
@@ -149,7 +151,7 @@ def local_expansion(
         raise DomainError(f"scaling has shape {scaling.shape}, expected {(d, d)}")
     if not space.contains(theta):
         raise OutOfSpaceError("base point is outside the parameter box")
-    m0 = cache.moments(theta)
+    m0 = _bind(model, cache.grid, cache).moments(theta)
     h, b, c = [], [], []
     for j, w in enumerate(directions):
         point = theta.vector + scaling @ w
@@ -191,7 +193,8 @@ def expected_power_identity(
 
     written with log1p so it stays accurate when v1_i is close to v0_i.
     Both terms are finite for any admissible pair of variance vectors, and
-    both vanish when the shift is zero.
+    both vanish when the shift is zero.  ``cache``, if given, must hold this
+    model on this grid (DomainError otherwise).
     """
     z = float(z)
     if not (0.0 < z < 1.0):
@@ -199,8 +202,7 @@ def expected_power_identity(
     shift = np.asarray(shift, dtype=float).reshape(-1)
     if shift.size != model.d:
         raise DomainError(f"shift has size {shift.size}, expected {model.d}")
-    if cache is None:
-        cache = MomentCache(model, grid)
+    cache = _bind(model, grid, cache)
     shifted = Theta.from_vector(theta.vector + shift, model.p)
     m0 = cache.moments(theta)
     m1 = cache.moments(shifted)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, GridError
-from .increments import _SLAB_WORDS, IncrementMoments, MomentCache, _stretches
+from .increments import _SLAB_WORDS, MomentCache, _bind, _stretches
 from .model import ModelSpec, Theta
 from .sampling import TimeGrid, grid_from_instants
 
@@ -41,7 +41,6 @@ __all__ = [
     "derive_seed",
     "simulate_increments",
     "simulate_batch",
-    "moments_for",
     "save_sample",
     "load_sample",
 ]
@@ -182,6 +181,13 @@ class IncrementSample:
     def n(self) -> int:
         return self.y.size
 
+    def _check_grid(self, grid: TimeGrid) -> None:
+        """GridError unless this sample was drawn on ``grid``: its length, then its digest."""
+        if self.n != grid.n:
+            raise GridError(f"sample has {self.n} increments, grid has {grid.n}")
+        if self.grid_digest != grid.digest():
+            raise GridError("sample was drawn on a different grid (digest mismatch)")
+
 
 def simulate_increments(
     model: ModelSpec,
@@ -191,11 +197,10 @@ def simulate_increments(
     replicate: int = 0,
     cache: MomentCache | None = None,
 ) -> IncrementSample:
-    """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i."""
+    """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i, with moments from
+    ``cache`` if given, which must hold this model on this grid (DomainError otherwise)."""
     seed, replicate = _check_seed(seed, "seed"), _check_seed(replicate, "replicate")
-    if cache is None:
-        cache = MomentCache(model, grid)
-    m = cache.moments(theta)
+    m = _bind(model, grid, cache).moments(theta)
     y = _draw(seed, replicate, replicate + 1, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))[0]
     return IncrementSample(y, seed, replicate, grid.digest(), theta)
 
@@ -212,18 +217,13 @@ def simulate_batch(
 
     Row r equals ``simulate_increments(..., replicate=r).y`` exactly.
     ``seed`` and ``replicates`` follow the seed rule, and replicates >= 1.
+    ``cache``, if given, must hold this model on this grid (DomainError otherwise).
     """
     seed, replicates = _check_seed(seed, "seed"), _check_seed(replicates, "replicates")
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
-    if cache is None:
-        cache = MomentCache(model, grid)
-    m = cache.moments(theta)
+    m = _bind(model, grid, cache).moments(theta)
     return _draw(seed, 0, replicates, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))
-
-
-def moments_for(model: ModelSpec, theta: Theta, grid: TimeGrid) -> IncrementMoments:
-    return MomentCache(model, grid).moments(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +232,9 @@ def moments_for(model: ModelSpec, theta: Theta, grid: TimeGrid) -> IncrementMome
 
 
 def save_sample(sample: IncrementSample, grid: TimeGrid, csv_path, meta_path=None) -> None:
-    """Write rows (i, t_prev, t_next, y) plus an optional JSON sidecar."""
-    if sample.n != grid.n:
-        raise GridError(f"sample has {sample.n} increments, grid has {grid.n}")
-    if sample.grid_digest != grid.digest():
-        raise GridError("sample was drawn on a different grid (digest mismatch)")
+    """Write rows (i, t_prev, t_next, y) plus an optional JSON sidecar; GridError unless
+    the sample was drawn on ``grid``."""
+    sample._check_grid(grid)
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["i", "t_prev", "t_next", "y"])

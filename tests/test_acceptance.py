@@ -36,7 +36,6 @@ from signoise import (
     expected_power_identity,
     log_likelihood,
     mle_numeric,
-    moments_for,
     periodic_limit_fisher,
     periodic_pattern_grid,
     posterior_mean_importance,
@@ -262,7 +261,7 @@ def test_07_information_converges_to_its_limit():
     for k in (3, 5, 7, 9):
         n = 8 * 2**k
         grid = uniform_grid(n, period / 2**k)
-        emp = empirical_fisher(moments_for(model, theta, grid), grid)
+        emp = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
         errs.append(float(np.abs(emp.joint - limit.joint).max()) / ref)
     assert all(b < a for a, b in zip(errs, errs[1:])), f"not monotone: {errs}"
     assert errs[-1] < 0.01, f"final relative error {errs[-1]:.4f}"
@@ -271,7 +270,7 @@ def test_07_information_converges_to_its_limit():
     pat_limit = periodic_limit_fisher(
         model, theta, period, regime="pattern", offsets=(0.25, 1.0)
     )
-    pat_emp = empirical_fisher(moments_for(model, theta, pat), pat)
+    pat_emp = empirical_fisher(MomentCache(model, pat).moments(theta), pat)
     pat_gap = float(np.abs(pat_emp.joint - pat_limit.joint).max())
     assert pat_gap < 1e-12, f"pattern gap {pat_gap:.2e}"
     print(f"step-halving errors {[f'{e:.2e}' for e in errs]}, pattern gap {pat_gap:.1e}")

@@ -439,6 +439,22 @@ def test_estimate_names_a_bad_sample_sidecar(tmp_path, capsys, sidecar, detail):
     assert f"{meta}: " in err and detail in err and "Traceback" not in err, err
 
 
+def test_estimate_refuses_known_variances_below_the_floor(tmp_path, capsys):
+    sim = _simulate_cfg() | {"model": TRIG_KNOWN_CONFIG, "theta": {"alpha": [1.0, 0.5], "beta": []},
+                             "grid": {"kind": "uniform", "n": 10, "h": 0.5}}
+    assert main(["simulate", "--config", _write(tmp_path / "sim.json", sim),
+                 "--out", str(tmp_path / "run")]) == 0
+    below = {"kind": "known", "profile": {"kind": "const", "value": 1e-13}}
+    est = {"model": TRIG_KNOWN_CONFIG | {"noise": below}, "space": SCALED_SPACE | {"beta": []}}
+    sample = str(tmp_path / "run" / "sample.csv")
+    argv = ["estimate", "--config", _write(tmp_path / "est.json", est), "--sample", sample,
+            "--out", str(tmp_path / "fit")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "is at or below floor*delay" in err and "Traceback" not in err, err
+    assert not (tmp_path / "fit" / "estimate.json").exists()
+
+
 def test_grid_outputs_carry_provenance(tmp_path):
     grids = {
         "pattern": {"kind": "pattern", "offsets": [0.3, 1.0], "period": 1.0, "cycles": 4},

@@ -795,13 +795,10 @@ def test_closed_form_log_lik_matches_the_moment_route():
         assert abs(fit.log_lik - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("case", ["zero scale", "scale below the floor", "known below the floor"])
+@pytest.mark.parametrize("case", ["zero scale", "scale below the floor"])
 def test_closed_form_log_lik_is_infinite_at_the_floor(case):
     # perfect interpolation: the fitted variances sit at or below floor*delay
     model, space, theta = trig_scaled_model()
-    if case == "known below the floor":
-        model, space, theta = trig_known_model()
-        model = ModelSpec(model.signal, KnownNoise(constant_profile(1e-13)))
     grid = uniform_grid(50, 0.25)
     cache = MomentCache(model, grid)
     y = cache.signal_basis_integrals() @ theta.alpha
@@ -811,6 +808,22 @@ def test_closed_form_log_lik_is_infinite_at_the_floor(case):
     assert fit.log_lik == np.inf
     with pytest.raises(NoiseFloorViolation):
         cache.moments(fit.theta)
+
+
+@pytest.mark.parametrize("grid", [uniform_grid(10, 0.5), uniform_grid(50, 0.25)],
+                         ids=["n10", "n50"])
+def test_closed_form_refuses_known_variances_below_the_floor(grid):
+    # known variances have no scale to collapse: the closed form refuses them as the
+    # moments and every start of the numeric MLE do, whatever the sample
+    model, space, theta = trig_known_model()
+    model = ModelSpec(model.signal, KnownNoise(constant_profile(1e-13)))
+    cache = MomentCache(model, grid)
+    y = cache.signal_basis_integrals() @ theta.alpha
+    sample = IncrementSample(y, 0, 0, grid.digest())
+    with pytest.raises(NoiseFloorViolation, match="on interval 0 is at or below floor"):
+        closed_form_mle(model, space, grid, sample, cache=cache)
+    with pytest.raises(OptimizationError, match="start 0: NoiseFloorViolation"):
+        mle_numeric(model, space, grid, sample, cache=cache)
 
 
 def _same_estimate(a, b):
@@ -875,14 +888,14 @@ def test_numeric_mle_reports_starts_under_the_floor_as_a_point_by_point_screen(
 
 def _importance_by_rows(cache, space, sample, anchor, prior, draws, seed):
     """The importance estimate with inside, log q and the accepted points formed
-    on (draws, d) arrays, reduced along rows."""
+    on (draws, d) arrays, reduced along rows; log q sums each row's squares in order."""
     scale = _PROPOSAL_SCALE * np.maximum(anchor.stderr, 1e-12)
     d = space.d
     z = normal_stream(derive_seed(seed, "bayes-is"), 0, draws * d).reshape(draws, d)
     pts = anchor.theta.vector + z * scale
     inside = np.all((pts > space.lower) & (pts < space.upper), axis=1)
     log_w = np.full(draws, -np.inf)
-    log_q = -0.5 * np.sum(z * z, axis=1)
+    log_q = -0.5 * np.cumsum(z * z, axis=1)[:, -1]
     coords = tuple(pts[inside].T)
     log_w[inside] = (
         _make_batch_loglik(cache, sample.y)(coords) - anchor.log_lik + prior.log_density(coords)
@@ -897,7 +910,7 @@ def _importance_by_rows(cache, space, sample, anchor, prior, draws, seed):
 
 
 def test_importance_is_bit_identical_to_its_row_formulas():
-    # d = 1, 2, 3 and 8: numpy sums a row of 8 or more terms pairwise
+    # d = 1, 2, 3 and 8, where numpy's np.sum would add a row's squares pairwise
     wide = ModelSpec(
         LinearSignal((ConstantFn(), *(CosineFn(f) for f in (0.3, 0.7, 1.3)),
                       *(SineFn(f) for f in (0.3, 0.7, 1.3)))),

@@ -12,13 +12,13 @@ from signoise import (
     KnownNoise,
     LinearSignal,
     ModelSpec,
+    MomentCache,
     PeriodicityError,
     SingularInformationError,
     Theta,
     constant_profile,
     empirical_fisher,
     grid_from_instants,
-    moments_for,
     periodic_limit_fisher,
     periodic_pattern_grid,
     uniform_grid,
@@ -42,7 +42,7 @@ def test_constant_drift_unit_noise_drift_block_is_one():
         uniform_grid(10, 0.5),
         grid_from_instants([0.0, 0.2, 1.1, 1.15, 4.0]),
     ):
-        b = empirical_fisher(moments_for(model, theta, grid), grid)
+        b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
         assert b.drift_info[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -51,14 +51,14 @@ def test_scaled_noise_variance_block():
     for beta in (0.5, 1.0, 2.0):
         theta = Theta((1.0, 0.5), (beta,))
         grid = grid_from_instants([0.0, 0.3, 1.0, 1.4, 2.9])
-        b = empirical_fisher(moments_for(model, theta, grid), grid)
+        b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
         assert b.var_info[0, 0] == pytest.approx(1.0 / (2.0 * beta * beta), rel=1e-13)
 
 
 def test_trig_drift_block_approaches_half_identity():
     model, _, theta = trig_known_model()
     grid = uniform_grid(4000, 0.01)  # T = 40, h small
-    b = empirical_fisher(moments_for(model, theta, grid), grid)
+    b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     assert np.allclose(b.drift_info, np.diag([1.0, 0.5]), atol=1e-3)
 
 
@@ -87,7 +87,7 @@ def test_pattern_limit_equals_empirical_sums_exactly():
     model, _, theta = trig_scaled_model()
     offsets = [0.25, 1.0]
     grid = periodic_pattern_grid(offsets, 1.0, 40)
-    emp = empirical_fisher(moments_for(model, theta, grid), grid)
+    emp = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     lim = periodic_limit_fisher(
         model, theta, period=1.0, regime="pattern", offsets=offsets
     )
@@ -102,7 +102,7 @@ def test_empirical_approaches_vanishing_step_limit():
     for k in (3, 5):  # h = P/8, P/32 at fixed T = 8P
         n = 8 * 2**k
         grid = uniform_grid(n, 1.0 / 2**k)
-        emp = empirical_fisher(moments_for(model, theta, grid), grid)
+        emp = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
         errs.append(np.abs(emp.joint - lim.joint).max())
     assert errs[1] < errs[0]
     assert errs[1] < 0.01 * np.abs(lim.joint).max()
@@ -117,7 +117,7 @@ def test_aperiodic_model_is_rejected():
 def test_local_scaling_inverts_design_information():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(500, 0.25)
-    b = empirical_fisher(moments_for(model, theta, grid), grid)
+    b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     phi = b.local_scaling
     phi_p, phi_q = phi[:2, :2], phi[2:, 2:]
     assert np.allclose(
@@ -132,7 +132,7 @@ def test_local_scaling_shrinks_with_design_size():
     norms = []
     for n in (100, 1000, 10_000):
         grid = uniform_grid(n, 0.25)
-        b = empirical_fisher(moments_for(model, theta, grid), grid)
+        b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
         norms.append(np.linalg.norm(b.local_scaling, 2))
     assert norms[0] > norms[1] > norms[2]
 
@@ -156,7 +156,7 @@ def test_singular_information_is_reported():
         LinearSignal((ConstantFn(), ConstantFn())), KnownNoise(constant_profile(1.0))
     )
     grid = uniform_grid(20, 0.5)
-    b = empirical_fisher(moments_for(model, Theta((1.0, 1.0), ()), grid), grid)
+    b = empirical_fisher(MomentCache(model, grid).moments(Theta((1.0, 1.0), ())), grid)
     with pytest.raises(SingularInformationError):
         b.local_scaling
 
@@ -189,7 +189,7 @@ def _bundles_of_each_layout():
     grid = grid_from_instants([0.0, 0.3, 1.0, 1.4, 2.9, 3.05, 4.7])
     for build in (mean_model, trig_scaled_model):
         model, _, theta = build()
-        yield empirical_fisher(moments_for(model, theta, grid), grid)
+        yield empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     yield InformationBundle(np.zeros((0, 0)), np.array([[0.7]]), 12.5, 50, "direct")
     model, _, theta = trig_scaled_model()
     for n in (40, 333):
@@ -255,7 +255,7 @@ def test_bundle_json_round_trip(tmp_path):
     # the fisher.json blocks `signoise fisher` writes equal the bundle's exactly
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(64, 0.25)
-    b = empirical_fisher(moments_for(model, theta, grid), grid)
+    b = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
     cfg = {
         "model": TRIG_SCALED_CONFIG,
         "theta": {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()},

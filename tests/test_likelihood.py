@@ -15,7 +15,6 @@ from signoise import (
     expected_power_identity,
     local_expansion,
     log_likelihood,
-    moments_for,
     score,
     simulate_batch,
     simulate_increments,
@@ -36,7 +35,7 @@ LN_2PI = float(np.log(2.0 * np.pi))
 def _unit_moments():
     # single increment with F = 0, G^2 = 1
     model, _, _ = mean_model()
-    return moments_for(model, Theta((0.0,), ()), uniform_grid(1, 1.0))
+    return MomentCache(model, uniform_grid(1, 1.0)).moments(Theta((0.0,), ()))
 
 
 def test_standard_normal_log_density_values():
@@ -51,7 +50,7 @@ def test_standard_normal_log_density_values():
 def test_log_likelihood_is_sum_of_univariate_log_densities():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(3, 0.4)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     y = np.array([0.3, -0.8, 1.1])
     oracle = stats.norm.logpdf(y, loc=m.mean, scale=np.sqrt(m.var)).sum()
     assert log_likelihood(m, y) == pytest.approx(oracle, abs=1e-12)
@@ -60,7 +59,7 @@ def test_log_likelihood_is_sum_of_univariate_log_densities():
 def test_score_has_mean_zero_at_truth():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(100, 0.25)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     draws = simulate_batch(model, theta, grid, seed=613, replicates=10_000)
     resid = draws - m.mean
     g_alpha = (resid / m.var) @ m.grad_mean
@@ -296,7 +295,7 @@ def test_score_covariance_matches_information_blocks():
     model, _, theta = trig_scaled_model()
     n = 2000
     grid = uniform_grid(n, 0.25)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     bundle = empirical_fisher(m, grid)
     draws = simulate_batch(model, theta, grid, seed=321, replicates=2000)
     resid = draws - m.mean

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signoise import (
+    ConfigError,
     ConstantFn,
     CosineFn,
     DomainError,
@@ -12,6 +13,7 @@ from signoise import (
     KnownNoise,
     LinearSignal,
     ModelSpec,
+    MomentCache,
     NoiseFloorViolation,
     ParameterSpace,
     PeriodicStepFn,
@@ -20,7 +22,9 @@ from signoise import (
     SineFn,
     Theta,
     constant_profile,
+    grid_from_instants,
 )
+from signoise.config import build_model, build_profile
 
 from helpers import curved_model, mean_model, trig_known_model, trig_scaled_model
 
@@ -214,3 +218,56 @@ def test_mean_model_dimensions():
     model, space, theta = mean_model()
     assert (model.p, model.q, model.d) == (1, 0, 1)
     assert space.contains(theta)
+
+
+# one config dict of each basis-atom and profile kind, and the library object it names
+_ATOM_KINDS = {
+    "const": ({"kind": "const"}, ConstantFn()),
+    "cos": ({"kind": "cos", "freq": 0.7, "phase": 0.3}, CosineFn(0.7, 0.3)),
+    "sin": ({"kind": "sin", "freq": 1.3}, SineFn(1.3)),
+    "steps": ({"kind": "steps", "levels": [1.0, -0.5, 2], "period": 0.9},
+              PeriodicStepFn((1.0, -0.5, 2.0), 0.9)),
+}
+_PROFILE_KINDS = {
+    "const": ({"kind": "const", "value": 1.5}, constant_profile(1.5)),
+    "trig": (
+        {"kind": "trig", "offset": 2.0,
+         "terms": [{"amp": 0.5, "freq": 1.0}, {"amp": -0.3, "freq": 0.4, "phase": 1.1}]},
+        Profile(2.0, (0.5, -0.3), (CosineFn(1.0), CosineFn(0.4, 1.1))),
+    ),
+    "steps": ({"kind": "steps", "levels": [0.5, 2.0, 1.0], "period": 0.7},
+              Profile(0.0, (1.0,), (PeriodicStepFn((0.5, 2.0, 1.0), 0.7),))),
+}
+
+
+@pytest.mark.parametrize(
+    "atom, profile",
+    [(a, "const") for a in _ATOM_KINDS] + [("const", p) for p in _PROFILE_KINDS if p != "const"],
+)
+def test_every_config_kind_builds_its_library_object(atom, profile):
+    atom_cfg, atom_obj = _ATOM_KINDS[atom]
+    profile_cfg, profile_obj = _PROFILE_KINDS[profile]
+    cfg = {
+        "signal": {"kind": "linear", "basis": [{"kind": "const"}, atom_cfg]},
+        "noise": {"kind": "scaled", "profile": profile_cfg},
+    }
+    model = build_model(cfg)
+    assert model == ModelSpec(LinearSignal((ConstantFn(), atom_obj)), ScaledNoise(profile_obj))
+    # the closed moments agree with quadrature on uneven intervals, as every family's do
+    delays = np.random.default_rng(47).uniform(0.05, 0.9, 12)
+    grid = grid_from_instants(np.concatenate(([0.0], np.cumsum(delays))))
+    theta = Theta(np.array([0.4, -0.8]), np.array([1.3]))
+    fast = MomentCache(model, grid).moments(theta)
+    slow = MomentCache(model, grid, force_quadrature=True).moments(theta)
+    for name in ("mean", "var", "grad_mean", "grad_var"):
+        x, y = getattr(fast, name), getattr(slow, name)
+        assert np.all(np.abs(x - y) < 1e-9 * (1.0 + np.abs(x))), name
+
+
+@pytest.mark.parametrize(
+    "terms, key", [("x", "terms"), ([{"amp": 1.0, "freq": 1.0}, {"amp": 0.5}], "freq")]
+)
+def test_trig_profile_terms_are_read_strictly(terms, key):
+    with pytest.raises(ConfigError) as info:
+        build_profile({"kind": "trig", "offset": 1.0, "terms": terms})
+    assert info.value.key == key and f"(key: {key!r})" in str(info.value)

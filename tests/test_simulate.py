@@ -13,7 +13,6 @@ from signoise import (
     derive_seed,
     draw_block,
     load_sample,
-    moments_for,
     normal_stream,
     save_sample,
     simulate_batch,
@@ -51,7 +50,7 @@ def test_same_seed_replicate_is_bitwise_identical():
 def test_draw_block_rows_equal_normal_stream_replicates():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(64, 0.25)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     sd = np.sqrt(m.var)
     block = draw_block(m.mean, sd, 7, 5, 12)
     assert block.shape == (7, 64)
@@ -242,7 +241,7 @@ def test_simulate_batch_keeps_one_copy_of_each_long_array():
 def test_simulate_increments_reaches_the_last_replicate():
     model, theta, grid = _mean_setup()
     sample = simulate_increments(model, theta, grid, seed=5, replicate=2**64 - 1)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     assert np.array_equal(sample.y, m.mean + np.sqrt(m.var) * normal_stream(5, 2**64 - 1, 8))
 
 
@@ -259,7 +258,7 @@ def test_distinct_replicates_differ():
 def test_standardized_residuals_pass_ks():
     model, _, theta = trig_scaled_model()
     grid = uniform_grid(10_000, 0.1)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     sample = simulate_increments(model, theta, grid, seed=23)
     w = (sample.y - m.mean) / np.sqrt(m.var)
     stat = stats.kstest(w, "norm")
@@ -270,7 +269,7 @@ def test_lag_one_autocorrelation_is_small():
     model, _, theta = trig_scaled_model()
     n = 10_000
     grid = uniform_grid(n, 0.1)
-    m = moments_for(model, theta, grid)
+    m = MomentCache(model, grid).moments(theta)
     sample = simulate_increments(model, theta, grid, seed=31)
     w = (sample.y - m.mean) / np.sqrt(m.var)
     r1 = np.mean(w[:-1] * w[1:])
