@@ -43,7 +43,7 @@ from .errors import (
 )
 from .increments import IncrementMoments, MomentCache, _bind, has_closed_form
 from .information import empirical_fisher
-from .likelihood import log_likelihood, score
+from .likelihood import _log_likelihood, log_likelihood, score
 from .quadrature import tensor_rule
 from .model import ModelSpec, ParameterSpace, Theta
 from .sampling import TimeGrid
@@ -269,7 +269,7 @@ def closed_form_mle(
     theta_hat = Theta.from_vector(vector, model.p)
     if not cache.clears_floor(theta_hat.beta):
         try:
-            cache.moments(theta_hat)  # the elementwise floor test
+            cache.mean_var(theta_hat)  # the elementwise floor test
         except NoiseFloorViolation:
             if model.q != 1:
                 raise  # known variances have no scale to collapse
@@ -366,7 +366,8 @@ class BayesResult:
 
 def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
     """Log-likelihood at the points of d broadcastable coordinate arrays, one per axis:
-    ``LinearDesign``'s if there is one, else point by point."""
+    ``LinearDesign``'s if there is one, else point by point from each point's means and
+    variances, ``MomentCache.mean_var``: no gradient is read."""
     model = cache.model
     if has_closed_form(model):
         return cache.linear_design().log_likelihood(y)
@@ -376,7 +377,7 @@ def _make_batch_loglik(cache: MomentCache, y: np.ndarray):
         points = np.stack([x.ravel() for x in axes], axis=1)
         out = np.empty(points.shape[0])
         for i, v in enumerate(points):
-            out[i] = log_likelihood(cache.moments(Theta.from_vector(v, model.p)), y)
+            out[i] = _log_likelihood(*cache.mean_var(Theta.from_vector(v, model.p)), y)
         return out.reshape(axes[0].shape)
 
     return batch

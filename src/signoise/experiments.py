@@ -44,7 +44,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -268,9 +267,9 @@ def _batch_se(values: np.ndarray) -> float:
 
 @dataclass
 class _Context:
-    """One rung's moment cache (which holds its grid) and moments at a truth,
-    built once per study and passed to every replicate (pickled to workers,
-    so they use the parent's arrays)."""
+    """One rung's moment cache (which holds its grid) and the means and standard
+    deviations at a truth, read with no gradient, built once per study and passed
+    to every replicate (pickled to workers, so they use the parent's arrays)."""
 
     cache: MomentCache
     theta: Theta
@@ -278,28 +277,29 @@ class _Context:
     sd: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = self.cache.moments(self.theta)
-        self.mean, self.sd = m.mean, np.sqrt(m.var)
+        self.mean, var = self.cache.mean_var(self.theta)
+        self.sd = np.sqrt(var)
 
 
 def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
     return cfg._information(cfg._model, ctx.theta, ctx.cache.grid, ctx.cache)
 
 
-def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int) -> list:
-    """Estimates of replicates lo..hi-1; a failed replicate gives its error class name."""
+def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int):
+    """Estimates of replicates lo..hi-1: a block (k, d) of the successful rows, in order,
+    and the failed replicates counted by error class."""
     ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
     estimator = resolve_estimator(cfg.estimator, cfg._model, cfg._space)
     if estimator is ESTIMATORS["mle-closed"]:
         try:
-            return list(ctx.cache.linear_design().fit(ys.T))
+            return ctx.cache.linear_design().fit(ys.T), Counter()
         except (SignoiseError, np.linalg.LinAlgError) as exc:
-            return [type(exc).__name__] * len(ys)
-    out, grid = [], ctx.cache.grid
+            return np.empty((0, cfg._model.d)), Counter({type(exc).__name__: len(ys)})
+    rows, failures, grid = [], Counter(), ctx.cache.grid
     for r, y in zip(range(lo, hi), ys):
         sample = IncrementSample(y, seed, r, grid.digest(), ctx.theta)
         try:
-            out.append(
+            rows.append(
                 estimator(
                     cfg._model,
                     cfg._space,
@@ -312,39 +312,36 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
                 ).theta.vector
             )
         except (SignoiseError, np.linalg.LinAlgError) as exc:
-            out.append(type(exc).__name__)
-    return out
+            failures[type(exc).__name__] += 1
+    return np.reshape(rows, (-1, cfg._model.d)), failures
 
 
-def _lan_chunk(expansion: LocalExpansion, ctx: _Context, seed: int, lo: int, hi: int) -> list:
-    """One row per replicate lo..hi-1: its log-ratios, central sequence and
-    remainders, in the column order of ``LocalExpansion.evaluate``."""
+def _lan_chunk(expansion: LocalExpansion, ctx: _Context, seed: int, lo: int, hi: int):
+    """A block with one row per replicate lo..hi-1: its log-ratios, central sequence
+    and remainders, in the column order of ``LocalExpansion.evaluate``; no failures."""
     ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
-    return list(np.hstack(expansion.evaluate(ys)))
+    return np.hstack(expansion.evaluate(ys)), Counter()
 
 
-def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[list, Counter]:
+def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[np.ndarray, Counter]:
     """Run ``task(ctx, seed, lo, hi)`` over chunks of r < m; returns (results, failures).
 
-    A task returns one entry per replicate: its result, or the class name
-    of the error that failed it.  Failed replicates are dropped from the
-    results, which stay in replicate order, and counted by class.  Chunk
+    A task returns a block of its successful replicates' rows, in replicate
+    order, and a ``Counter`` of its failed ones by error class.  Chunk
     boundaries depend only on the replicate count, never on the worker
-    count, and chunk outputs are concatenated in submission order;
-    combined with counter-based streams this makes the results
-    independent of parallelism.
+    count, and the blocks are concatenated, and the counters added, in
+    submission order; combined with counter-based streams this makes the
+    results independent of parallelism.
     """
     chunk = max(1, -(-m // _CHUNKS))
     los = range(0, m, chunk)
     his = [min(lo + chunk, m) for lo in los]
-    results, failures = [], Counter()
-    for part in map_fn(task, [ctx] * len(los), [seed] * len(los), los, his):
-        for v in part:
-            if isinstance(v, str):
-                failures[v] += 1
-            else:
-                results.append(v)
-    if not results:
+    blocks, failures = [], Counter()
+    for block, part in map_fn(task, [ctx] * len(los), [seed] * len(los), los, his):
+        blocks.append(block)
+        failures += part
+    results = np.ascontiguousarray(np.concatenate(blocks))  # C order: the reductions' sums
+    if not len(results):
         raise DomainError(f"every replicate failed at n={ctx.cache.grid.n}: {dict(failures)}")
     return results, failures
 
@@ -385,7 +382,7 @@ def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None, lattice=Non
         for point, key in runs:
             seed = derive_seed(cfg.seed, cfg.kind, *key)
             results, point_failures = _replicates(map_fn, chunk, point, seed, cfg.replicates)
-            stacks.append(np.stack(results))
+            stacks.append(results)
             failures += point_failures
         _failure_check(report, n, failures, cfg.replicates * len(runs))
         yield n, ctx, stacks[0] if lattice is None else stacks
@@ -720,6 +717,8 @@ def run_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
     if workers <= 1:
         study(cfg, report, map)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a serial run needs no pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             study(cfg, report, partial(pool.map, chunksize=max(1, _CHUNKS // (4 * workers))))
     return report

@@ -22,18 +22,28 @@ supplies its stacked ``integrals`` (the closure route); families without
 them fall back to adaptive quadrature over all intervals at once, split
 at the jumps a family declares.  ``MomentCache`` picks each block's route
 once, when it is built; ``force_quadrature=True`` forces the fallback on
-every family's moments alone, which is how the routes are checked.  The
-closure route runs family code, so its block keeps the results of its last
-16 parameter vectors, within 32 MiB; the other routes keep none.  The
-closed routes return the cache's own arrays where the moments equal them
-(the basis as the drift gradient, the profile integrals as a known
-variance or, as a view, the scale's gradient), and ``IncrementMoments``
-makes them read-only, so a long record keeps one copy of each.
+every family's moments alone, which is how the routes are checked.
+
+The cache has two entries: ``moments(theta)`` gives the four arrays,
+stamped with the grid, and ``mean_var(theta)`` the means and variances
+alone, bit for bit the same under the same checks, for callers that read
+no gradient.  Only the closure route saves work there: it calls
+``integral_fn`` alone (a column slice of one array call once general
+families take arrays, ROADMAP item 6).  The closed routes return the same
+arrays either way, and quadrature integrates the rate and its gradients
+together, as its subdivision is chosen on all columns.  The closure route
+runs family code, so its block keeps its last 16 parameter vectors'
+results, within 32 MiB: values alone, or with the gradients, which a full
+request adds to a values entry by calling the gradient callable alone.
+The other routes keep none.  The closed routes return the cache's own
+arrays where the moments equal them (the basis as the drift gradient, the
+profile integrals as a known variance or, as a view, the scale's
+gradient), read-only, so a long record keeps one copy of each.
 Sums over the intervals (here, in ``likelihood`` and in ``information``)
 run through ``_summed`` in stretches of ``_SLAB_WORDS`` = 65,536 intervals,
 which draws scale in too: a call's working memory is one stretch, not n, and
 up to one stretch each sum is its whole-array expression, bit for bit.
-The cache checks its own arrays once, when built, and ``moments`` only
+The cache checks its own arrays once, when built, and each entry only
 those a call builds.  On the closed variance routes, var = s * g (s = 1 for
 known noise), the floor test var_i > floor * delay_i reduces to a scale
 threshold fixed at build: scales clear of it pass in O(1), and the rest, as
@@ -43,8 +53,9 @@ on every other route, take the elementwise test with its message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -106,12 +117,16 @@ class IncrementMoments:
         Strictly positive.
     grad_mean : ndarray, shape (n, p)
     grad_var : ndarray, shape (n, q)
+    grid : TimeGrid or None
+        The grid they were computed on, stamped by ``MomentCache``; None
+        for moments built by hand.
     """
 
     mean: np.ndarray
     var: np.ndarray
     grad_mean: np.ndarray
     grad_var: np.ndarray
+    grid: TimeGrid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.mean.shape[0]
@@ -256,11 +271,11 @@ class MomentCache:
     Precomputes whatever is parameter-independent for the bound grid (basis
     integrals for linear drifts, profile integrals for known or scaled
     variances, both checked finite, and the floor threshold of the latter) so
-    that ``moments(theta)`` costs a few matrix products and checks only what
-    it builds.  A
-    closure block reuses its last 16 parameter vectors' results (fewer if they
-    would pass 32 MiB), drift and variance apart, freed with the cache and not
-    pickled; a repeat shares arrays ``IncrementMoments`` made read-only.
+    that ``moments(theta)`` and ``mean_var(theta)`` cost a few matrix products
+    and check only what they build.  A closure block reuses its last 16
+    parameter vectors' results (fewer if they would pass 32 MiB), drift and
+    variance apart, freed with the cache and not pickled; a repeat shares
+    arrays made read-only.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, force_quadrature: bool = False):
@@ -272,12 +287,13 @@ class MomentCache:
         self._design: LinearDesign | None = None
         self._floor_clear = math.inf  # closed variances pass the floor at scales above this
         self._own: list[np.ndarray] = []  # the arrays closed routes return as they are
-        # each block's one route, params -> (integrals (n,), gradient integrals (n, k)): a
-        # module function, as a bound method would keep the cache alive in a reference cycle
-        self._drift = self._route("drift", model.signal, model.p)
-        self._variance = self._route("variance", model.noise, model.q)
+        # each block's one route, (params, full) -> (integrals (n,), gradient integrals (n, k));
+        # only the closure route reads ``full``, giving None for the gradients unless set.  A
+        # module function or object, as a bound method would keep the cache alive in a cycle
+        self._drift = self._route("drift", model.signal)
+        self._variance = self._route("variance", model.noise)
 
-    def _route(self, label: str, family, k: int):
+    def _route(self, label: str, family):
         """Pick a block's route: closed, the family's exact integrals, or quadrature."""
         grid = self.grid
         exact = None
@@ -299,8 +315,7 @@ class MomentCache:
             if not self.force_quadrature:
                 self._floor_clear = _floor_clear(self.model.sigma2_floor * grid.delays, g)
         elif (integrals := getattr(family, "integrals", None)) is not None:
-            size = min(_MEMO_SIZE, max(1, _MEMO_BYTES // (8 * grid.n * (1 + k))))
-            exact = _Memo(partial(_closure_route, integrals, grid.starts, grid.ends), size)
+            exact = _Memo(integrals, grid.starts, grid.ends)
         if exact is not None and not self.force_quadrature:
             return exact
         knots = grid.instants
@@ -312,8 +327,8 @@ class MomentCache:
 
     def _check_finite(self, what: str, *arrays: np.ndarray) -> None:
         """EvaluationError naming the first interval where a row of ``arrays`` is non-finite;
-        the cache's own arrays, checked when it was built, are skipped."""
-        arrays = [x for x in arrays if not any(x is a for a in self._own)]
+        the cache's own arrays, checked when it was built, and None are skipped."""
+        arrays = [x for x in arrays if x is not None and not any(x is a for a in self._own)]
         if all(np.all(np.isfinite(x)) for x in arrays):
             return  # the cheap test: the row mask is built only on failure
         rows = [np.isfinite(x).all(axis=tuple(range(1, x.ndim))) for x in arrays]
@@ -346,13 +361,29 @@ class MomentCache:
         return self._design
 
     def moments(self, theta: Theta) -> IncrementMoments:
+        """The means and variances (n,) at ``theta`` with their gradients, stamped with the grid."""
+        return IncrementMoments(*self._evaluate(theta, True), self.grid)
+
+    def mean_var(self, theta: Theta) -> tuple[np.ndarray, np.ndarray]:
+        """The means and variances (n,) at ``theta`` alone, read-only: the values of
+        ``moments``, bit for bit, under the same checks with the same messages.  The
+        closure route calls no gradient callable for them."""
+        mean, var, _, _ = self._evaluate(theta, False)
+        mean.flags.writeable = var.flags.writeable = False
+        return mean, var
+
+    def _evaluate(self, theta: Theta, full: bool) -> tuple:
+        """(mean, var, grad_mean, grad_var) at theta, checked; the gradients are None,
+        and neither computed on the closure route nor checked, unless ``full``."""
         if theta.alpha.size != self.model.p or theta.beta.size != self.model.q:
             raise EvaluationError(
                 f"theta dims ({theta.alpha.size}, {theta.beta.size}) do not match the "
                 f"model ({self.model.p}, {self.model.q})"
             )
-        mean, grad_mean = self._drift(theta.alpha)
-        var, grad_var = self._variance(theta.beta)
+        mean, grad_mean = self._drift(theta.alpha, full)
+        var, grad_var = self._variance(theta.beta, full)
+        if not full:
+            grad_mean = grad_var = None
         self._check_finite("drift moment", mean, grad_mean)
         self._check_finite("variance moment", var, grad_var)
         if not self.clears_floor(theta.beta):
@@ -363,7 +394,7 @@ class MomentCache:
                     f"increment variance {float(var[i])!r} on interval {i} is at or "
                     f"below floor*delay = {float(floor[i])!r}"
                 )
-        return IncrementMoments(mean, var, grad_mean, grad_var)
+        return mean, var, grad_mean, grad_var
 
     def clears_floor(self, beta: np.ndarray) -> bool:
         """Whether the closed variances s*g at ``beta`` (s = 1 if known) pass the floor
@@ -379,9 +410,15 @@ def _bind(model: ModelSpec, grid: TimeGrid, cache: MomentCache | None) -> Moment
         return MomentCache(model, grid)
     if cache.model is not model and cache.model != model:
         raise DomainError("the moment cache holds another model")
-    if cache.grid is not grid and cache.grid.digest() != grid.digest():
-        raise DomainError(f"the moment cache holds another grid of {cache.grid.n} intervals")
+    _check_same_grid(cache.grid, grid, "the moment cache holds")
     return cache
+
+
+def _check_same_grid(held: TimeGrid, grid: TimeGrid, holder: str) -> None:
+    """DomainError unless ``held`` is ``grid`` (the same, or of its digest), saying that
+    ``holder`` another grid."""
+    if held is not grid and held.digest() != grid.digest():
+        raise DomainError(f"{holder} another grid of {held.n} intervals")
 
 
 def _floor_clear(floor: np.ndarray, g: np.ndarray) -> float:
@@ -397,36 +434,49 @@ def _floor_clear(floor: np.ndarray, g: np.ndarray) -> float:
 
 
 class _Memo:
-    """A route that keeps its last ``size`` results by parameter bytes; a raise keeps none."""
+    """The closure route: a family's exact ``integrals`` over the grid's intervals, split
+    into values (n,) and gradients (n, k), keeping the results of its last ``_MEMO_SIZE``
+    parameter vectors within ``_MEMO_BYTES``.  An entry holds the values alone until a
+    full request at its parameters adds the gradients, computed alone; a values request
+    reads either kind.  A raise keeps nothing, and a pickle holds no entries."""
 
-    def __init__(self, route, size: int):
-        self.route, self.size = route, size  # route gets a fresh copy of the parameter vector
-        self._results = lru_cache(size)(lambda key: route(np.frombuffer(key).copy()))
+    def __init__(self, integrals, starts, ends):
+        self.integrals, self.starts, self.ends = integrals, starts, ends
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()  # least recently used first
 
-    def __call__(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._results(np.asarray(params, dtype=float).tobytes())
+    def __call__(self, params: np.ndarray, full: bool) -> tuple:
+        key = np.asarray(params, dtype=float).tobytes()
+        entry = self._entries.get(key)
+        if entry is None:  # the callables get a fresh copy of the parameter vector
+            out = self.integrals(np.frombuffer(key).copy(), self.starts, self.ends, gradient=full)
+            entry = out[:, 0], out[:, 1:] if full else None
+        elif full and entry[1] is None:
+            entry = entry[0], self.integrals(
+                np.frombuffer(key).copy(), self.starts, self.ends, value=False
+            )
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        size = sum(a.nbytes for e in self._entries.values() for a in e if a is not None)
+        while len(self._entries) > _MEMO_SIZE or (size > _MEMO_BYTES and len(self._entries) > 1):
+            size -= sum(a.nbytes for a in self._entries.popitem(last=False)[1] if a is not None)
+        return entry
 
-    def __reduce__(self):  # pickles as the route and its size, with no entries
-        return _Memo, (self.route, self.size)
+    def __reduce__(self):
+        return _Memo, (self.integrals, self.starts, self.ends)
 
 
-def _linear_route(basis: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _linear_route(basis: np.ndarray, alpha: np.ndarray, full: bool) -> tuple:
     return basis @ alpha, basis
 
 
-def _profile_route(g: np.ndarray, grad: np.ndarray, beta: np.ndarray):
+def _profile_route(g: np.ndarray, grad: np.ndarray, beta: np.ndarray, full: bool) -> tuple:
     """A known variance g, or a scaled one beta * g, with its fixed gradient."""
     return (float(beta[0]) * g if beta.size else g), grad
 
 
-def _closure_route(integrals, starts, ends, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closure route: a family's exact integrals (n, 1 + k), split into value and gradient."""
-    out = integrals(params, starts, ends)
-    return out[:, 0], out[:, 1:]
-
-
-def _quadrature_route(label: str, rates, knots, cuts, params: np.ndarray):
-    """Quadrature route over ``knots``; pieces are summed back to intervals at ``cuts``."""
+def _quadrature_route(label: str, rates, knots, cuts, params: np.ndarray, full: bool) -> tuple:
+    """Quadrature route over ``knots``; pieces are summed back to intervals at ``cuts``.
+    Values alone cost the same: the rule picks its pieces on every column."""
     try:
         out = quadrature.integrate(lambda ts: rates(params, ts), knots[:-1], knots[1:])
     except QuadratureError as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError, PeriodicityError, SingularInformationError
-from .increments import IncrementMoments, MomentCache, _summed
+from .increments import IncrementMoments, MomentCache, _check_same_grid, _summed
 from .model import ModelSpec, Theta
 from .sampling import TimeGrid, periodic_pattern_grid
 
@@ -158,8 +158,13 @@ def empirical_fisher(moments: IncrementMoments, grid: TimeGrid) -> InformationBu
 
     Drift block:    (1/T) sum_i grad_mean_i grad_mean_i^T / var_i
     Variance block: (1/2n) sum_i grad_ln_var_i grad_ln_var_i^T
+
+    DomainError unless the moments were computed on ``grid`` (the same, or of
+    its digest); moments built by hand, which carry no grid, must match its length.
     """
-    if moments.n != grid.n:
+    if moments.grid is not None:
+        _check_same_grid(moments.grid, grid, "the moments hold")
+    elif moments.n != grid.n:
         raise DomainError(f"moments have n={moments.n}, grid has n={grid.n}")
 
     def term(grad_mean, var, grad_var):

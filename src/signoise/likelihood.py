@@ -50,13 +50,18 @@ def _as_rows(moments: IncrementMoments, y: np.ndarray, ndim: int = 1) -> np.ndar
 
 def log_likelihood(moments: IncrementMoments, y: np.ndarray) -> float:
     """Exact Gaussian log-likelihood of the increment vector y."""
+    return _log_likelihood(moments.mean, moments.var, _as_rows(moments, y))
+
+
+def _log_likelihood(mean: np.ndarray, var: np.ndarray, y: np.ndarray) -> float:
+    """``log_likelihood`` on the means and variances alone, for a y (n,) checked by the caller."""
 
     def term(y, mean, var):
         resid = y - mean
         return np.sum(np.log(var)), np.sum(resid * resid / var)
 
-    log_var, quad = _summed(term, _as_rows(moments, y), moments.mean, moments.var)
-    return float(-0.5 * moments.n * _LN_2PI - 0.5 * log_var - 0.5 * quad)
+    log_var, quad = _summed(term, y, mean, var)
+    return float(-0.5 * mean.shape[0] * _LN_2PI - 0.5 * log_var - 0.5 * quad)
 
 
 def score(moments: IncrementMoments, y: np.ndarray) -> np.ndarray:
@@ -134,6 +139,9 @@ def local_expansion(
         The local rescaling matrix (symmetric PSD block-diagonal in
         practice); rows/columns ordered drift block then variance block.
 
+    The shifted points read no gradient: their moments come from
+    ``MomentCache.mean_var``, and only the base point's from ``moments``.
+
     Raises
     ------
     DomainError
@@ -161,10 +169,10 @@ def local_expansion(
                 f"direction {j} at n={cache.grid.n}: shifted point {point!r} "
                 "leaves the parameter box"
             )
-        m1 = cache.moments(shifted_theta)
-        dvar, dmean = m1.var - m0.var, m1.mean - m0.mean  # differences first: no cancellation
-        h.append(0.5 * dvar / m1.var)
-        b.append(dmean / m1.var)
+        mean1, var1 = cache.mean_var(shifted_theta)
+        dvar, dmean = var1 - m0.var, mean1 - m0.mean  # differences first: no cancellation
+        h.append(0.5 * dvar / var1)
+        b.append(dmean / var1)
         c.append(np.sum(h[-1] - 0.5 * np.log1p(dvar / m0.var) - 0.5 * dmean * b[-1]))
     return LocalExpansion(m0, np.stack(h, 1), np.stack(b, 1), np.array(c), directions, scaling)
 
@@ -193,8 +201,9 @@ def expected_power_identity(
 
     written with log1p so it stays accurate when v1_i is close to v0_i.
     Both terms are finite for any admissible pair of variance vectors, and
-    both vanish when the shift is zero.  ``cache``, if given, must hold this
-    model on this grid (DomainError otherwise).
+    both vanish when the shift is zero.  It reads no gradient: both points'
+    moments come from ``MomentCache.mean_var``.  ``cache``, if given, must
+    hold this model on this grid (DomainError otherwise).
     """
     z = float(z)
     if not (0.0 < z < 1.0):
@@ -204,16 +213,16 @@ def expected_power_identity(
         raise DomainError(f"shift has size {shift.size}, expected {model.d}")
     cache = _bind(model, grid, cache)
     shifted = Theta.from_vector(theta.vector + shift, model.p)
-    m0 = cache.moments(theta)
-    m1 = cache.moments(shifted)
+    mean0, var0 = cache.mean_var(theta)
+    mean1, var1 = cache.mean_var(shifted)
 
-    dmean = m1.mean - m0.mean
-    denom = m0.var / (1.0 - z) + m1.var / z
+    dmean = mean1 - mean0
+    denom = var0 / (1.0 - z) + var1 / z
     mean_term = -np.sum(dmean * dmean / (2.0 * denom))
 
     a = 1.0 / (1.0 - z)
-    dvar = m1.var - m0.var
+    dvar = var1 - var0
     var_term = 0.5 * np.sum(
-        z * np.log1p(dvar / m0.var) - np.log1p(a * dvar / (a * m0.var + m1.var / z))
+        z * np.log1p(dvar / var0) - np.log1p(a * dvar / (a * var0 + var1 / z))
     )
     return float(mean_term - var_term)

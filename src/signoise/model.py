@@ -265,7 +265,8 @@ class _General:
 
     @property
     def integrals(self):
-        """``(params, starts, ends) -> (n, 1 + k)`` exact interval integrals, or None."""
+        """``(params, starts, ends) -> (n, 1 + k)`` exact interval integrals, or None;
+        ``gradient=False`` gives the values alone (n, 1), ``value=False`` the gradients (n, k)."""
         if self.integral_fn is None or self.grad_integral_fn is None:
             return None
         where = "interval {0} on [{1!r}, {2!r}]"
@@ -366,11 +367,14 @@ class GeneralNoise(_General):
     jumps_fn: object = None
 
 
-def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> np.ndarray:
+def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points,
+          value: bool = True, gradient: bool = True) -> np.ndarray:
     """User callables at each entry of ``points`` (times, or interval ends), as (m, 1 + k).
 
     ``value_fn(params, *x)`` runs at every point x (numpy scalars), then
-    ``grad_fn`` does, so neither may return a buffer it later overwrites.  A
+    ``grad_fn`` does, so neither may return a buffer it later overwrites.
+    ``value=False`` or ``gradient=False`` leaves that callable uncalled and
+    its columns out: (m, k) gradients alone, or (m, 1) values alone.  A
     value may be a real scalar, a 0-d array or a numeric string; a gradient,
     anything of k entries numpy makes floats.  Each list is stacked in one
     conversion; only if that fails, or gives no real (m,) values or not k
@@ -381,8 +385,10 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> 
     """
     columns = [list(x) for x in points]
     m = len(columns[0])
-    values = list(map(value_fn, repeat(params, m), *columns))
-    grads = list(map(grad_fn, repeat(params, m), *columns))
+    # an uncalled callable's placeholders pass every check: 0.0, and gradients of size k = 0
+    values = list(map(value_fn, repeat(params, m), *columns)) if value else [0.0] * m
+    grads = list(map(grad_fn, repeat(params, m), *columns)) if gradient else [()] * m
+    k *= gradient
     out = np.empty((m, 1 + k))
     try:
         value_col, grad_cols = np.asarray(values), np.asarray(grads, dtype=float)
@@ -391,7 +397,7 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> 
     else:
         if value_col.shape == (m,) and value_col.dtype.kind in "biuf" and grad_cols.size == m * k:
             out[:, 0], out[:, 1:] = value_col, grad_cols.reshape(m, k)
-            return out
+            return out if value else out[:, 1:].copy()
 
     def at(i: int) -> str:
         return where.format(i, *(float(x[i]) for x in points))
@@ -405,7 +411,7 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points) -> 
         if grad.size != k:
             raise EvaluationError(f"{what} gradient has size {grad.size}, expected {k}: {at(i)}")
         out[i, 1:] = grad
-    return out
+    return out if value else out[:, 1:].copy()
 
 
 # ---------------------------------------------------------------------------

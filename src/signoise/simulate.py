@@ -144,7 +144,9 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
-    return _draw(seed, lo, hi, mean.size, mean, np.broadcast_to(sd, mean.size).__getitem__)
+    if np.shape(sd) != mean.shape:
+        sd = np.broadcast_to(sd, mean.size)
+    return _draw(seed, lo, hi, mean.size, mean, sd.__getitem__)
 
 
 def derive_seed(seed: int, *salts) -> int:
@@ -197,11 +199,12 @@ def simulate_increments(
     replicate: int = 0,
     cache: MomentCache | None = None,
 ) -> IncrementSample:
-    """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i, with moments from
-    ``cache`` if given, which must hold this model on this grid (DomainError otherwise)."""
+    """Draw one increment vector: y_i = mean_i + sqrt(var_i) * z_i, with the means and
+    variances (no gradient) from ``cache`` if given, which must hold this model on this
+    grid (DomainError otherwise)."""
     seed, replicate = _check_seed(seed, "seed"), _check_seed(replicate, "replicate")
-    m = _bind(model, grid, cache).moments(theta)
-    y = _draw(seed, replicate, replicate + 1, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))[0]
+    mean, var = _bind(model, grid, cache).mean_var(theta)
+    y = _draw(seed, replicate, replicate + 1, mean.size, mean, lambda cols: np.sqrt(var[cols]))[0]
     return IncrementSample(y, seed, replicate, grid.digest(), theta)
 
 
@@ -217,13 +220,14 @@ def simulate_batch(
 
     Row r equals ``simulate_increments(..., replicate=r).y`` exactly.
     ``seed`` and ``replicates`` follow the seed rule, and replicates >= 1.
-    ``cache``, if given, must hold this model on this grid (DomainError otherwise).
+    It reads the means and variances alone, no gradient, from ``cache`` if
+    given, which must hold this model on this grid (DomainError otherwise).
     """
     seed, replicates = _check_seed(seed, "seed"), _check_seed(replicates, "replicates")
     if replicates < 1:
         raise DomainError(f"replicates must be >= 1, got {replicates}")
-    m = _bind(model, grid, cache).moments(theta)
-    return _draw(seed, 0, replicates, m.n, m.mean, lambda cols: np.sqrt(m.var[cols]))
+    mean, var = _bind(model, grid, cache).mean_var(theta)
+    return _draw(seed, 0, replicates, mean.size, mean, lambda cols: np.sqrt(var[cols]))
 
 
 # ---------------------------------------------------------------------------

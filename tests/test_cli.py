@@ -514,8 +514,9 @@ def test_grid_and_fisher_reject_seed_flag(tmp_path, capsys):
         assert "--seed" in capsys.readouterr().err
 
 
-def _scipy_loaded(code):
-    """Run code in a fresh interpreter; whether scipy.stats, scipy.optimize and any scipy got loaded."""
+def _scipy_loaded(code, others=()):
+    """Run code in a fresh interpreter; whether scipy.stats, scipy.optimize, any scipy and
+    each module named in ``others`` got loaded."""
     src = str(Path(signoise.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
@@ -525,7 +526,8 @@ def _scipy_loaded(code):
             "-c",
             f"import sys; {code}; "
             "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules, "
-            "any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+            "any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+            f"*(m in sys.modules for m in {tuple(others)!r}))",
         ],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
         timeout=120,
@@ -536,9 +538,11 @@ def _scipy_loaded(code):
 def test_package_import_leaves_scipy_stats_unloaded():
     # importing the package or its CLI loads no scipy module at all: a draw
     # and a study's KS checks load scipy.special, and nothing in the package
-    # loads scipy.stats or scipy.optimize
-    assert _scipy_loaded("import signoise") == "False False False"
-    assert _scipy_loaded("import signoise.cli") == "False False False"
+    # loads scipy.stats or scipy.optimize; nor the process pool's modules,
+    # which only a study at more than one worker imports
+    pool = ("concurrent.futures", "multiprocessing")
+    assert _scipy_loaded("import signoise", pool) == "False False False False False"
+    assert _scipy_loaded("import signoise.cli", pool) == "False False False False False"
 
 
 def test_numeric_mle_leaves_scipy_stats_and_optimize_unloaded():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -289,12 +290,13 @@ def test_reports_are_bit_identical_across_runs_and_workers(kind):
 def test_one_process_pool_per_study(monkeypatch):
     pools = []
 
-    class CountingPool(experiments.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    # run_study imports the pool class when it needs one, so it is counted at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cfg = study_from_dict(_study(kind="risk", n_values=[100, 200], replicates=100))
     report = run_study(cfg, workers=2)
     assert len(pools) == 1  # not one per rung and lattice point

@@ -26,10 +26,15 @@ from signoise import (
     expected_power_identity,
     grid_from_delays,
     grid_from_instants,
+    local_expansion,
     mle_numeric,
+    posterior_mean_quadrature,
+    quantile_grid,
+    simulate_batch,
     simulate_increments,
     uniform_grid,
 )
+from signoise.estimate import _make_batch_loglik
 
 from helpers import (
     curved_model,
@@ -552,6 +557,26 @@ def test_memo_entries_fit_a_byte_budget_and_quadrature_keeps_none(forced, monkey
     assert sum(calls.values()) > before
 
 
+def test_values_entries_share_the_byte_budget_with_full_ones(monkeypatch):
+    n = 8  # per block, a values entry holds n floats, 64 bytes, and a full one 128
+    monkeypatch.setattr(increments, "_MEMO_BYTES", 4 * 128 - 1)
+    model, calls = _counted(curved_model()[0])
+    cache = MomentCache(model, uniform_grid(n, 0.5))
+    points = [Theta((0.1 * k,), (0.2,)) for k in range(8)]  # one variance entry throughout
+    cache.moments(points[0])
+    for theta in points[1:6]:  # 128 + 5 * 64 = 448 bytes of drift entries
+        cache.mean_var(theta)
+    calls.clear()
+    cache.mean_var(points[0])
+    cache.moments(points[0])  # kept, and now the most recently used
+    assert calls == {}
+    cache.mean_var(points[6])  # 512 bytes would pass the budget: the oldest, points[1], goes
+    cache.mean_var(points[2])
+    assert calls == {("drift", "integral_fn"): n}
+    cache.mean_var(points[1])
+    assert calls == {("drift", "integral_fn"): 2 * n}
+
+
 def _none_from_1(fn):
     """``fn`` returning None, not a scalar, at times or interval starts from 1 on."""
     return lambda params, x, *rest: None if x >= 1.0 else fn(params, x, *rest)
@@ -601,11 +626,15 @@ def test_shared_cache_gives_the_results_of_fresh_caches():
         assert got == expected_power_identity(model, theta, shift, z, grid)
 
 
+def _without_integrals(model):
+    """``model`` with its general families' antiderivatives dropped: the quadrature route."""
+    bare = {"integral_fn": None, "grad_integral_fn": None}
+    return replace(model, signal=replace(model.signal, **bare), noise=replace(model.noise, **bare))
+
+
 def test_used_caches_pickle_as_fresh_ones():
     curved, curved_space, _ = curved_model()
-    bare = {"integral_fn": None, "grad_integral_fn": None}
-    quad = replace(curved, signal=replace(curved.signal, **bare),
-                   noise=replace(curved.noise, **bare))
+    quad = _without_integrals(curved)
     scaled, scaled_space, _ = trig_scaled_model()
     grid = uniform_grid(40, 0.25)
     rng = np.random.default_rng(23)
@@ -616,12 +645,155 @@ def test_used_caches_pickle_as_fresh_ones():
         cache = MomentCache(model, grid, force_quadrature=forced)
         size = len(pickle.dumps(cache))
         thetas = [sample_interior(space, rng) for _ in range(20)]
-        for theta in thetas:
-            cache.moments(theta)
+        for k, theta in enumerate(thetas):  # full and values-only entries, mixed
+            (cache.moments if k % 2 else cache.mean_var)(theta)
         data = pickle.dumps(cache)
         assert len(data) == size, forced  # the memo's entries are not pickled
         back = pickle.loads(data)
         for theta in thetas:
+            for got, want in zip(back.mean_var(theta), cache.mean_var(theta)):
+                assert np.array_equal(got, want)
             want, got = cache.moments(theta), back.moments(theta)
             for name in ("mean", "var", "grad_mean", "grad_var"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+_VALUE_GRIDS = {
+    "uniform": lambda: uniform_grid(60, 0.25),
+    "quantile": lambda: quantile_grid(lambda u: u**1.5, 60, 15.0),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_VALUE_GRIDS))
+def test_mean_var_equals_moments_bit_for_bit_on_every_route(grid):
+    curved, _, theta = curved_model()
+    routes = [
+        ("closed-known", *trig_known_model()[::2], False),
+        ("closed-scaled", *trig_scaled_model()[::2], False),
+        ("closure", curved, theta, False),
+        ("quadrature", _without_integrals(curved), theta, False),
+        ("forced-closure", curved, theta, True),
+        ("forced-closed", *trig_scaled_model()[::2], True),
+    ]
+    grid = _VALUE_GRIDS[grid]()
+    for name, model, theta, forced in routes:
+        full = MomentCache(model, grid, force_quadrature=forced).moments(theta)
+        values_first = MomentCache(model, grid, force_quadrature=forced)
+        mean, var = values_first.mean_var(theta)  # a fresh cache, values before gradients
+        assert np.array_equal(mean, full.mean) and np.array_equal(var, full.var), name
+        assert not (mean.flags.writeable or var.flags.writeable), name
+        after = values_first.moments(theta)  # then the full moments at the same point
+        for attr in ("mean", "var", "grad_mean", "grad_var"):
+            assert np.array_equal(getattr(after, attr), getattr(full, attr)), (name, attr)
+        assert after.grid is grid and full.grid is grid
+
+
+def _gradient_calls(calls):
+    return {key: v for key, v in calls.items() if key[1] in ("grad_fn", "grad_integral_fn")}
+
+
+def test_values_callers_make_no_gradient_call():
+    model, space, theta = curved_model()
+    model, calls = _counted(model)
+    n = 12
+    grid = uniform_grid(n, 0.5)
+    y = simulate_increments(model, theta, grid, 3, cache=MomentCache(model, grid)).y
+    coords = (np.linspace(0.2, 0.4, 3)[:, None], np.linspace(0.1, 0.3, 2)[None, :])
+    anchor = mle_numeric(model, space, grid, simulate_increments(model, theta, grid, 3))
+    callers = {  # each on a fresh cache, with the alpha and beta values whose values it reads
+        "power identity": (lambda c: expected_power_identity(
+            model, theta, np.array([0.05, -0.05]), 0.5, grid, cache=c), 2, 2),
+        "simulate_increments": (lambda c: simulate_increments(model, theta, grid, 3, cache=c),
+                                1, 1),
+        "simulate_batch": (lambda c: simulate_batch(model, theta, grid, 3, 4, cache=c), 1, 1),
+        "batch log-likelihood": (lambda c: _make_batch_loglik(c, y)(coords), 3, 2),
+    }
+    for name, (run, alphas, betas) in callers.items():
+        calls.clear()
+        run(MomentCache(model, grid))
+        assert calls == {("drift", "integral_fn"): alphas * n,
+                         ("variance", "integral_fn"): betas * n}, name
+
+    sample = simulate_increments(model, theta, grid, 3)
+    calls.clear()  # the point-wise Bayes route, given its anchor, reads values alone
+    posterior_mean_quadrature(model, space, grid, sample, cache=MomentCache(model, grid),
+                              anchor=anchor)
+    assert calls and _gradient_calls(calls) == {}
+
+    calls.clear()  # a local expansion reads gradients at its base point alone
+    directions = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    local_expansion(model, space, theta, directions, 0.1 * np.eye(2), MomentCache(model, grid))
+    assert calls == {  # two distinct alphas and three betas, the base point's among them
+        ("drift", "integral_fn"): 2 * n, ("variance", "integral_fn"): 3 * n,
+        ("drift", "grad_integral_fn"): n, ("variance", "grad_integral_fn"): n,
+    }
+
+
+@pytest.mark.parametrize("case", ["non-finite", "floor", "dims"])
+@pytest.mark.parametrize("route", ["closed", "closure", "quadrature"])
+def test_both_entries_raise_the_same_errors(case, route):
+    def integral(params, a, b):  # NaN on intervals from t = 1 on
+        return params[0] * (b - a) if a < 1.0 else float("nan")
+
+    def value(params, t):
+        return params[0] if t < 1.0 else float("nan")
+
+    gradient = (lambda params, t: np.ones(1), lambda params, a, b: np.array([b - a]))
+    theta = Theta((0.0,), (1.0,))
+    if case == "non-finite":
+        if route == "closed":
+            model = ModelSpec(LinearSignal((_NanFromOne(),)), ScaledNoise(constant_profile(1.0)))
+        else:
+            rates = (value, gradient[0]) + ((integral, gradient[1]) if route == "closure" else ())
+            model = ModelSpec(LinearSignal((ConstantFn(),)), GeneralNoise(1, *rates))
+    else:
+        floor = 0.5 if case == "floor" else 1e-12  # unit variance rates sit below a floor of 0.5
+        if route == "closed":
+            model = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)),
+                              sigma2_floor=floor)
+        else:
+            model = ModelSpec(
+                LinearSignal((ConstantFn(),)),
+                GeneralNoise(1, lambda b, t: b[0], lambda b, t: np.ones(1),
+                             *((lambda b, lo, hi: b[0] * (hi - lo), gradient[1])
+                               if route == "closure" else ())),
+                sigma2_floor=floor,
+            )
+        theta = Theta((0.0,), (0.25,)) if case == "floor" else Theta((0.0, 1.0), (1.0,))
+    grid = uniform_grid(10, 0.5)
+    errors = []
+    for entry in ("moments", "mean_var"):
+        try:
+            cache = MomentCache(model, grid)
+            getattr(cache, entry)(theta)
+        except Exception as exc:
+            errors.append((type(exc), str(exc)))
+    assert len(errors) == 2 and errors[0] == errors[1], errors
+    # quadrature reports a non-finite integral itself
+    want = {"non-finite": (QuadratureError if route == "quadrature" else EvaluationError,
+                           "non-finite"),
+            "floor": (NoiseFloorViolation, "floor"), "dims": (EvaluationError, "theta dims")}[case]
+    assert errors[0][0] is want[0] and want[1] in errors[0][1], errors
+
+
+def test_values_and_full_requests_share_one_memo_entry():
+    model, calls = _counted(curved_model()[0])
+    n = 8
+    cache = MomentCache(model, uniform_grid(n, 0.5))
+    theta = Theta((0.3,), (0.2,))
+    full = cache.moments(theta)
+    calls.clear()
+    mean, var = cache.mean_var(theta)  # values after a full request: no call
+    assert calls == {} and mean is full.mean and var is full.var
+
+    other = Theta((0.4,), (0.1,))
+    mean, var = cache.mean_var(other)
+    assert calls == {(b, "integral_fn"): n for b in ("drift", "variance")}
+    calls.clear()
+    m = cache.moments(other)  # full after values: the gradient callable alone, once per interval
+    assert calls == {(b, "grad_integral_fn"): n for b in ("drift", "variance")}
+    assert m.mean is mean and m.var is var
+    calls.clear()
+    cache.moments(other)
+    cache.mean_var(other)
+    assert calls == {}

@@ -8,6 +8,7 @@ from signoise import (
     ConstantFn,
     CosineFn,
     DomainError,
+    IncrementMoments,
     InformationBundle,
     KnownNoise,
     LinearSignal,
@@ -273,3 +274,22 @@ def test_bundle_json_round_trip(tmp_path):
     assert payload["total_time"] == b.total_time
     assert payload["n"] == b.n
     assert payload["source"] == b.source
+
+
+def test_empirical_fisher_refuses_moments_of_another_grid():
+    model, _, theta = trig_scaled_model()
+    m = MomentCache(model, uniform_grid(400, 0.1)).moments(theta)
+    assert m.grid is not None and m.grid.n == 400
+    # the same length, so only the grid tells: this used to give the diagonal (0.4, 0.194, 0.5)
+    with pytest.raises(DomainError, match="^the moments hold another grid of 400 intervals$"):
+        empirical_fisher(m, uniform_grid(400, 0.25))
+    same = empirical_fisher(m, uniform_grid(400, 0.1))  # another object of the same digest
+    assert np.array_equal(same.joint, empirical_fisher(m, m.grid).joint)
+
+    # moments built by hand carry no grid and keep the length check alone
+    hand = IncrementMoments(m.mean, m.var, m.grad_mean, m.grad_var)
+    assert hand.grid is None
+    assert np.array_equal(empirical_fisher(hand, m.grid).joint, same.joint)
+    empirical_fisher(hand, uniform_grid(400, 0.25))
+    with pytest.raises(DomainError, match="moments have n=400, grid has n=399"):
+        empirical_fisher(hand, uniform_grid(399, 0.1))
