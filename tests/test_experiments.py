@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from signoise import (
     ConfigError,
     DomainError,
+    MomentCache,
     OutOfSpaceError,
     SingularDesignError,
     StudyConfig,
@@ -19,6 +21,7 @@ from signoise import (
     run_study,
     save_report,
     study_from_dict,
+    uniform_grid,
 )
 
 from helpers import MEAN_CONFIG, TRIG_SCALED_CONFIG
@@ -443,3 +446,16 @@ def test_report_json_round_trips():
     assert payload["kind"] == "normality"
     assert payload["config_digest"] == report.config_digest
     assert len(payload["rows"]) == len(report.rows)
+
+
+def test_chunk_blocks_concatenate_in_c_order():
+    # a scaled-noise fit hands back a Fortran-ordered block, and the study's reductions sum
+    # in memory order: the concatenated estimates are C-ordered, or report bytes would move
+    cfg = study_from_dict(_study(model=TRIG_SCALED_CONFIG, space=SCALED_SPACE,
+                                 theta=SCALED_THETA, n_values=[100], replicates=130))
+    ctx = experiments._Context(MomentCache(cfg._model, uniform_grid(100, 0.25)), cfg._theta)
+    task = partial(experiments._estimate_chunk, cfg)
+    results, failures = experiments._replicates(map, task, ctx, 5, 130)
+    rows = [task(ctx, 5, lo, min(lo + 3, 130))[0] for lo in range(0, 130, 3)]  # chunks of 3
+    assert not rows[0].flags.c_contiguous and results.flags.c_contiguous and not failures
+    assert np.array_equal(results, np.concatenate(rows))

@@ -729,51 +729,42 @@ def test_values_callers_make_no_gradient_call():
     }
 
 
-@pytest.mark.parametrize("case", ["non-finite", "floor", "dims"])
-@pytest.mark.parametrize("route", ["closed", "closure", "quadrature"])
-def test_both_entries_raise_the_same_errors(case, route):
-    def integral(params, a, b):  # NaN on intervals from t = 1 on
-        return params[0] * (b - a) if a < 1.0 else float("nan")
+def _scale_noise_model(route, floor, nan_from_1=False):
+    """A constant drift and the variance rate b[0], NaN from t = 1 on if ``nan_from_1``, on
+    ``route``: the closed scaled route, exact integrals (closure) or quadrature."""
+    if route == "closed":
+        return ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)), floor)
 
-    def value(params, t):
-        return params[0] if t < 1.0 else float("nan")
+    def nan(x):
+        return float("nan") if nan_from_1 and x >= 1.0 else 1.0
 
-    gradient = (lambda params, t: np.ones(1), lambda params, a, b: np.array([b - a]))
-    theta = Theta((0.0,), (1.0,))
-    if case == "non-finite":
-        if route == "closed":
-            model = ModelSpec(LinearSignal((_NanFromOne(),)), ScaledNoise(constant_profile(1.0)))
-        else:
-            rates = (value, gradient[0]) + ((integral, gradient[1]) if route == "closure" else ())
-            model = ModelSpec(LinearSignal((ConstantFn(),)), GeneralNoise(1, *rates))
-    else:
-        floor = 0.5 if case == "floor" else 1e-12  # unit variance rates sit below a floor of 0.5
-        if route == "closed":
-            model = ModelSpec(LinearSignal((ConstantFn(),)), ScaledNoise(constant_profile(1.0)),
-                              sigma2_floor=floor)
-        else:
-            model = ModelSpec(
-                LinearSignal((ConstantFn(),)),
-                GeneralNoise(1, lambda b, t: b[0], lambda b, t: np.ones(1),
-                             *((lambda b, lo, hi: b[0] * (hi - lo), gradient[1])
-                               if route == "closure" else ())),
-                sigma2_floor=floor,
-            )
-        theta = Theta((0.0,), (0.25,)) if case == "floor" else Theta((0.0, 1.0), (1.0,))
-    grid = uniform_grid(10, 0.5)
-    errors = []
-    for entry in ("moments", "mean_var"):
-        try:
-            cache = MomentCache(model, grid)
-            getattr(cache, entry)(theta)
-        except Exception as exc:
-            errors.append((type(exc), str(exc)))
-    assert len(errors) == 2 and errors[0] == errors[1], errors
-    # quadrature reports a non-finite integral itself
-    want = {"non-finite": (QuadratureError if route == "quadrature" else EvaluationError,
-                           "non-finite"),
-            "floor": (NoiseFloorViolation, "floor"), "dims": (EvaluationError, "theta dims")}[case]
-    assert errors[0][0] is want[0] and want[1] in errors[0][1], errors
+    exact = (lambda b, lo, hi: b[0] * (hi - lo) * nan(lo), lambda b, lo, hi: np.array([hi - lo]))
+    noise = GeneralNoise(1, lambda b, t: b[0] * nan(t), lambda b, t: np.ones(1),
+                         *(exact if route == "closure" else ()))
+    return ModelSpec(LinearSignal((ConstantFn(),)), noise, floor)
+
+
+_ROUTES = ("closed", "closure", "quadrature")
+
+
+@pytest.mark.parametrize("route, case, error", [
+    ("closure", "non-finite", EvaluationError),
+    ("quadrature", "non-finite", QuadratureError),  # quadrature reports the integral itself
+    *[(route, "floor", NoiseFloorViolation) for route in _ROUTES],
+    *[(route, "dims", EvaluationError) for route in _ROUTES],
+])
+def test_both_entries_raise_the_same_errors(route, case, error):
+    # a closed route's own arrays are checked, and fail, when the cache is built
+    model = _scale_noise_model(route, 0.5 if case == "floor" else 1e-12, case == "non-finite")
+    theta = {"non-finite": Theta((0.0,), (1.0,)), "floor": Theta((0.0,), (0.25,)),
+             "dims": Theta((0.0, 1.0), (1.0,))}[case]
+    messages = []
+    for entry in (MomentCache.moments, MomentCache.mean_var):
+        with pytest.raises(error) as raised:
+            entry(MomentCache(model, uniform_grid(10, 0.5)), theta)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert ("theta dims" if case == "dims" else "interval") in messages[0]
 
 
 def test_values_and_full_requests_share_one_memo_entry():
