@@ -28,17 +28,18 @@ The cache has two entries: ``moments(theta)`` gives the four arrays,
 stamped with the grid, and ``mean_var(theta)`` the means and variances
 alone, bit for bit the same under the same checks, for callers that read
 no gradient.  Only the closure route saves work there: it calls
-``integral_fn`` alone (a column slice of one array call once general
-families take arrays, ROADMAP item 6).  The closed routes return the same
-arrays either way, and quadrature integrates the rate and its gradients
-together, as its subdivision is chosen on all columns.  The closure route
-runs family code, so its block keeps its last 16 parameter vectors'
-results, within 32 MiB: values alone, or with the gradients, which a full
-request adds to a values entry by calling the gradient callable alone.
-The other routes keep none.  The closed routes return the cache's own
-arrays where the moments equal them (the basis as the drift gradient, the
-profile integrals as a known variance or, as a view, the scale's
-gradient), read-only, so a long record keeps one copy of each.
+``integral_fn`` alone (to become a column slice of one array call when
+general families take arrays, the ROADMAP's array-API item).  The closed
+routes return the same arrays either way, and quadrature integrates the
+rate and its gradients together, as its subdivision is chosen on all
+columns.  The closure route runs family code, so its block keeps its last
+16 parameter vectors' results, within 32 MiB: values alone, or with the
+gradients, which a full request adds to a values entry by calling the
+gradient callable alone.  The other routes keep none.  The closed routes
+return the cache's own arrays where the moments equal them (the basis as
+the drift gradient, the profile integrals as a known variance or, as a
+view, the scale's gradient), read-only, so a long record keeps one copy
+of each.
 Sums over the intervals (here, in ``likelihood`` and in ``information``)
 run through ``_summed`` in stretches of ``_SLAB_WORDS`` = 65,536 intervals,
 which draws scale in too: a call's working memory is one stretch, not n, and
