@@ -34,8 +34,8 @@ routes return the same arrays either way, and quadrature integrates the
 rate and its gradients together, as its subdivision is chosen on all
 columns.  The closure route runs family code, so its block keeps its last
 16 parameter vectors' results, within 32 MiB: values alone, or with the
-gradients, which a full request adds to a values entry by calling the
-gradient callable alone.  The other routes keep none.  The closed routes
+gradients, which a full request after a values one gets by calling both
+callables again.  The other routes keep none.  The closed routes
 return the cache's own arrays where the moments equal them (the basis as
 the drift gradient, the profile integrals as a known variance or, as a
 view, the scale's gradient), read-only, so a long record keeps one copy
@@ -437,9 +437,9 @@ def _floor_clear(floor: np.ndarray, g: np.ndarray) -> float:
 class _Memo:
     """The closure route: a family's exact ``integrals`` over the grid's intervals, split
     into values (n,) and gradients (n, k), keeping the results of its last ``_MEMO_SIZE``
-    parameter vectors within ``_MEMO_BYTES``.  An entry holds the values alone until a
-    full request at its parameters adds the gradients, computed alone; a values request
-    reads either kind.  A raise keeps nothing, and a pickle holds no entries."""
+    parameter vectors within ``_MEMO_BYTES``.  A values request reads either kind of
+    entry; a full one replaces a values entry, calling both callables.  A raise keeps
+    nothing, and a pickle holds no entries."""
 
     def __init__(self, integrals, starts, ends):
         self.integrals, self.starts, self.ends = integrals, starts, ends
@@ -448,13 +448,10 @@ class _Memo:
     def __call__(self, params: np.ndarray, full: bool) -> tuple:
         key = np.asarray(params, dtype=float).tobytes()
         entry = self._entries.get(key)
-        if entry is None:  # the callables get a fresh copy of the parameter vector
+        if entry is None or (full and entry[1] is None):  # a values entry is redone in full
+            # the callables get a fresh copy of the parameter vector
             out = self.integrals(np.frombuffer(key).copy(), self.starts, self.ends, gradient=full)
             entry = out[:, 0], out[:, 1:] if full else None
-        elif full and entry[1] is None:
-            entry = entry[0], self.integrals(
-                np.frombuffer(key).copy(), self.starts, self.ends, value=False
-            )
         self._entries[key] = entry
         self._entries.move_to_end(key)
         size = sum(a.nbytes for e in self._entries.values() for a in e if a is not None)

@@ -266,7 +266,7 @@ class _General:
     @property
     def integrals(self):
         """``(params, starts, ends) -> (n, 1 + k)`` exact interval integrals, or None;
-        ``gradient=False`` gives the values alone (n, 1), ``value=False`` the gradients (n, k)."""
+        ``gradient=False`` gives the values alone, (n, 1)."""
         if self.integral_fn is None or self.grad_integral_fn is None:
             return None
         where = "interval {0} on [{1!r}, {2!r}]"
@@ -368,15 +368,14 @@ class GeneralNoise(_General):
 
 
 def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points,
-          value: bool = True, gradient: bool = True) -> np.ndarray:
+          gradient: bool = True) -> np.ndarray:
     """User callables at each entry of ``points`` (times, or interval ends), as (m, 1 + k).
 
     ``value_fn(params, *x)`` runs at every point x (numpy scalars), then
     ``grad_fn`` does, so neither may return a buffer it later overwrites.
-    ``value=False`` or ``gradient=False`` leaves that callable uncalled and
-    its columns out: (m, k) gradients alone, or (m, 1) values alone.  A
-    value may be a real scalar, a 0-d array or a numeric string; a gradient,
-    anything of k entries numpy makes floats.  Each list is stacked in one
+    ``gradient=False`` leaves ``grad_fn`` uncalled and gives the values
+    alone, (m, 1).  A value may be a real scalar, a 0-d array or a numeric
+    string; a gradient, anything of k entries numpy makes floats.  Each list is stacked in one
     conversion; only if that fails, or gives no real (m,) values or not k
     gradient entries a row, are the rows checked one by one.  That check
     raises EvaluationError naming ``where``, formatted with the row index
@@ -385,8 +384,8 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points,
     """
     columns = [list(x) for x in points]
     m = len(columns[0])
-    # an uncalled callable's placeholders pass every check: 0.0, and gradients of size k = 0
-    values = list(map(value_fn, repeat(params, m), *columns)) if value else [0.0] * m
+    values = list(map(value_fn, repeat(params, m), *columns))
+    # with no gradient, each row's placeholder () passes the size check of k = 0
     grads = list(map(grad_fn, repeat(params, m), *columns)) if gradient else [()] * m
     k *= gradient
     out = np.empty((m, 1 + k))
@@ -397,7 +396,7 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points,
     else:
         if value_col.shape == (m,) and value_col.dtype.kind in "biuf" and grad_cols.size == m * k:
             out[:, 0], out[:, 1:] = value_col, grad_cols.reshape(m, k)
-            return out if value else out[:, 1:].copy()
+            return out
 
     def at(i: int) -> str:
         return where.format(i, *(float(x[i]) for x in points))
@@ -411,7 +410,7 @@ def _rows(value_fn, grad_fn, k: int, what: str, where: str, params, *points,
         if grad.size != k:
             raise EvaluationError(f"{what} gradient has size {grad.size}, expected {k}: {at(i)}")
         out[i, 1:] = grad
-    return out if value else out[:, 1:].copy()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,7 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
-    if np.shape(sd) != mean.shape:
-        sd = np.broadcast_to(sd, mean.size)
-    return _draw(seed, lo, hi, mean.size, mean, sd.__getitem__)
+    return _draw(seed, lo, hi, mean.size, mean, np.broadcast_to(sd, mean.size).__getitem__)
 
 
 def derive_seed(seed: int, *salts) -> int:

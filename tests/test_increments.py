@@ -343,6 +343,7 @@ def _x(i):
     (1, _x, lambda i: 0.5 * i, None),
     (2, _x, lambda i: np.array([[0.5 * i, -i]]), None),
     (1, _x, lambda i: [0.5 * i] if i % 2 else 0.5 * i, None),
+    (1, lambda i: 0.0 if i == 3 else _x(i), lambda i: [0.5 * i] if i % 2 else 0.5 * i, None),
     # rejected from row 2 on, named at row 2
     (1, lambda i: _x(i) if i < 2 else None, lambda i: [0.5 * i], "value is not a scalar"),
     (1, lambda i: _x(i) if i < 2 else _x(i) + 1j, lambda i: [0.5 * i], "value is not a scalar"),
@@ -352,7 +353,7 @@ def _x(i):
      "value is not a scalar"),
     (1, _x, lambda i: np.zeros(1 if i < 2 else i), "gradient has size 2, expected 1"),
 ], ids=["float64", "0-d array", "bool", "str", "str and float", "grad list", "grad float",
-        "grad (1, k)", "grad list and float", "None", "complex", "1-element array",
+        "grad (1, k)", "grad list and float", "last value 0 row by row", "None", "complex", "1-element array",
         "2-element array", "grad sizes"])
 def test_stacked_rows_accept_and_reject_what_the_row_check_does(route, k, value, grad, error):
     if error is None:
@@ -776,9 +777,11 @@ def test_values_and_full_requests_share_one_memo_entry():
     mean, var = cache.mean_var(other)
     assert calls == {(b, "integral_fn"): n for b in ("drift", "variance")}
     calls.clear()
-    m = cache.moments(other)  # full after values: the gradient callable alone, once per interval
-    assert calls == {(b, "grad_integral_fn"): n for b in ("drift", "variance")}
-    assert m.mean is mean and m.var is var
+    m = cache.moments(other)  # full after values: both callables again, once per interval
+    assert calls == {(b, f): n for b in ("drift", "variance")
+                     for f in ("integral_fn", "grad_integral_fn")}
+    np.testing.assert_array_equal(m.mean, mean)
+    np.testing.assert_array_equal(m.var, var)
     calls.clear()
     cache.moments(other)
     cache.mean_var(other)
