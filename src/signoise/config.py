@@ -334,8 +334,10 @@ def build_prior(cfg: dict, d: int) -> Prior:
         return Prior()
     center = tuple(_number_list(cfg, "center", "gaussian prior"))
     scale = tuple(_number_list(cfg, "scale", "gaussian prior"))
+    if not center:  # Prior() without a centre is the flat one
+        raise ConfigError("gaussian prior needs matching center and scale", key="prior")
     with _naming("prior"):
-        prior = Prior(kind="gaussian", center=center, scale=scale)
+        prior = Prior(center, scale)
         prior.check_dimension(d)
     return prior
 
@@ -349,8 +351,8 @@ def _empirical_information(model, theta, grid, cache=None):
     return empirical_fisher(_bind(model, grid, cache).moments(theta), grid)
 
 
-def _limit_information(period, regime, offsets, model, theta, grid, cache=None):
-    return periodic_limit_fisher(model, theta, period, regime, offsets, grid)
+def _limit_information(period, offsets, model, theta, grid, cache=None):
+    return periodic_limit_fisher(model, theta, period, offsets, grid)
 
 
 def read_information(cfg: dict, where: str, keys=("source", "period", "regime")):
@@ -362,7 +364,7 @@ def read_information(cfg: dict, where: str, keys=("source", "period", "regime"))
     reads neither period nor regime; a ``cache`` it is given must hold this
     model on this grid (DomainError otherwise).  ``limit`` takes a positive period
     and a regime, ``vanishing_step`` (the default) or ``pattern``, which
-    takes its offsets from cfg's pattern grid.
+    takes its offsets from cfg's pattern grid; only offsets reach the limit.
     """
     source_key, period_key, regime_key = keys
     source = cfg.get(source_key, "empirical")
@@ -393,4 +395,4 @@ def read_information(cfg: dict, where: str, keys=("source", "period", "regime"))
         raise ConfigError(
             f"unknown regime {regime!r} (only 'vanishing_step' or 'pattern')", key=regime_key
         )
-    return partial(_limit_information, period, regime, offsets)
+    return partial(_limit_information, period, offsets)

@@ -17,7 +17,8 @@ tensor-product Gauss-Legendre cubature anchored at the MLE (the primary
 route, dimension-guarded), and self-normalized importance sampling from a
 Gaussian proposal (the cross-check, with a standard error).  The two
 routes share one set-up (prior, anchor, its per-axis scale and the batch
-log-likelihood) but no quadrature machinery, on purpose.
+log-likelihood) but no quadrature machinery, on purpose.  A ``Prior`` is
+flat when it has no centre and an independent Gaussian when it has one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .information import empirical_fisher
 from .likelihood import _log_likelihood, log_likelihood, score
 from .quadrature import tensor_rule
 from .model import ModelSpec, ParameterSpace, Theta
-from .sampling import TimeGrid
+from .sampling import TimeGrid, _is_integer
 from .simulate import IncrementSample, derive_seed, normal_stream
 
 __all__ = [
@@ -294,35 +295,31 @@ def closed_form_mle(
 
 @dataclass(frozen=True)
 class Prior:
-    """Declarative prior densities on the parameter vector.
+    """Declarative prior densities on the parameter vector; the centre picks the form.
 
-    ``uniform`` is flat over the box.  ``gaussian`` is an independent
-    product with the given per-axis centers and scales (unnormalized; the
-    normalizer cancels from every posterior ratio).
+    Without a centre it is flat over the box.  With one it is an
+    independent Gaussian product with the given per-axis centers and scales
+    (unnormalized; the normalizer cancels from every posterior ratio).
     """
 
-    kind: str = "uniform"
     center: tuple[float, ...] = ()
     scale: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian"):
-            raise DomainError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if len(self.center) != len(self.scale) or not self.center:
-                raise DomainError("gaussian prior needs matching center and scale")
-            for axis, (c, s) in enumerate(zip(self.center, self.scale)):
-                if not (math.isfinite(c) and math.isfinite(s)):
-                    raise DomainError(
-                        f"gaussian prior center and scale must be finite: axis {axis} has "
-                        f"center {c!r} and scale {s!r}"
-                    )
-            if any(s <= 0.0 for s in self.scale):
-                raise DomainError("gaussian prior scales must be positive")
+        if len(self.center) != len(self.scale):
+            raise DomainError("gaussian prior needs matching center and scale")
+        for axis, (c, s) in enumerate(zip(self.center, self.scale)):
+            if not (math.isfinite(c) and math.isfinite(s)):
+                raise DomainError(
+                    f"gaussian prior center and scale must be finite: axis {axis} has "
+                    f"center {c!r} and scale {s!r}"
+                )
+        if any(s <= 0.0 for s in self.scale):
+            raise DomainError("gaussian prior scales must be positive")
 
     def check_dimension(self, d: int) -> None:
         """Raise DomainError unless the prior fits a d-dimensional parameter."""
-        if self.kind == "gaussian" and len(self.center) != d:
+        if self.center and len(self.center) != d:
             raise DomainError(
                 f"gaussian prior has length {len(self.center)}, but the parameter "
                 f"vector has d = {d}"
@@ -332,9 +329,9 @@ class Prior:
         """Unnormalized log density at the points of d coordinate arrays, one per axis.
 
         The arrays broadcast together and the result has their broadcast
-        shape; a uniform prior returns the scalar 0.0.
+        shape; a flat prior returns the scalar 0.0.
         """
-        if self.kind == "uniform":
+        if not self.center:
             return 0.0
         return sum(-0.5 * ((x - c) / s) ** 2 for x, c, s in zip(coords, self.center, self.scale))
 
@@ -556,7 +553,7 @@ def posterior_mean_importance(
     makes this route a quantitative cross-check of the cubature route.
     ``sample`` and ``cache`` are refused as by the MLEs.
     """
-    if not isinstance(draws, (int, np.integer)) or draws < 2:
+    if not _is_integer(draws) or draws < 2:
         raise DomainError(f"draws must be an integer >= 2, got {draws!r}")
     prior, est, base_scale, batch_ll = _bayes_setup(
         model, space, grid, sample, prior, anchor, cache

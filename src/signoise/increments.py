@@ -131,9 +131,10 @@ class IncrementMoments:
 
     def __post_init__(self):
         n = self.mean.shape[0]
-        if self.var.shape != (n,) or self.grad_mean.shape[0] != n or self.grad_var.shape[0] != n:
-            raise EvaluationError("inconsistent moment array shapes")
-        for arr in (self.mean, self.var, self.grad_mean, self.grad_var):
+        for name, ndim in (("mean", 1), ("var", 1), ("grad_mean", 2), ("grad_var", 2)):
+            arr = getattr(self, name)
+            if arr.ndim != ndim or arr.shape[0] != n:
+                raise EvaluationError(f"{name} must be {ndim}-d with {n} rows, got {arr.shape}")
             arr.flags.writeable = False
 
     @property
@@ -385,6 +386,10 @@ class MomentCache:
         var, grad_var = self._variance(theta.beta, full)
         if not full:
             grad_mean = grad_var = None
+        for what, grad, k in (("drift", grad_mean, "p"), ("variance", grad_var, "q")):
+            if full and grad.shape != (self.grid.n, getattr(self.model, k)):
+                raise EvaluationError(f"{what} gradient has shape {grad.shape}, expected "
+                                      f"({self.grid.n}, {k} = {getattr(self.model, k)})")
         self._check_finite("drift moment", mean, grad_mean)
         self._check_finite("variance moment", var, grad_var)
         if not self.clears_floor(theta.beta):

@@ -8,11 +8,11 @@ the local rescaling matrix is block diagonal with distinct factors.
 scaling) and the design sizes: T for each drift coordinate, n for each
 variance coordinate.
 
-For periodic models two limit regimes have closed expressions: vanishing
-step size (integrals over one period) and a repeating offset pattern
-(finite sums over one cycle).  Both are provided for cross-checking the
-empirical sums, which run in stretches (``increments._summed``): whole-array
-bits up to 65,536 intervals.
+For periodic models two limit regimes have closed expressions, and the
+inputs pick one: vanishing step size (integrals over one period) without
+offsets, a repeating offset pattern (finite sums over one cycle) with them.
+Both cross-check the empirical sums, which run in stretches
+(``increments._summed``): whole-array bits up to 65,536 intervals.
 """
 
 from __future__ import annotations
@@ -182,19 +182,18 @@ def periodic_limit_fisher(
     model: ModelSpec,
     theta: Theta,
     period: float,
-    regime: str = "vanishing_step",
     offsets=None,
     grid: TimeGrid | None = None,
 ) -> InformationBundle:
-    """Long-run information for periodic models in either limit regime.
+    """Long-run information for periodic models; ``offsets`` pick the regime.
 
-    ``vanishing_step``: both blocks as integrals over one period,
+    Without offsets the step vanishes, and both blocks are integrals over one period:
 
         drift block:    (1/P) int_0^P grad_f grad_f^T / sigma2 dt
         variance block: (1/2P) int_0^P grad_ln_sigma2 grad_ln_sigma2^T dt
 
-    ``pattern``: exact finite sums over a single cycle of ``offsets``,
-    which requires the within-period offset pattern of the design.
+    With the design's within-period ``offsets`` the delays repeat that
+    pattern, and both blocks are exact finite sums over a single cycle.
 
     The drift and variance functions are probed for period-P periodicity
     before anything is computed; non-periodic models are rejected.
@@ -203,7 +202,13 @@ def periodic_limit_fisher(
         raise DomainError(f"period must be positive, got {period!r}")
     _check_periodicity(model, theta, period)
 
-    if regime == "vanishing_step":
+    if offsets is not None:
+        # one cycle is a grid with total time P and nu intervals, so its
+        # empirical sums are the pattern limit
+        cycle = periodic_pattern_grid(offsets, period, 1)
+        sums = empirical_fisher(MomentCache(model, cycle).moments(theta), cycle)
+        bundle = InformationBundle(sums.drift_info, sums.var_info, None, None, "limit:pattern")
+    else:
         p, q = model.p, model.q
 
         def drift_kernel(ts):
@@ -217,16 +222,6 @@ def periodic_limit_fisher(
         drift = _period_mean(drift_kernel, period).reshape(p, p) if p else np.zeros((0, 0))
         var = 0.5 * _period_mean(var_kernel, period).reshape(q, q) if q else np.zeros((0, 0))
         bundle = InformationBundle(drift, var, None, None, "limit:vanishing_step")
-    elif regime == "pattern":
-        if offsets is None:
-            raise DomainError("the pattern regime requires the within-period offsets")
-        # one cycle is a grid with total time P and nu intervals, so its
-        # empirical sums are the pattern limit
-        cycle = periodic_pattern_grid(offsets, period, 1)
-        sums = empirical_fisher(MomentCache(model, cycle).moments(theta), cycle)
-        bundle = InformationBundle(sums.drift_info, sums.var_info, None, None, "limit:pattern")
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
 
     if grid is not None:
         bundle = replace(bundle, total_time=grid.total_time, n=grid.n)

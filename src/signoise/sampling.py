@@ -31,6 +31,20 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule, of grid sizes and seeds: numpy integers count, bools do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_size(value, name: str) -> int:
+    """``value`` as an int; GridError naming ``name`` unless it is an integer >= 1."""
+    if not _is_integer(value):
+        raise GridError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise GridError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing observation instants starting at zero.
@@ -102,9 +116,8 @@ class TimeGrid:
 
 
 def uniform_grid(n: int, h: float) -> TimeGrid:
-    """Equidistant grid t_i = i*h with n intervals."""
-    if n < 1:
-        raise GridError(f"n must be >= 1, got {n}")
+    """Equidistant grid t_i = i*h with n intervals, n an integer >= 1."""
+    n = _check_size(n, "n")
     if not (h > 0.0 and np.isfinite(h)):
         raise GridError(f"step must be positive and finite, got {h!r}")
     instants = h * np.arange(n + 1, dtype=float)
@@ -124,8 +137,7 @@ def periodic_pattern_grid(offsets, period: float, cycles: int) -> TimeGrid:
         raise GridError("offsets must be a non-empty 1-d sequence")
     if not (period > 0.0 and np.isfinite(period)):
         raise GridError(f"period must be positive, got {period!r}")
-    if cycles < 1:
-        raise GridError(f"cycles must be >= 1, got {cycles}")
+    cycles = _check_size(cycles, "cycles")
     if off[0] <= 0.0 or np.any(np.diff(off) <= 0.0):
         raise GridError("offsets must be strictly increasing and positive")
     if off[-1] != period:
@@ -146,10 +158,9 @@ def quantile_grid(inverse_cdf, n: int, total_time: float) -> TimeGrid:
 
     Q is called once, on the lattice ``arange(n + 1) / n``, and must return
     an array of its shape (wrap a scalar map in ``np.vectorize``), with
-    Q(0) = 0, Q(1) = 1, strictly increasing on the lattice.
+    Q(0) = 0, Q(1) = 1, strictly increasing on the lattice; n is an integer >= 1.
     """
-    if n < 1:
-        raise GridError(f"n must be >= 1, got {n}")
+    n = _check_size(n, "n")
     if not (total_time > 0.0 and np.isfinite(total_time)):
         raise GridError(f"total_time must be positive, got {total_time!r}")
     u = np.arange(n + 1, dtype=float) / n

@@ -32,7 +32,7 @@ from numpy.random import Generator, Philox
 from .errors import DomainError, GridError
 from .increments import _SLAB_WORDS, MomentCache, _bind, _stretches
 from .model import ModelSpec, Theta
-from .sampling import TimeGrid, grid_from_instants
+from .sampling import TimeGrid, _is_integer, grid_from_instants
 
 __all__ = [
     "IncrementSample",
@@ -51,8 +51,8 @@ _MAX_SEED = 2**64
 def _seed_problem(value) -> str | None:
     """Why ``value`` is not a seed or replicate index, an integer in [0, 2**64); None if it is.
 
-    Numpy integers count as their value, bools not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    Numpy integers count as their value, bools not: ``sampling``'s integer rule."""
+    if not _is_integer(value):
         return f"must be an integer, got {value!r}"
     if not 0 <= int(value) < _MAX_SEED:
         return f"must lie in [0, 2**64), got {value}"
@@ -137,13 +137,18 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit:
     the same stream, drawn by one generator re-keyed per replicate into the
     rows in place, then finished, scaled and shifted in one pass per block
-    and stretch: no buffer is held beyond the block.  ``seed``, ``lo`` and
-    ``hi`` follow the seed rule, and lo <= hi.
+    and stretch: no buffer is held beyond the block.  ``mean`` is 1-d and
+    ``sd`` broadcasts to it; ``seed``, ``lo`` and ``hi`` follow the seed
+    rule, and lo <= hi.
     """
     seed = _check_seed(seed, "seed")
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")
     if hi < lo:
         raise DomainError(f"hi must be >= lo = {lo}, got {hi}")
+    if np.ndim(mean) != 1:
+        raise DomainError(f"mean must be 1-d, got shape {np.shape(mean)}")
+    if np.shape(sd) not in ((), (1,), mean.shape):
+        raise DomainError(f"sd of shape {np.shape(sd)} does not broadcast to mean's {mean.shape}")
     return _draw(seed, lo, hi, mean.size, mean, np.broadcast_to(sd, mean.size).__getitem__)
 
 

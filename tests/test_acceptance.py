@@ -255,7 +255,7 @@ def test_07_information_converges_to_its_limit():
     # finish within 1%.  On a cyclic design the one-cycle limit is exact.
     model, _space, theta = trig_scaled_model()
     period = 1.0
-    limit = periodic_limit_fisher(model, theta, period, regime="vanishing_step")
+    limit = periodic_limit_fisher(model, theta, period)
     ref = float(np.abs(limit.joint).max())
     errs = []
     for k in (3, 5, 7, 9):
@@ -267,9 +267,7 @@ def test_07_information_converges_to_its_limit():
     assert errs[-1] < 0.01, f"final relative error {errs[-1]:.4f}"
 
     pat = periodic_pattern_grid((0.25, 1.0), period, 800)
-    pat_limit = periodic_limit_fisher(
-        model, theta, period, regime="pattern", offsets=(0.25, 1.0)
-    )
+    pat_limit = periodic_limit_fisher(model, theta, period, offsets=(0.25, 1.0))
     pat_emp = empirical_fisher(MomentCache(model, pat).moments(theta), pat)
     pat_gap = float(np.abs(pat_emp.joint - pat_limit.joint).max())
     assert pat_gap < 1e-12, f"pattern gap {pat_gap:.2e}"

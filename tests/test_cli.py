@@ -140,6 +140,10 @@ FIVE_DIM_CONFIG = {
             "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [0.0], "scale": [-1.0]},
             "gaussian prior scales must be positive", "prior",
         ),
+        (  # Prior() without a centre is flat, so the reader refuses an empty gaussian
+            "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [], "scale": []},
+            "gaussian prior needs matching center and scale", "prior",
+        ),
         (  # written as the JSON literal NaN, which the number reader accepts
             "bayes", MEAN_CONFIG, [1.0],
             {"kind": "gaussian", "center": [0.0], "scale": [float("nan")]},
@@ -158,7 +162,8 @@ FIVE_DIM_CONFIG = {
         ),
     ],
     ids=[
-        "unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-nan",
+        "unknown-name", "dimension-guard", "prior-length", "prior-scale", "prior-gaussian-empty",
+        "prior-nan",
         "prior-unread", "prior-empty", "uniform-prior-center", "uniform-prior-scale",
     ],
 )

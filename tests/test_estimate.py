@@ -498,18 +498,16 @@ def test_gaussian_prior_pulls_toward_its_center():
     sample = simulate_increments(model, Theta((1.5,), ()), grid, seed=64)
     flat = posterior_mean_quadrature(model, space, grid, sample)
     pulled = posterior_mean_quadrature(
-        model, space, grid, sample, prior=Prior("gaussian", (0.2,), (0.3,))
+        model, space, grid, sample, prior=Prior((0.2,), (0.3,))
     )
     assert pulled.theta.alpha[0] < flat.theta.alpha[0]
 
 
 def test_prior_validation():
     with pytest.raises(DomainError):
-        Prior("jeffreys")
+        Prior((0.0,), ())
     with pytest.raises(DomainError):
-        Prior("gaussian", (0.0,), ())
-    with pytest.raises(DomainError):
-        Prior("gaussian", (0.0,), (-1.0,))
+        Prior((0.0,), (-1.0,))
 
 
 @pytest.mark.parametrize(
@@ -519,7 +517,7 @@ def test_prior_validation():
 def test_gaussian_prior_rejects_non_finite_values(center, scale, axis):
     # a NaN scale passes the positivity test; the posterior would then be NaN everywhere
     with pytest.raises(DomainError, match=f"must be finite: axis {axis} "):
-        Prior("gaussian", center, scale)
+        Prior(center, scale)
 
 
 def test_importance_sampling_is_deterministic():
@@ -765,7 +763,7 @@ def test_gaussian_prior_length_must_match_dimension(length):
     model, space, theta = trig_scaled_model()
     grid = uniform_grid(50, 0.25)
     sample = simulate_increments(model, theta, grid, seed=4)
-    prior = Prior("gaussian", (0.0,) * length, (1.0,) * length)
+    prior = Prior((0.0,) * length, (1.0,) * length)
     message = f"gaussian prior has length {length}, but the parameter vector has d = 3"
     for route in (posterior_mean_quadrature, posterior_mean_importance):
         with pytest.raises(DomainError, match=message):
@@ -928,7 +926,7 @@ def test_importance_is_bit_identical_to_its_row_formulas():
         # a proposal with a quarter of the box's width per axis puts draws outside it
         for stderr in (fit.stderr, space.widths / 6.0):
             anchor = EstimateResult(fit.theta, fit.log_lik, True, 0, "mle-closed", stderr=stderr)
-            for prior in (Prior(), Prior("gaussian", tuple(theta.vector), (1.0,) * space.d)):
+            for prior in (Prior(), Prior(tuple(theta.vector), (1.0,) * space.d)):
                 got = posterior_mean_importance(
                     model, space, grid, sample, prior=prior, draws=3000, seed=2, anchor=anchor,
                     cache=cache,

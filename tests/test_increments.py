@@ -1,6 +1,6 @@
 import pickle
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -13,6 +13,7 @@ from signoise import (
     EvaluationError,
     GeneralNoise,
     GeneralSignal,
+    IncrementMoments,
     KnownNoise,
     LinearSignal,
     ModelSpec,
@@ -786,3 +787,36 @@ def test_values_and_full_requests_share_one_memo_entry():
     cache.moments(other)
     cache.mean_var(other)
     assert calls == {}
+
+
+@dataclass(frozen=True)
+class _OneGradientColumn(GeneralSignal):
+    """A p = 2 drift whose exact integrals hand back one gradient column, not two."""
+
+    @property
+    def integrals(self):
+        def integrals(params, starts, ends, gradient=True):
+            out = np.column_stack([params[0] * (ends - starts), ends - starts])
+            return out if gradient else out[:, :1]
+
+        return integrals
+
+
+def test_moments_refuse_gradient_blocks_of_the_wrong_width():
+    signal = _OneGradientColumn(2, lambda a, t: a[0], lambda a, t: np.array([1.0, 0.0]))
+    model = ModelSpec(signal, KnownNoise(constant_profile(1.0)))
+    cache = MomentCache(model, uniform_grid(5, 0.5))
+    theta = Theta((1.0, 0.0), ())
+    message = r"drift gradient has shape \(5, 1\), expected \(5, p = 2\)"
+    with pytest.raises(EvaluationError, match=message):
+        cache.moments(theta)
+    np.testing.assert_array_equal(cache.mean_var(theta)[0], np.full(5, 0.5))  # no gradient read
+
+
+@pytest.mark.parametrize("block", ["grad_mean", "grad_var"])
+def test_hand_built_moments_need_two_dimensional_gradients(block):
+    arrays = {"mean": np.zeros(5), "var": np.ones(5),
+              "grad_mean": np.ones((5, 1)), "grad_var": np.zeros((5, 0))}
+    for bad in (np.ones(5), np.ones((4, 1))):
+        with pytest.raises(EvaluationError, match=rf"^{block} must be 2-d with 5 rows, got "):
+            IncrementMoments(**(arrays | {block: bad}))

@@ -78,9 +78,7 @@ def test_limit_blocks_closed_forms():
 
 def test_pattern_limit_constant_drift():
     model, _, _ = mean_model()
-    b = periodic_limit_fisher(
-        model, Theta((1.0,), ()), period=1.0, regime="pattern", offsets=[0.5, 1.0]
-    )
+    b = periodic_limit_fisher(model, Theta((1.0,), ()), period=1.0, offsets=[0.5, 1.0])
     assert b.drift_info[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -89,9 +87,7 @@ def test_pattern_limit_equals_empirical_sums_exactly():
     offsets = [0.25, 1.0]
     grid = periodic_pattern_grid(offsets, 1.0, 40)
     emp = empirical_fisher(MomentCache(model, grid).moments(theta), grid)
-    lim = periodic_limit_fisher(
-        model, theta, period=1.0, regime="pattern", offsets=offsets
-    )
+    lim = periodic_limit_fisher(model, theta, period=1.0, offsets=offsets)
     assert np.all(np.abs(emp.drift_info - lim.drift_info) < 1e-12)
     assert np.all(np.abs(emp.var_info - lim.var_info) < 1e-12)
 
@@ -197,8 +193,7 @@ def _bundles_of_each_layout():
         grid = uniform_grid(n, 0.25)
         yield periodic_limit_fisher(model, theta, period=1.0, grid=grid)
         yield periodic_limit_fisher(
-            model, theta, period=1.0, regime="pattern", offsets=[0.25, 0.5, 0.75, 1.0],
-            grid=grid,
+            model, theta, period=1.0, offsets=[0.25, 0.5, 0.75, 1.0], grid=grid
         )
 
 

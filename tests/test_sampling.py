@@ -81,6 +81,35 @@ def test_quantile_grid_rejects_non_monotone_map():
             quantile_grid(scalar_map, 10, 1.0)
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: uniform_grid(v, 0.5), "n", 2.5),
+    (lambda v: uniform_grid(v, 0.5), "n", np.float64(3.0)),
+    (lambda v: uniform_grid(v, 0.5), "n", True),
+    (lambda v: quantile_grid(lambda u: u, v, 1.0), "n", 2.5),
+    (lambda v: quantile_grid(lambda u: u, v, 1.0), "n", np.float64(4.0)),
+    (lambda v: periodic_pattern_grid([0.25, 1.0], 1.0, v), "cycles", True),
+    (lambda v: periodic_pattern_grid([0.25, 1.0], 1.0, v), "cycles", 2.0),
+    (lambda v: uniform_grid(v, 0.5), "n", 0),
+    (lambda v: periodic_pattern_grid([0.25, 1.0], 1.0, v), "cycles", np.int64(0)),
+], ids=["uniform-float", "uniform-np-float", "uniform-bool", "quantile-float",
+        "quantile-np-float", "pattern-bool", "pattern-float", "uniform-zero", "pattern-np-zero"])
+def test_grid_sizes_follow_the_integer_rule(build, name, value):
+    # the seed rule: numpy integers count, bools and floats do not, and a size is >= 1
+    with pytest.raises(GridError, match=rf"^{name} must be "):
+        build(value)
+
+
+def test_numpy_integer_sizes_build_the_same_grids():
+    pairs = [
+        (uniform_grid(np.int64(3), 0.5), uniform_grid(3, 0.5)),
+        (quantile_grid(lambda u: u * u, np.int32(4), 1.0), quantile_grid(lambda u: u * u, 4, 1.0)),
+        (periodic_pattern_grid([0.25, 1.0], 1.0, np.uint8(2)),
+         periodic_pattern_grid([0.25, 1.0], 1.0, 2)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(got.instants, want.instants) and got.label == want.label
+
+
 def _exact_prefix_sums(delays: np.ndarray) -> np.ndarray:
     """Correctly rounded running sums with a leading zero, from integer arithmetic."""
     ratios = [float(d).as_integer_ratio() for d in delays]

@@ -152,6 +152,18 @@ def test_draw_block_rejects_bad_range_before_drawing(monkeypatch, lo, hi, bound)
         draw_block(np.zeros(4), np.ones(4), 1, lo, hi)
 
 
+@pytest.mark.parametrize("mean, sd, name", [
+    (np.zeros(8), np.ones(7), "sd"),
+    (np.zeros(8), np.ones((2, 8)), "sd"),
+    (np.zeros((2, 4)), 1.0, "mean"),
+    (np.float64(0.0), 1.0, "mean"),
+], ids=["sd-too-short", "sd-2d", "mean-2d", "mean-scalar"])
+def test_draw_block_rejects_bad_shapes_before_drawing(monkeypatch, mean, sd, name):
+    monkeypatch.setattr(simulate, "Philox", None)  # any draw would fail differently
+    with pytest.raises(DomainError, match=rf"^{name} "):
+        draw_block(mean, sd, 1, 0, 2)
+
+
 _SEEDED_CALLS = {
     "derive_seed-seed": ("seed", lambda v: derive_seed(v, "a")),
     "normal_stream-seed": ("seed", lambda v: normal_stream(v, 0, 8)),
