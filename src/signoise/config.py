@@ -334,7 +334,7 @@ def build_prior(cfg: dict, d: int) -> Prior:
         return Prior()
     center = tuple(_number_list(cfg, "center", "gaussian prior"))
     scale = tuple(_number_list(cfg, "scale", "gaussian prior"))
-    if not center:  # Prior() without a centre is the flat one
+    if not center:  # Prior() without a center is the flat one
         raise ConfigError("gaussian prior needs matching center and scale", key="prior")
     with _naming("prior"):
         prior = Prior(center, scale)

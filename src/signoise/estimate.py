@@ -18,7 +18,7 @@ route, dimension-guarded), and self-normalized importance sampling from a
 Gaussian proposal (the cross-check, with a standard error).  The two
 routes share one set-up (prior, anchor, its per-axis scale and the batch
 log-likelihood) but no quadrature machinery, on purpose.  A ``Prior`` is
-flat when it has no centre and an independent Gaussian when it has one.
+flat when it has no center and an independent Gaussian when it has one.
 """
 
 from __future__ import annotations
@@ -295,9 +295,9 @@ def closed_form_mle(
 
 @dataclass(frozen=True)
 class Prior:
-    """Declarative prior densities on the parameter vector; the centre picks the form.
+    """Declarative prior densities on the parameter vector; the center picks the form.
 
-    Without a centre it is flat over the box.  With one it is an
+    Without a center it is flat over the box.  With one it is an
     independent Gaussian product with the given per-axis centers and scales
     (unnormalized; the normalizer cancels from every posterior ratio).
     """

@@ -140,7 +140,7 @@ FIVE_DIM_CONFIG = {
             "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [0.0], "scale": [-1.0]},
             "gaussian prior scales must be positive", "prior",
         ),
-        (  # Prior() without a centre is flat, so the reader refuses an empty gaussian
+        (  # Prior() without a center is flat, so the reader refuses an empty gaussian
             "bayes", MEAN_CONFIG, [1.0], {"kind": "gaussian", "center": [], "scale": []},
             "gaussian prior needs matching center and scale", "prior",
         ),
