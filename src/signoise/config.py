@@ -391,6 +391,9 @@ def read_information(cfg: dict, where: str, keys=("source", "period", "regime"))
         if not (isinstance(grid, dict) and grid.get("kind") == "pattern"):
             raise ConfigError("the pattern regime needs a pattern grid", key=regime_key)
         offsets = _number_list(grid, "offsets", "pattern grid")
+        if offsets and offsets[-1] != period:
+            msg = f"must equal the pattern grid's period {offsets[-1]!r}, got {period!r}"
+            raise ConfigError(f"{where}.{period_key} {msg}", key=period_key)
     elif regime != "vanishing_step":
         raise ConfigError(
             f"unknown regime {regime!r} (only 'vanishing_step' or 'pattern')", key=regime_key

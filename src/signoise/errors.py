@@ -6,6 +6,22 @@ can catch library failures without catching programming errors.
 
 from __future__ import annotations
 
+__all__ = [
+    "SignoiseError",
+    "ConfigError",
+    "DomainError",
+    "GridError",
+    "EvaluationError",
+    "NoiseFloorViolation",
+    "QuadratureError",
+    "OutOfSpaceError",
+    "PeriodicityError",
+    "SingularInformationError",
+    "SingularDesignError",
+    "OptimizationError",
+    "DegeneratePosteriorError",
+]
+
 
 class SignoiseError(Exception):
     """Base class for all errors raised by this package."""

@@ -306,6 +306,8 @@ class Prior:
     scale: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        object.__setattr__(self, "scale", tuple(map(float, self.scale)))
         if len(self.center) != len(self.scale):
             raise DomainError("gaussian prior needs matching center and scale")
         for axis, (c, s) in enumerate(zip(self.center, self.scale)):

@@ -6,6 +6,7 @@ tests also assert their advertised wall-clock budgets.  Every random
 input is seeded, so reruns see identical data.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -68,6 +69,11 @@ def _steps_model():
     return model, space, theta
 
 
+def _digest(report):
+    """SHA-256 of the report JSON, the digest the benchmark pins for each seed-0 study."""
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
 def _named_checks(report, *prefixes):
     picked = [c for c in report.checks if c["name"].startswith(prefixes)]
     assert picked, f"no checks matching {prefixes} in {[c['name'] for c in report.checks]}"
@@ -115,6 +121,7 @@ def test_02_normalized_drift_errors_are_gaussian():
     variance = _named_checks(report, "variance[")
     assert len(normal) == 3 and len(variance) == 3
     assert report.passed, "\n".join(report.check_lines())
+    assert _digest(report) == "b0fa8669b154ef2982ce5a744a15e325e673caeba9bfcf90842d1252fe209e78"
     pvals = [c["observed"] for c in normal]
     print(f"normality at n=100/400/1600: KS p-values {[f'{p:.3f}' for p in pvals]}")
 
@@ -134,12 +141,23 @@ def test_03_rmse_decays_at_root_rate_in_both_regimes():
         "estimator": "mle-closed",
     }
     slopes = {}
-    for label, grid_cfg, seed in (
-        ("shrinking-step", {"kind": "uniform", "step_rule": "inverse_sqrt", "c": 1.0}, 303),
-        ("fixed-pattern", {"kind": "pattern", "offsets": [0.25, 1.0], "period": 1.0}, 304),
+    for label, grid_cfg, seed, digest in (
+        (
+            "shrinking-step",
+            {"kind": "uniform", "step_rule": "inverse_sqrt", "c": 1.0},
+            303,
+            "f624ed3b6ed24604964f1bd2c71b22640c032981bd20fbffa5dc5c0d4640d52e",
+        ),
+        (
+            "fixed-pattern",
+            {"kind": "pattern", "offsets": [0.25, 1.0], "period": 1.0},
+            304,
+            "24446f6064bc24acfea810d33b4665b2d81d29b75618ddda77ae33dd483852e0",
+        ),
     ):
         report = run_study(study_from_dict({**base, "grid": grid_cfg, "seed": seed}))
         assert report.passed, f"{label}:\n" + "\n".join(report.check_lines())
+        assert _digest(report) == digest, label
         got = {c["name"]: round(c["observed"], 4) for c in _named_checks(report, "slope-")}
         slopes[label] = got
     elapsed = time.monotonic() - t0
@@ -170,6 +188,7 @@ def test_04_covariance_matches_inverse_limit_information():
     report = run_study(cfg)
     (cov,) = _named_checks(report, "covariance[")
     assert cov["passed"], f"{cov['detail']}"
+    assert _digest(report) == "d631ff35a69e6da9952815333088a94aa51eb533032395c0a4e263823c20550e"
     print(f"covariance gap {cov['observed']:.4f} vs budget {cov['threshold']:.4f}")
 
 
@@ -196,6 +215,7 @@ def test_05_local_likelihood_expansion():
     _named_checks(report, "unit-mean-ratio[")
     _named_checks(report, "remainder-decay[")
     assert report.passed, "\n".join(report.check_lines())
+    assert _digest(report) == "afc689cb9d00af6f7a7410d88dfb005aaeddf1714a782b5e2b4d04c82b822546"
     rem = {
         (r["n"], r["coord"]): r["value"]
         for r in report.rows

@@ -195,6 +195,23 @@ def test_estimator_config_errors(
     assert message in err and f"(key: {key!r})" in err
 
 
+def test_estimate_bayes_reads_a_gaussian_prior(tmp_path):
+    # little data, so a prior centred below the truth pulls the posterior mean down
+    sim = _simulate_cfg(n=4) | {"model": MEAN_CONFIG, "theta": {"alpha": [1.5], "beta": []}}
+    assert main(["simulate", "--config", _write(tmp_path / "sim.json", sim),
+                 "--out", str(tmp_path / "run")]) == 0
+    est = {"model": MEAN_CONFIG, "space": MEAN_SPACE, "estimator": "bayes"}
+    gaussian = {"kind": "gaussian", "center": [0.2], "scale": [0.3]}
+    fits = {}
+    for name, cfg in (("flat", est), ("gaussian", est | {"prior": gaussian})):
+        argv = ["estimate", "--config", _write(tmp_path / f"{name}.json", cfg),
+                "--sample", str(tmp_path / "run" / "sample.csv"), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        fits[name] = json.loads((tmp_path / name / "estimate.json").read_text())
+        assert fits[name]["method"] == "bayes-quadrature"
+    assert fits["gaussian"]["alpha"][0] < fits["flat"]["alpha"][0]
+
+
 def test_estimate_batch_directory(tmp_path):
     samples = tmp_path / "samples"
     for r in range(3):
@@ -382,6 +399,9 @@ def test_config_errors_name_the_offending_key(tmp_path, capsys):
 
 
 def _bad_values():
+    """(command and flags, config payload, key or None, detail) of configs the CLI refuses.
+
+    A payload is written as JSON, a string as raw text; None writes no file."""
     nan = float("nan")
     sim = _simulate_cfg()
     grid = sim["grid"]
@@ -390,6 +410,8 @@ def _bad_values():
         "theta": {"alpha": [1.0], "beta": []}, "grid": {"kind": "uniform", "h": 0.25},
         "n_values": [100, 200], "replicates": 100, "seed": 1,
     }
+    fisher = {"model": TRIG_SCALED_CONFIG, "theta": {"alpha": [1.0, 0.5], "beta": [1.0]}}
+    pattern = {"kind": "pattern", "offsets": [0.25, 1.0], "period": 1.0}
     return [
         ("simulate", sim | {"grid": grid | {"h": -1.0}}, "grid", "step must be positive"),
         ("simulate", sim | {"grid": grid | {"h": nan}}, "grid", "step must be positive"),
@@ -403,6 +425,42 @@ def _bad_values():
          "step must be positive"),
         ("simulate", sim | {"model": TRIG_SCALED_CONFIG | {"sigma2_floor": -1.0}}, "model",
          "sigma2_floor must be positive"),
+        ("simulate", None, None, "cannot read config file"),
+        ("simulate", '{"seed": 5', None, "is not valid JSON"),
+        ("simulate", [sim], None, "must contain a JSON object"),
+        ("simulate", sim | {"grid": {"kind": "bogus"}}, "kind", "unknown grid kind 'bogus'"),
+        ("simulate", sim | {"model": TRIG_SCALED_CONFIG | {"signal": {"kind": "linear",
+                                                                      "basis": []}}},
+         "basis", "linear signal basis must be a non-empty list"),
+        ("estimate", {"model": TRIG_SCALED_CONFIG,
+                      "space": SCALED_SPACE | {"beta": [[0.1, 2.0, 4.0]]}},
+         "beta", "space.beta must be a list of [lo, hi] pairs"),
+        ("grid", {"grid": {"kind": "quantile", "n": 8, "total_time": 2.0, "exponent": 0.0}},
+         "exponent", "quantile grid exponent must be positive"),
+        ("fisher", fisher | {"source": "empirical"}, "grid", "empirical information needs a grid"),
+        ("fisher", fisher | {"source": "bogus"}, "source",
+         "source must be 'empirical' or 'limit', got 'bogus'"),
+        ("fisher", fisher | {"source": "limit", "period": 2.0, "regime": "pattern",
+                             "grid": pattern | {"cycles": 4}},
+         "period", "fisher config.period must equal the pattern grid's period"),
+        ("verify", study | {"grid": {"kind": "uniform", "h": 0.25, "step_rule": "inverse_sqrt"}},
+         "step_rule", "give either a fixed h or a step_rule, not both"),
+        ("verify", study | {"grid": {"kind": "uniform", "step_rule": "sqrt"}}, "step_rule",
+         "unknown step_rule 'sqrt'"),
+        ("verify", study | {"grid": pattern, "n_values": [101, 202]}, "offsets",
+         "n = 101 is not a multiple of the pattern length 2"),
+        ("verify", study | {"kind": "bogus"}, "kind", "unknown study kind 'bogus'"),
+        ("verify", study | {"n_values": [200, 100]}, "n_values",
+         "n_values must be strictly increasing and positive"),
+        ("verify", study | {"kind": "lan", "directions": [[0.5, 0.5]]}, "directions",
+         "each direction must be a length-1 vector"),
+        ("verify", study | {"kind": "risk", "n_values": [100], "losses": [["bogus", 1.0]]},
+         "losses[0]", "study.losses[0] must be a power or indicator loss"),
+        ("verify", study | {"kind": "risk", "n_values": [100],
+                            "theta": {"alpha": [0.05], "beta": []}},
+         "theta", "risk lattice point 2 leaves the parameter box"),
+        # the flag replaces the config's valid seed before the study is read
+        ("verify --seed -1", study, "seed", "study.seed must lie in [0, 2**64), got -1"),
     ]
 
 
@@ -410,15 +468,26 @@ def _bad_values():
     "command, payload, key, detail",
     _bad_values(),
     ids=["h-negative", "h-nan", "n-zero", "theta-nan", "space-nan", "study-h-negative",
-         "floor-negative"],
+         "floor-negative", "file-unreadable", "file-not-json", "file-not-object",
+         "grid-kind-unknown", "basis-empty", "space-not-pairs", "quantile-exponent-zero",
+         "empirical-without-grid", "source-unknown", "fisher-pattern-period",
+         "step-rule-with-h", "step-rule-unknown", "pattern-n-not-multiple", "study-kind-unknown",
+         "n-values-decreasing", "direction-length", "loss-malformed", "risk-lattice-outside",
+         "verify-seed-flag"],
 )
 def test_out_of_range_config_values_name_their_key(tmp_path, capsys, command, payload, key, detail):
-    argv = [command, "--config", _write(tmp_path / "bad.json", payload)]
+    path = tmp_path / "bad.json"
+    if isinstance(payload, str):
+        path.write_text(payload)
+    elif payload is not None:
+        _write(path, payload)
+    argv = command.split() + ["--config", str(path)]
     if command == "estimate":
         argv += ["--sample", str(tmp_path / "absent.csv")]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert detail in err and f"(key: '{key}')" in err and "Traceback" not in err, err
+    named = "(key:" not in err if key is None else f"(key: '{key}')" in err
+    assert detail in err and named and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

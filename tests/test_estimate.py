@@ -510,6 +510,20 @@ def test_prior_validation():
         Prior((0.0,), (-1.0,))
 
 
+def test_prior_accepts_any_sequence_of_numbers():
+    # arrays used to reach `if self.center`, which numpy refuses as ambiguous
+    coords = (np.array([0.3, -1.0]), np.array([2.0, 0.5]))
+    priors = [
+        Prior(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+        Prior([0.0, 1.0], [1.0, 2.0]),
+        Prior((0.0, 1.0), (1.0, 2.0)),
+    ]
+    for prior in priors:
+        prior.check_dimension(2)
+        assert prior == priors[-1]
+        assert np.array_equal(prior.log_density(coords), priors[-1].log_density(coords))
+
+
 @pytest.mark.parametrize(
     "center, scale, axis",
     [((0.0, np.nan), (1.0, 1.0), 1), ((0.0, 0.0), (np.inf, 1.0), 0), ((0.0,), (np.nan,), 0)],

@@ -400,6 +400,14 @@ def test_config_guards(monkeypatch):
         ({"limit_period": -1}, "limit_period"),
         ({"limit_period": None}, "limit_period"),
         ({"limit_regime": "pattern"}, "limit_regime"),  # on a uniform grid
+        (  # the limit's period is not the pattern's
+            {
+                "limit_regime": "pattern",
+                "limit_period": 2.0,
+                "grid": {"kind": "pattern", "offsets": [0.25, 1.0], "period": 1.0},
+            },
+            "limit_period",
+        ),
     ]:
         with pytest.raises(ConfigError, match=f"key: '{key}'"):
             study_from_dict(limit | overrides)

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import signoise
+from signoise import errors
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 LIBRARY_MODULES = [
+    "errors",
     "model",
     "sampling",
     "increments",
@@ -23,29 +25,27 @@ LIBRARY_MODULES = [
 ]
 
 
-def _exports(name):
-    """Names ``signoise`` should take from one module: its ``__all__``, or its error classes."""
-    module = importlib.import_module(f"signoise.{name}")
-    if name == "errors":
-        return module, [
-            key
-            for key, value in vars(module).items()
-            if isinstance(value, type) and value.__module__ == module.__name__
-        ]
-    return module, list(module.__all__)
-
-
-@pytest.mark.parametrize("name", ["errors"] + LIBRARY_MODULES)
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
 def test_module_exports_are_reexported_unchanged(name):
-    module, names = _exports(name)
-    for key in names:
+    module = importlib.import_module(f"signoise.{name}")
+    for key in module.__all__:
         value = getattr(module, key)
         assert getattr(signoise, key, None) is value, key
         assert getattr(value, "__module__", module.__name__) == module.__name__, key
 
 
+def test_errors_exports_every_exception_class_it_defines():
+    defined = [
+        key
+        for key, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
+    ]
+    assert sorted(errors.__all__) == sorted(defined)
+
+
 def test_package_exports_exactly_the_module_lists():
-    listed = [key for name in ["errors"] + LIBRARY_MODULES for key in _exports(name)[1]]
+    modules = [importlib.import_module(f"signoise.{name}") for name in LIBRARY_MODULES]
+    listed = [key for module in modules for key in module.__all__]
     public = {
         key
         for key, value in vars(signoise).items()
