@@ -46,7 +46,7 @@ from .increments import IncrementMoments, MomentCache, _bind, has_closed_form
 from .information import empirical_fisher
 from .likelihood import _log_likelihood, log_likelihood, score
 from .quadrature import tensor_rule
-from .model import ModelSpec, ParameterSpace, Theta
+from .model import ModelSpec, ParameterSpace, Theta, _real_tuple
 from .sampling import TimeGrid, _is_integer
 from .simulate import IncrementSample, derive_seed, normal_stream
 
@@ -306,8 +306,8 @@ class Prior:
     scale: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
-        object.__setattr__(self, "scale", tuple(map(float, self.scale)))
+        for name in ("center", "scale"):
+            object.__setattr__(self, name, _real_tuple(getattr(self, name), name))
         if len(self.center) != len(self.scale):
             raise DomainError("gaussian prior needs matching center and scale")
         for axis, (c, s) in enumerate(zip(self.center, self.scale)):

@@ -58,7 +58,7 @@ from .information import InformationBundle
 from .likelihood import LocalExpansion, local_expansion
 from .model import Theta
 from .quadrature import tensor_rule
-from .simulate import IncrementSample, derive_seed, draw_block
+from .simulate import IncrementSample, _draw, _Workspace, derive_seed, draw_block
 
 __all__ = [
     "StudyConfig",
@@ -285,16 +285,25 @@ def _reference_bundle(cfg: StudyConfig, ctx: _Context) -> InformationBundle:
     return cfg._information(cfg._model, ctx.theta, ctx.cache.grid, ctx.cache)
 
 
-def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int):
+def _draw_chunk(ctx: _Context, seed: int, lo: int, hi: int, work: _Workspace) -> np.ndarray:
+    """``draw_block(ctx.mean, ctx.sd, seed, lo, hi)`` bit for bit, written into ``work``."""
+    return _draw(seed, lo, hi, ctx.mean.size, ctx.mean, ctx.sd.__getitem__, work)
+
+
+def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int, work=None):
     """Estimates of replicates lo..hi-1: a block (k, d) of the successful rows, in order,
-    and the failed replicates counted by error class."""
-    ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
+    and the failed replicates counted by error class.  A closed-form fit runs in ``work``,
+    by default a fresh workspace."""
     estimator = resolve_estimator(cfg.estimator, cfg._model, cfg._space)
     if estimator is ESTIMATORS["mle-closed"]:
+        work = _Workspace() if work is None else work
+        ys = _draw_chunk(ctx, seed, lo, hi, work)
         try:
-            return ctx.cache.linear_design().fit(ys.T), Counter()
+            return ctx.cache.linear_design()._fit(ys.T, work.scratch(ys.size)), Counter()
         except (SignoiseError, np.linalg.LinAlgError) as exc:
             return np.empty((0, cfg._model.d)), Counter({type(exc).__name__: len(ys)})
+    # an estimator may keep its sample, so these rows get a block of their own
+    ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
     rows, failures, grid = [], Counter(), ctx.cache.grid
     for r, y in zip(range(lo, hi), ys):
         sample = IncrementSample(y, seed, r, grid.digest(), ctx.theta)
@@ -316,11 +325,14 @@ def _estimate_chunk(cfg: StudyConfig, ctx: _Context, seed: int, lo: int, hi: int
     return np.reshape(rows, (-1, cfg._model.d)), failures
 
 
-def _lan_chunk(expansion: LocalExpansion, ctx: _Context, seed: int, lo: int, hi: int):
+def _lan_chunk(expansion: LocalExpansion, ctx: _Context, seed: int, lo: int, hi: int, work=None):
     """A block with one row per replicate lo..hi-1: its log-ratios, central sequence
-    and remainders, in the column order of ``LocalExpansion.evaluate``; no failures."""
-    ys = draw_block(ctx.mean, ctx.sd, seed, lo, hi)
-    return np.hstack(expansion.evaluate(ys)), Counter()
+    and remainders, in the column order of ``LocalExpansion.evaluate``; no failures.
+    It runs in ``work``, by default a fresh workspace."""
+    work = _Workspace() if work is None else work
+    ys = _draw_chunk(ctx, seed, lo, hi, work)
+    u = work.scratch(ys.size).reshape(ys.shape)
+    return np.hstack(expansion._evaluate(ys, ys, u)), Counter()
 
 
 def _replicates(map_fn, task, ctx: _Context, seed: int, m: int) -> tuple[np.ndarray, Counter]:
@@ -369,12 +381,15 @@ def _rungs(cfg: StudyConfig, report: StudyReport, map_fn, task=None, lattice=Non
     estimator's.  Without a ``lattice`` the replicates run at the truth on
     the ``(seed, kind, rung)`` stream, and ``results`` stacks them; with
     one, they run at each of its points j on the ``(seed, kind, rung, j)``
-    stream, and ``results`` lists one stack per point.  One failure check
-    covers the whole rung and is recorded before the rung is yielded.
+    stream, and ``results`` lists one stack per point.  All of a rung's
+    chunks share one workspace in each process, made for the rung.  One
+    failure check covers the whole rung and is recorded before the rung is
+    yielded.
     """
     for rung, n in enumerate(cfg.n_values):
         ctx = _Context(MomentCache(cfg._model, _config.build_grid_for(cfg.grid, n)), cfg._theta)
         chunk = partial(_estimate_chunk, cfg) if task is None else task(ctx)
+        chunk = partial(chunk, work=_Workspace())  # a chunk's result never views it
         runs = [(ctx, (rung,))] if lattice is None else [
             (replace(ctx, theta=theta), (rung, j)) for j, theta in enumerate(lattice)
         ]

@@ -93,6 +93,16 @@ def _stretches(n: int):
     return (slice(i, i + _SLAB_WORDS) for i in range(0, n, _SLAB_WORDS))
 
 
+def _scratch(y: np.ndarray) -> np.ndarray:
+    """A fresh flat buffer for the temporaries of y (n,) or (n, k): one stretch of its rows."""
+    return np.empty(y.size // len(y) * min(len(y), _SLAB_WORDS))
+
+
+def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The C-contiguous array of ``shape`` on the front of the flat ``buffer``."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
 def _summed(term, *arrays: np.ndarray) -> tuple:
     """The tuple ``term(*arrays)``, taken on each stretch of the arrays' first axis and summed
     slot by slot in order.  With one stretch, n <= ``_SLAB_WORDS``, it is ``term(*arrays)``
@@ -182,17 +192,28 @@ class LinearDesign:
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Weighted least-squares coefficients of y (n,), or of each column of y (n, k)."""
-        (bwy,) = _summed(lambda b, g, x: (b.T @ ((1.0 / g) * x.T).T,), self.basis, self.profile, y)
-        return self.gram_inverse @ bwy
+        return self._solve(y, _scratch(y))
 
-    def _residual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a0, q0) of y (n,), or of each column of y (n, k): the weighted least-squares
-        solution a0 and q0 = r0'W r0, r0 = y - B a0."""
-        alpha = self.solve(y)
+    def _solve(self, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``solve``, forming each stretch's weighted rows in ``scratch`` (see ``_fit``)."""
 
         def term(b, g, x):
-            resid = x - b @ alpha
-            weighted = (resid * resid).T  # divided in place: same layout, same summation order
+            wy = np.multiply(1.0 / g, x.T, out=_front(scratch, x.T.shape))
+            return (b.T @ wy.T,)
+
+        (bwy,) = _summed(term, self.basis, self.profile, y)
+        return self.gram_inverse @ bwy
+
+    def _residual(self, y: np.ndarray, scratch: np.ndarray | None = None):
+        """(a0, q0) of y (n,), or of each column of y (n, k): the weighted least-squares
+        solution a0 and q0 = r0'W r0, r0 = y - B a0; ``scratch`` as in ``_fit``."""
+        scratch = _scratch(y) if scratch is None else scratch
+        alpha = self._solve(y, scratch)
+
+        def term(b, g, x):
+            resid = np.matmul(b, alpha, out=_front(scratch, x.shape))
+            np.subtract(x, resid, out=resid)
+            weighted = np.multiply(resid, resid, out=resid).T  # the layout fixes the sum's order
             weighted /= g
             return (np.sum(weighted, axis=-1),)
 
@@ -200,9 +221,14 @@ class LinearDesign:
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         """The exact MLE (d,) of y (n,), or (k, d) of the k columns of y (n, k)."""
+        return self._fit(y, _scratch(y))
+
+    def _fit(self, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``fit``, with every (stretch, k) temporary formed in place in ``scratch``, a flat
+        array of at least ``_scratch(y).size`` values that y does not overlap."""
         if not self.scaled:
-            return self.solve(y).T
-        alpha, q0 = self._residual(y)
+            return self._solve(y, scratch).T
+        alpha, q0 = self._residual(y, scratch)
         return np.concatenate([alpha, (q0 / y.shape[0])[None]]).T
 
     def fit_log_likelihood(self, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -105,9 +105,15 @@ class LocalExpansion:
         row i, column j is the decomposition of sample i along direction j,
         with ``remainder = log_ratio - score_term . w_j + |w_j|^2 / 2``.
         """
+        ys = _as_rows(self.base, ys, ndim=2)
+        return self._evaluate(ys, np.empty_like(ys), np.empty_like(ys))
+
+    def _evaluate(self, ys: np.ndarray, resid: np.ndarray, u: np.ndarray):
+        """``evaluate`` of checked rows ys (k, n), forming the residual in ``resid``, which
+        may be ys itself, and u in ``u``: (k, n) arrays that overlap nothing else."""
         m0 = self.base
-        resid = _as_rows(m0, ys, ndim=2) - m0.mean
-        u = resid * resid  # each (k, n) buffer is formed once and reused in place
+        np.subtract(ys, m0.mean, out=resid)
+        np.multiply(resid, resid, out=u)
         u /= m0.var
         u -= 1.0
         log_ratios = u @ self.h + resid @ self.b + self.c

@@ -30,6 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DomainError, EvaluationError, NoiseFloorViolation
+from .sampling import _is_real, _reals
 
 __all__ = [
     "ConstantFn",
@@ -49,6 +50,21 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _check_positive(value, name: str) -> None:
+    """DomainError naming ``name`` unless ``value`` is a positive finite number."""
+    if not (_is_real(value) and value > 0.0 and np.isfinite(value)):
+        raise DomainError(f"{name} must be positive, got {value!r}")
+
+
+def _real_tuple(values, name: str) -> tuple[float, ...]:
+    """The 1-d sequence of numbers ``values`` as a tuple of floats; DomainError naming
+    ``name`` otherwise."""
+    array = _reals(values, name, DomainError)
+    if array.ndim != 1:
+        raise DomainError(f"{name} must be a 1-d sequence, got shape {array.shape}")
+    return tuple(array.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +91,7 @@ class CosineFn:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (self.frequency > 0.0 and np.isfinite(self.frequency)):
-            raise DomainError(f"frequency must be positive, got {self.frequency!r}")
+        _check_positive(self.frequency, "frequency")
 
     def __call__(self, t):
         return np.cos(_TWO_PI * self.frequency * np.asarray(t, dtype=float) + self.phase)
@@ -95,8 +110,7 @@ class SineFn:
     frequency: float
 
     def __post_init__(self):
-        if not (self.frequency > 0.0 and np.isfinite(self.frequency)):
-            raise DomainError(f"frequency must be positive, got {self.frequency!r}")
+        _check_positive(self.frequency, "frequency")
 
     def __call__(self, t):
         return np.sin(_TWO_PI * self.frequency * np.asarray(t, dtype=float))
@@ -120,12 +134,11 @@ class PeriodicStepFn:
     period: float
 
     def __post_init__(self):
-        levels = tuple(float(v) for v in self.levels)
+        levels = _real_tuple(self.levels, "levels")
         object.__setattr__(self, "levels", levels)
         if len(levels) == 0:
             raise DomainError("levels must be non-empty")
-        if not (self.period > 0.0 and np.isfinite(self.period)):
-            raise DomainError(f"period must be positive, got {self.period!r}")
+        _check_positive(self.period, "period")
         if not all(np.isfinite(v) for v in levels):
             raise DomainError("levels must be finite")
 
@@ -480,8 +493,8 @@ class Theta:
     beta: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        b = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        a = np.atleast_1d(_reals(self.alpha, "alpha", DomainError))
+        b = np.atleast_1d(_reals(self.beta, "beta", DomainError))
         if a.ndim != 1 or b.ndim != 1:
             raise DomainError("alpha and beta must be 1-d")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

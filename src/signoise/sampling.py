@@ -36,6 +36,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """The scalar number rule: ints and floats, numpy's too, count; bools and the rest do not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _reals(values, name: str, error) -> np.ndarray:
+    """``values`` as a float array; ``error`` naming ``name`` unless its entries are numbers
+    of numpy's integer or float kinds (no bools, strings or objects) in a regular array."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise error(f"{name} must be an array of numbers: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be numbers, got {array.dtype} entries")
+    return array.astype(float, copy=False)
+
+
 def _check_size(value, name: str) -> int:
     """``value`` as an int; GridError naming ``name`` unless it is an integer >= 1."""
     if not _is_integer(value):
@@ -118,8 +135,10 @@ class TimeGrid:
 def uniform_grid(n: int, h: float) -> TimeGrid:
     """Equidistant grid t_i = i*h with n intervals, n an integer >= 1."""
     n = _check_size(n, "n")
-    if not (h > 0.0 and np.isfinite(h)):
+    if not (_is_real(h) and h > 0.0 and np.isfinite(h)):
         raise GridError(f"step must be positive and finite, got {h!r}")
+    if not np.isfinite(n * float(h)):
+        raise GridError(f"the last instant n * h = {n} * {h!r} overflows")
     instants = h * np.arange(n + 1, dtype=float)
     delays = np.full(n, float(h))
     return TimeGrid(instants, delays, label=f"uniform(n={n}, h={h})")
@@ -183,7 +202,7 @@ def quantile_grid(inverse_cdf, n: int, total_time: float) -> TimeGrid:
 
 
 def grid_from_instants(instants, label: str = "") -> TimeGrid:
-    inst = np.asarray(instants, dtype=float)
+    inst = _reals(instants, "instants", GridError)
     if inst.ndim != 1 or inst.size < 2:
         raise GridError("need at least two instants")
     return TimeGrid(inst, np.diff(inst), label=label)

@@ -6,17 +6,20 @@ come out of the inverse normal CDF.  Consequence: the k-th normal of a
 replicate is a pure function of (seed, replicate, k), independent of how
 many replicates run, in what order, or on how many processes.
 
-Every draw goes through one core, ``_draw``: it builds one Philox per call
-and re-keys it for each replicate, and ``Generator.random`` over it writes
-each word's k * 2**-53 in place into the output row.  Rows go in blocks of
-about ``_SLAB_WORDS`` values and columns in stretches of at most that many
-(``increments``' stretch), and each block's stretch is finished where it
-lies, in one pass: the half-step and the clamp, the inverse normal CDF,
-and for a sample the scaling and shift, with ``simulate_increments`` and
-``simulate_batch`` taking a stretch's standard deviations as the square
-root of that stretch of the variances.  So a block needs no buffer beyond
-the output array.  None of this changes the stream, which
-``normal_stream`` defines, nor any value drawn from it.
+Every draw goes through one core, ``_draw``, which writes into a
+``_Workspace``'s block with that workspace's one Philox, re-keyed for each
+replicate through a state dict of Python ints; ``Generator.random`` over it
+writes each word's k * 2**-53 in place into the output row.  A public call
+draws with a fresh workspace, so it builds one generator and returns a block
+of its own; a study rung keeps one workspace per process for all its chunks.
+Rows go in blocks of about ``_SLAB_WORDS`` values and columns in stretches of
+at most that many (``increments``' stretch), and each block's stretch is
+finished where it lies, in one pass: the half-step and the clamp, the
+inverse normal CDF, and for a sample the scaling and shift, with
+``simulate_increments`` and ``simulate_batch`` taking a stretch's standard
+deviations as the square root of that stretch of the variances.  So a block
+needs no buffer beyond the output array.  None of this changes the stream,
+which ``normal_stream`` defines, nor any value drawn from it.
 """
 
 from __future__ import annotations
@@ -73,10 +76,50 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
-def _draw(seed: int, lo: int, hi: int, count: int, mean=None, sd_of=None) -> np.ndarray:
+class _Workspace:
+    """The buffers and generator that the chunks of one study rung reuse: the (k, n) draw
+    block, one scratch array, and one Philox with the state dict that re-keys it.
+
+    Each buffer is allocated on first use and again only when a request
+    outgrows it, and the generator is built on first use, so a workspace
+    holds no more than its largest request.  Its contents never pickle: a
+    copy sent to a worker process arrives empty and fills its own.
+    """
+
+    def __init__(self):
+        self._block = self._scratch = np.empty(0)
+        self._generator = None
+
+    def __reduce__(self):
+        return _Workspace, ()
+
+    def block(self, k: int, n: int) -> np.ndarray:
+        """A C-contiguous (k, n) array on the front of the block buffer."""
+        if self._block.size < k * n:
+            self._block = np.empty(k * n)
+        return self._block[: k * n].reshape(k, n)
+
+    def scratch(self, size: int) -> np.ndarray:
+        """A flat array of ``size`` values on the front of the scratch buffer."""
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size]
+
+    def generator(self) -> tuple[Philox, Generator, dict]:
+        """The Philox, a Generator over it, and a state dict of Python ints (counter zero,
+        empty buffer) whose key list [replicate, seed] the caller sets before assigning it."""
+        if self._generator is None:
+            bits = Philox(key=0)
+            state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+                     "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            self._generator = bits, Generator(bits), state
+        return self._generator
+
+
+def _draw(seed: int, lo: int, hi: int, count: int, mean=None, sd_of=None, work=None):
     """Rows lo..hi-1 of the streams of ``seed``, ``count`` values each: standard normals,
     or ``mean + sd * stream`` when ``mean`` is given, with ``sd_of(cols)`` a stretch's
-    standard deviations.
+    standard deviations; written into ``work``'s block, a fresh workspace's by default.
 
     Setting the state (key ``(seed << 64) | r``, counter zero, empty
     buffer) yields the words ``Philox(key=...)`` would, without building a
@@ -89,12 +132,11 @@ def _draw(seed: int, lo: int, hi: int, count: int, mean=None, sd_of=None) -> np.
     """
     from scipy.special import ndtri  # deferred: only a draw needs scipy
 
-    out = np.empty((hi - lo, count))
+    work = _Workspace() if work is None else work
+    out = work.block(hi - lo, count)
     if out.size == 0:
         return out
-    gen = Philox(key=0)
-    rng = Generator(gen)
-    state = gen.state
+    gen, rng, state = work.generator()
     key = state["state"]["key"]
     key[1] = seed
     step = max(1, _SLAB_WORDS // count)
@@ -135,11 +177,11 @@ def draw_block(mean: np.ndarray, sd: np.ndarray, seed: int, lo: int, hi: int) ->
     """Replicates lo..hi-1 of the family with these moments, shape (hi - lo, n).
 
     Row j is ``mean + sd * normal_stream(seed, lo + j, n)``, bit for bit:
-    the same stream, drawn by one generator re-keyed per replicate into the
-    rows in place, then finished, scaled and shifted in one pass per block
-    and stretch: no buffer is held beyond the block.  ``mean`` is 1-d and
-    ``sd`` broadcasts to it; ``seed``, ``lo`` and ``hi`` follow the seed
-    rule, and lo <= hi.
+    the same stream, drawn by one generator, built for the call and re-keyed
+    per replicate, into the rows in place, then finished, scaled and shifted
+    in one pass per block and stretch: no buffer is held beyond the block.
+    ``mean`` is 1-d and ``sd`` broadcasts to it; ``seed``, ``lo`` and ``hi``
+    follow the seed rule, and lo <= hi.
     """
     seed = _check_seed(seed, "seed")
     lo, hi = _check_seed(lo, "lo"), _check_seed(hi, "hi")

@@ -437,6 +437,8 @@ def _bad_values():
          "beta", "space.beta must be a list of [lo, hi] pairs"),
         ("grid", {"grid": {"kind": "quantile", "n": 8, "total_time": 2.0, "exponent": 0.0}},
          "exponent", "quantile grid exponent must be positive"),
+        ("grid", {"grid": {"kind": "uniform", "n": 10, "h": 1e308}}, "grid",
+         "the last instant n * h = 10 * 1e+308 overflows"),
         ("fisher", fisher | {"source": "empirical"}, "grid", "empirical information needs a grid"),
         ("fisher", fisher | {"source": "bogus"}, "source",
          "source must be 'empirical' or 'limit', got 'bogus'"),
@@ -469,7 +471,7 @@ def _bad_values():
     _bad_values(),
     ids=["h-negative", "h-nan", "n-zero", "theta-nan", "space-nan", "study-h-negative",
          "floor-negative", "file-unreadable", "file-not-json", "file-not-object",
-         "grid-kind-unknown", "basis-empty", "space-not-pairs", "quantile-exponent-zero",
+         "grid-kind-unknown", "basis-empty", "space-not-pairs", "quantile-exponent-zero", "h-overflow",
          "empirical-without-grid", "source-unknown", "fisher-pattern-period",
          "step-rule-with-h", "step-rule-unknown", "pattern-n-not-multiple", "study-kind-unknown",
          "n-values-decreasing", "direction-length", "loss-malformed", "risk-lattice-outside",

@@ -1,10 +1,13 @@
 import concurrent.futures
 import json
 import os
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+
+from numpy.random import Philox
 
 from signoise import (
     ConfigError,
@@ -13,13 +16,18 @@ from signoise import (
     OutOfSpaceError,
     SingularDesignError,
     StudyConfig,
+    Theta,
     closed_form_mle,
     config,
+    derive_seed,
+    draw_block,
     estimate,
     experiments,
     gaussian_expected_loss,
+    local_expansion,
     run_study,
     save_report,
+    simulate,
     study_from_dict,
     uniform_grid,
 )
@@ -467,3 +475,105 @@ def test_chunk_blocks_concatenate_in_c_order():
     rows = [task(ctx, 5, lo, min(lo + 3, 130))[0] for lo in range(0, 130, 3)]  # chunks of 3
     assert not rows[0].flags.c_contiguous and results.flags.c_contiguous and not failures
     assert np.array_equal(results, np.concatenate(rows))
+
+
+def _scaled_context(n: int, replicates: int = 130):
+    cfg = study_from_dict(_study(model=TRIG_SCALED_CONFIG, space=SCALED_SPACE,
+                                 theta=SCALED_THETA, n_values=[100], replicates=replicates))
+    return cfg, experiments._Context(MomentCache(cfg._model, uniform_grid(n, 0.25)), cfg._theta)
+
+
+def _expansion(cfg, ctx):
+    scaling = experiments._reference_bundle(cfg, ctx).local_scaling
+    directions = np.array([[0.6, 0.3, 0.2], [0.0, 0.5, 0.7]])
+    return local_expansion(cfg._model, cfg._space, ctx.theta, directions, scaling, ctx.cache)
+
+
+def _fresh_chunks(ctx, seed: int, m: int, solve) -> np.ndarray:
+    """A rung's chunks each drawn into a block of its own and solved by a public entry
+    point on fresh arrays, concatenated in order."""
+    k = -(-m // experiments._CHUNKS)
+    blocks = (draw_block(ctx.mean, ctx.sd, seed, lo, min(lo + k, m)) for lo in range(0, m, k))
+    return np.concatenate([solve(ys) for ys in blocks])
+
+
+def test_one_workspace_serves_rungs_of_different_n_and_a_ragged_last_chunk():
+    # 130 replicates make 43 chunks of 3 and a last one of 1, and the n = 100 rung runs on the
+    # front of buffers the n = 400 rung filled: no stale row or column may reach a result
+    work = simulate._Workspace()
+    for n in (400, 100):
+        cfg, ctx = _scaled_context(n)
+        design, expansion = ctx.cache.linear_design(), _expansion(cfg, ctx)
+        fits, failures = experiments._replicates(
+            map, partial(experiments._estimate_chunk, cfg, work=work), ctx, 5, 130
+        )
+        assert not failures
+        assert np.array_equal(fits, _fresh_chunks(ctx, 5, 130, lambda ys: design.fit(ys.T)))
+        lan, _ = experiments._replicates(
+            map, partial(experiments._lan_chunk, expansion, work=work), ctx, 6, 130
+        )
+        want = _fresh_chunks(ctx, 6, 130, lambda ys: np.hstack(expansion.evaluate(ys)))
+        assert np.array_equal(lan, want)
+
+
+@pytest.mark.parametrize("n, k", [(1600, 32), (simulate._SLAB_WORDS + 17, 2)],
+                         ids=["n1600-k32", "past-one-stretch"])
+def test_workspace_chunks_equal_fits_and_expansions_on_fresh_arrays(n, k):
+    cfg, ctx = _scaled_context(n)
+    design, expansion = ctx.cache.linear_design(), _expansion(cfg, ctx)
+    ys = draw_block(ctx.mean, ctx.sd, 9, 0, k)
+    work = simulate._Workspace()
+    fits, _ = experiments._estimate_chunk(cfg, ctx, 9, 0, k, work=work)
+    assert np.array_equal(fits, design.fit(ys.T))
+    lan, _ = experiments._lan_chunk(expansion, ctx, 9, 0, k, work=work)
+    assert np.array_equal(lan, np.hstack(expansion.evaluate(ys)))
+
+
+def test_risk_lattice_points_equal_their_fresh_chunk_fits():
+    cfg = study_from_dict(_study(kind="risk", n_values=[100], replicates=130))
+    lattice = [cfg._theta, Theta([1.1], [])]
+    report = experiments.StudyReport(cfg.kind, cfg.seed, cfg.digest(), meta=experiments._meta(cfg))
+    for n, ctx, stacks in experiments._rungs(cfg, report, map, lattice=lattice):
+        design = ctx.cache.linear_design()
+        for j, (theta, got) in enumerate(zip(lattice, stacks)):
+            point = replace(ctx, theta=theta)
+            seed = derive_seed(cfg.seed, cfg.kind, 0, j)
+            assert np.array_equal(got, _fresh_chunks(point, seed, 130, lambda ys: design.fit(ys.T)))
+
+
+@pytest.mark.parametrize("overrides, rungs", [
+    ({}, 2),
+    ({"kind": "lan"}, 2),
+    ({"kind": "risk", "n_values": [100]}, 1),  # its three lattice points share the rung's
+], ids=["normality", "lan", "risk"])
+def test_a_study_rung_builds_one_generator_per_process(monkeypatch, overrides, rungs):
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "Philox", counting_philox)
+    run_study(study_from_dict(_study(replicates=130, **overrides)))
+    assert len(built) == rungs
+
+
+@pytest.mark.parametrize("estimator", ["mle", "bayes", "bayes-is"])
+def test_per_row_estimators_keep_no_sample_on_a_reused_buffer(monkeypatch, estimator):
+    # such an estimator is handed a sample per row and may keep it, so its rows must not
+    # view a buffer that the rung's next chunk draws into
+    cfg = study_from_dict(_study(estimator=estimator, n_values=[100], replicates=130))
+    ctx = experiments._Context(MomentCache(cfg._model, uniform_grid(100, 0.25)), cfg._theta)
+    real, kept = experiments.resolve_estimator(cfg.estimator, cfg._model, cfg._space), []
+
+    def keeping(model, space, grid, sample, **kwargs):
+        kept.append(sample)
+        return real(model, space, grid, sample, **kwargs)
+
+    monkeypatch.setattr(experiments, "resolve_estimator", lambda *args: keeping)
+    work = simulate._Workspace()
+    for lo in (0, 3):
+        experiments._estimate_chunk(cfg, ctx, 11, lo, lo + 3, work=work)
+    assert np.array_equal([sample.y for sample in kept], draw_block(ctx.mean, ctx.sd, 11, 0, 6))
+    buffers = (work._block, work._scratch)
+    assert not any(np.shares_memory(s.y, buffer) for s in kept for buffer in buffers)

@@ -10,6 +10,7 @@ from signoise import (
     DomainError,
     EvaluationError,
     GeneralNoise,
+    GridError,
     KnownNoise,
     LinearSignal,
     ModelSpec,
@@ -17,12 +18,14 @@ from signoise import (
     NoiseFloorViolation,
     ParameterSpace,
     PeriodicStepFn,
+    Prior,
     Profile,
     ScaledNoise,
     SineFn,
     Theta,
     constant_profile,
     grid_from_instants,
+    uniform_grid,
 )
 from signoise.config import build_model, build_profile
 
@@ -192,6 +195,27 @@ def test_parameter_space_contains_and_margin():
     assert np.array_equal(lo, space.lower + 1e-9)
     assert np.array_equal(hi, space.upper - 1e-9)
     assert space.contains(Theta.from_vector(lo, 1)) and space.contains(Theta.from_vector(hi, 1))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: uniform_grid(10, "a"), GridError, "step must be positive and finite, got 'a'"),
+    (lambda: uniform_grid(10, 1e308), GridError, "n * h = 10 * 1e+308 overflows"),
+    (lambda: grid_from_instants(["0", "b"]), GridError, "instants must be numbers"),
+    (lambda: CosineFn("a"), DomainError, "frequency must be positive, got 'a'"),
+    (lambda: SineFn("a"), DomainError, "frequency must be positive, got 'a'"),
+    (lambda: PeriodicStepFn("ab", 1.0), DomainError, "levels must be numbers"),
+    (lambda: PeriodicStepFn((1.0, 2.0), "1"), DomainError, "period must be positive, got '1'"),
+    (lambda: Theta(["x"], [1.0]), DomainError, "alpha must be numbers"),
+    (lambda: Theta([1.0], [True]), DomainError, "beta must be numbers"),
+    (lambda: Prior(["x"], [1.0]), DomainError, "center must be numbers"),
+], ids=["grid-step-str", "grid-overflow", "instants-str", "cos-frequency-str",
+        "sin-frequency-str", "steps-levels-str", "steps-period-str", "theta-alpha-str",
+        "theta-beta-bool", "prior-center-str"])
+def test_constructors_refuse_what_is_not_a_number_naming_the_argument(build, error, message):
+    # under -W error an overflow warning would escape first, so the overflow is checked ahead
+    with pytest.raises(error) as caught:
+        build()
+    assert message in str(caught.value)
 
 
 def test_parameter_space_rejects_bad_boxes():

@@ -141,6 +141,16 @@ def test_draw_block_builds_one_generator_per_call(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_reused_workspace_rekeys_at_the_top_of_the_seed_range():
+    # the first draw leaves the generator part way into another key's stream, with words
+    # buffered: the re-key must restart at counter zero with an empty buffer
+    work = simulate._Workspace()
+    simulate._draw(3, 0, 2, 51, work=work)
+    seed, replicate = 2**64 - 1, 2**64 - 2
+    got = simulate._draw(seed, replicate, replicate + 1, 1000, work=work)
+    assert np.array_equal(got[0], _defined_stream(seed, replicate, 1000))
+
+
 @pytest.mark.parametrize(
     "lo, hi, bound",
     [(5, 3, "hi"), (2**64 - 1, 2**64 + 1, "hi"), (-1, 2, "lo")],
