@@ -445,8 +445,7 @@ class ModelSpec:
     sigma2_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.sigma2_floor > 0.0 and np.isfinite(self.sigma2_floor)):
-            raise DomainError(f"sigma2_floor must be positive, got {self.sigma2_floor!r}")
+        _check_positive(self.sigma2_floor, "sigma2_floor")
 
     @property
     def p(self) -> int:
@@ -527,8 +526,8 @@ class ParameterSpace:
     beta_box: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        abox = tuple((float(lo), float(hi)) for lo, hi in self.alpha_box)
-        bbox = tuple((float(lo), float(hi)) for lo, hi in self.beta_box)
+        abox = tuple(_real_tuple(axis, "alpha_box") for axis in self.alpha_box)
+        bbox = tuple(_real_tuple(axis, "beta_box") for axis in self.beta_box)
         object.__setattr__(self, "alpha_box", abox)
         object.__setattr__(self, "beta_box", bbox)
         if len(abox) + len(bbox) == 0:

@@ -208,9 +208,12 @@ def test_parameter_space_contains_and_margin():
     (lambda: Theta(["x"], [1.0]), DomainError, "alpha must be numbers"),
     (lambda: Theta([1.0], [True]), DomainError, "beta must be numbers"),
     (lambda: Prior(["x"], [1.0]), DomainError, "center must be numbers"),
+    (lambda: ParameterSpace(((0.0, "a"),), ()), DomainError, "alpha_box must be numbers"),
+    (lambda: ModelSpec(LinearSignal((ConstantFn(),)), KnownNoise(constant_profile(1.0)),
+                       sigma2_floor="a"), DomainError, "sigma2_floor must be positive, got 'a'"),
 ], ids=["grid-step-str", "grid-overflow", "instants-str", "cos-frequency-str",
         "sin-frequency-str", "steps-levels-str", "steps-period-str", "theta-alpha-str",
-        "theta-beta-bool", "prior-center-str"])
+        "theta-beta-bool", "prior-center-str", "box-str", "floor-str"])
 def test_constructors_refuse_what_is_not_a_number_naming_the_argument(build, error, message):
     # under -W error an overflow warning would escape first, so the overflow is checked ahead
     with pytest.raises(error) as caught:
